@@ -11,11 +11,12 @@ import math
 import random
 from time import perf_counter
 
+from twistcover.checks import GRID_N, GRID_S
 from twistcover.kernels import BACKEND, compiled, pure
 from twistcover.solver import bracket
 
-GRID_N = (-6, -5, -4, -3, -2, 2, 3, 4, 5, 6)
-GRID_S = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
+# n = 1 has a closed-form root and no bracket
+BRACKET_N = tuple(n for n in GRID_N if n != 1)
 
 
 def bench(fn, repeat):
@@ -33,13 +34,13 @@ def make_workloads():
     cheb_args = [(rng.randrange(-30, 31), rng.uniform(-4.0, 4.0)) for _ in range(20000)]
 
     phi_args = []
-    for n in GRID_N:
+    for n in BRACKET_N:
         for _ in range(400):
             s = 10.0 ** rng.uniform(-2, 2)
             phi_args.append((n, s, rng.uniform(0.0, 4.0)))
 
     bisect_args = []
-    for n in GRID_N:
+    for n in BRACKET_N:
         for s in GRID_S:
             br = bracket(n, s)
             bisect_args.append((n, s, br.delta_lo, br.delta_hi, 1e-13 * s, 200))

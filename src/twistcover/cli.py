@@ -112,17 +112,7 @@ def _cmd_riley(a) -> tuple[str, int]:
 
 def _cmd_solve(a) -> tuple[str, int]:
     sol = solver.solve(a.n, a.s, tol=a.tol_T)
-    payload = {
-        "version": __version__,
-        "n": sol.n,
-        "s": sol.s,
-        "T": sol.T,
-        "t": sol.t,
-        "trace_W": sol.trace_W,
-        "theta": sol.theta,
-        "phi_residual": sol.phi_residual,
-        "iterations": sol.iterations,
-    }
+    payload = {"version": __version__, **asdict(sol)}
     if a.format == "json":
         return _json(payload), 0
     return _text(payload.items()), 0
@@ -133,15 +123,7 @@ def _cmd_slope(a) -> tuple[str, int]:
         raise DomainError("slope takes exactly one of --s or --r")
     if a.s is not None:
         smp = slopes.g_eval(a.n, a.s, tol_T=a.tol_T)
-        payload = {
-            "version": __version__,
-            "n": a.n,
-            "s": smp.s,
-            "T": smp.T,
-            "t": smp.t,
-            "B": smp.B,
-            "g": smp.g,
-        }
+        payload = {"version": __version__, "n": a.n, **asdict(smp)}
     else:
         p, q = a.r
         smp, report = slopes.invert(
@@ -169,11 +151,7 @@ def _cmd_scan(a) -> tuple[str, int]:
     rows = slopes.scan(a.n, a.s_min, a.s_max, a.samples, tol_T=a.tol_T)
     if a.format == "csv":
         return slopes.scan_to_csv(rows), 0
-    payload = {
-        "version": __version__,
-        "n": a.n,
-        "rows": [{"s": r.s, "T": r.T, "t": r.t, "B": r.B, "g": r.g} for r in rows],
-    }
+    payload = {"version": __version__, "n": a.n, "rows": [asdict(r) for r in rows]}
     return _json(payload), 0
 
 

@@ -1,11 +1,8 @@
 """Kernel backend selection.
 
-The compiled extension is used when available; the pure-Python module is the
-fallback and the reference.  Set TWISTCOVER_PURE=1 to force the fallback
-(useful for benchmarking and for debugging kernel-level behavior).
+The compiled extension is used when it imports; the pure-Python module is
+the fallback and the reference.  BACKEND says which one is active.
 """
-
-import os
 
 from . import pure
 
@@ -15,7 +12,7 @@ try:
 except ImportError:
     compiled = None
 
-if compiled is not None and not os.environ.get("TWISTCOVER_PURE"):
+if compiled is not None:
     _impl = compiled
     BACKEND = "compiled"
 else:

@@ -97,7 +97,6 @@ def invert(
     q: int,
     tol: float = DEFAULT_TOL_G,
     tol_T: float = DEFAULT_TOL_T,
-    grid_points: int = GRID_POINTS,
     full_output: bool = False,
 ):
     """Find s with |g(s) - p/q| <= tol; p/q must be reduced and in (0, 4).
@@ -118,8 +117,6 @@ def invert(
         raise SlopeOutOfRange(
             f"slope {p}/{q} is outside the certified open interval (0, 4)"
         )
-    if grid_points < 2:
-        raise DomainError(f"grid_points must be at least 2, got {grid_points}")
 
     evaluations = 0
 
@@ -128,7 +125,7 @@ def invert(
         evaluations += 1
         return g_eval(n, s, tol_T)
 
-    grid = _log_grid(GRID_S_MIN, GRID_S_MAX, grid_points)
+    grid = _log_grid(GRID_S_MIN, GRID_S_MAX, GRID_POINTS)
     samples = [f(s) for s in grid]
     for smp in samples:
         if abs(smp.g - r) <= tol:

@@ -1,39 +1,20 @@
 """End-to-end acceptance runs: every release gate in one file.
 
-Each test prints a single PASS line with the measured margin so a plain
-`pytest -v -s tests/test_acceptance.py` reads as a checklist.  Tolerances
-and timing budgets are stated inline next to each assertion.
+Each gate and each invariant suite of twistcover.checks prints a single
+PASS line with the measured margin, so a plain
+`pytest -v -s tests/test_acceptance.py` reads as a checklist.  Gate
+tolerances and timing budgets are stated inline next to each assertion;
+suite bounds live with the suites.
 """
 
 import math
-from fractions import Fraction
 from time import perf_counter
 
 import pytest
 
 import twistcover.checks as checks
-from twistcover import (
-    bracket,
-    certificate,
-    cover_mul,
-    cover_pow,
-    eval_exact,
-    from_su11,
-    g_eval,
-    lift_generators,
-    lifted_longitude,
-    phi_num,
-    relation_residual,
-    riley_poly,
-    solve,
-    unchart,
-)
+from twistcover import certificate, g_eval, phi_num, riley_poly, solve
 from twistcover.exactpoly import clear_cache
-from twistcover.rep import IDENTITY2, longitude, max_abs_diff
-from twistcover.solver import t_from_T
-
-GRID_N = (-6, -5, -4, -3, -2, 1, 2, 3, 4, 5, 6)
-GRID_S = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 
 CERT_PAIRS = [
     (n, p, q)
@@ -51,6 +32,16 @@ PHI_2 = {
 
 def report(name: str, detail: str) -> None:
     print(f"PASS {name}: {detail}")
+
+
+def timed_suites(*suites):
+    """Run invariant suites back to back; each must pass."""
+    start = perf_counter()
+    results = [fn() for fn in suites]
+    elapsed = perf_counter() - start
+    for res in results:
+        assert res.passed, res.line()
+    return results, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -86,24 +77,14 @@ def test_phi_sign_anchors():
 
 
 def test_root_isolation_grid():
-    start = perf_counter()
-    worst_resid = 0.0
-    for n in GRID_N:
-        for s in GRID_S:
-            if n != 1:
-                br = bracket(n, s)
-                assert br.sign_lo * br.sign_hi == -1, (n, s)
-            sol = solve(n, s)
-            assert s + 2 < sol.T < s + 2 + 4.0 / s, (n, s)
-            assert -2.0 < sol.trace_W < 2.0, (n, s)
-            resid = abs(float(eval_exact(riley_poly(n), sol.s, sol.T)))
-            worst_resid = max(worst_resid, resid)
-            assert resid < 1e-9, (n, s, resid)
-    elapsed = perf_counter() - start
+    # cold caches, so the budget covers building the polynomials and solving
+    checks.grid_solutions.cache_clear()
+    clear_cache()
+    (_, grid), elapsed = timed_suites(checks.check_bracket_signs, checks.check_solve_grid_soundness)
     assert elapsed < 1.0, f"grid took {elapsed:.3f}s"
     report(
         "root isolation grid",
-        f"66 points, worst exact residual {worst_resid:.2e} vs 1e-9, {elapsed * 1e3:.0f}ms",
+        f"66 points, worst exact residual {grid.worst:.2e} vs 1e-9, {elapsed * 1e3:.0f}ms",
     )
 
 
@@ -122,53 +103,6 @@ def test_closed_form_roots():
     report("closed form roots", f"linear worst {worst:.2e} vs 1e-12, quadratic {quad:.2e} vs 1e-10")
 
 
-def test_representation_identities():
-    worst_rel = worst_off = worst_b = worst_vanish = 0.0
-    for n in GRID_N:
-        for s in GRID_S:
-            sol = solve(n, s)
-            r = relation_residual(n, sol.s, sol.t, relative=True)
-            worst_rel = max(worst_rel, r)
-            assert r < 1e-8, (n, s)
-            ell, hol = longitude(n, sol)
-            scale = 1.0 + ell.maxabs()
-            worst_off = max(worst_off, hol.offdiag_residual)
-            assert hol.offdiag_residual < 1e-6, (n, s)
-            b_dev = abs(ell.m11 - hol.B) / scale
-            worst_b = max(worst_b, b_dev)
-            assert b_dev < 1e-10, (n, s)
-            v = abs(ell.m21) / scale
-            worst_vanish = max(worst_vanish, v)
-            assert v < 1e-9, (n, s)
-    report(
-        "representation identities",
-        f"relation {worst_rel:.2e}/1e-8, offdiag {worst_off:.2e}/1e-6, "
-        f"holonomy {worst_b:.2e}/1e-10, vanishing {worst_vanish:.2e}/1e-9",
-    )
-
-
-def test_limit_trends():
-    t_small = solve(1, 1e-6).t
-    assert abs(t_small - (3 + math.sqrt(5)) / 2) < 1e-4
-
-    for n in GRID_N:
-        sol = solve(n, 1e6)
-        assert abs(sol.t - sol.s - 2.0) < 0.01, n
-        assert abs(sol.s / sol.t - 1.0) < 0.01, n
-
-    b_small = g_eval(1, 1e-6)
-    b_large = g_eval(1, 1e6)
-    assert abs(b_small.B - 1.0) < 0.01
-    assert abs(b_large.B * b_large.t**2 - 1.0) < 0.01
-    assert b_small.g < 0.005
-    assert b_large.g > 3.995
-    report(
-        "limit trends",
-        f"t->golden {abs(t_small - (3 + math.sqrt(5)) / 2):.1e}, "
-        f"g range [{b_small.g:.4f}, {b_large.g:.4f}] vs (0.005, 3.995)",
-    )
-
-
 def test_surgery_certificates(certificates):
     worst_g = worst_final = worst_proj = worst_time = 0.0
     for cert, elapsed in certificates:
@@ -181,12 +115,7 @@ def test_surgery_certificates(certificates):
         assert cert.final_gamma_abs < 1e-6
         assert abs(cert.final_omega) < 1e-6
 
-        # rebuild the filled word from scratch and project it down
-        sol = solve(cert.n, cert.s_star)
-        xt, yt, _ = lift_generators(cert.n, sol)
-        lt = lifted_longitude(cert.n, xt, yt)
-        final = cover_mul(cover_pow(xt, cert.p), cover_pow(lt, cert.q))
-        proj = max_abs_diff(from_su11(unchart(final)), IDENTITY2)
+        proj = checks.projection_residual(cert)
         worst_proj = max(worst_proj, proj)
         assert proj < 1e-8, (cert.n, cert.p, cert.q)
 
@@ -200,17 +129,12 @@ def test_surgery_certificates(certificates):
 
 
 def test_cover_property_suites():
-    suites = (
+    results, elapsed = timed_suites(
         checks.check_cover_projection_homomorphism,
         checks.check_cover_associativity,
         checks.check_real_axis_closure,
         checks.check_central_commutation,
     )
-    start = perf_counter()
-    results = [fn() for fn in suites]
-    elapsed = perf_counter() - start
-    for res in results:
-        assert res.passed, res.line()
     assert elapsed < 1.0, f"property suites took {elapsed:.3f}s"
     report(
         "cover property suites",
@@ -223,3 +147,12 @@ def test_longitude_lift_level(certificates):
     worst = max(cert.longitude_omega for cert, _ in certificates)
     assert worst < 1e-6
     report("longitude lift level", f"worst omega {worst:.2e} vs 1e-6 over 25 fillings")
+
+
+@pytest.mark.parametrize(
+    "suite", checks.ALL_CHECKS, ids=lambda fn: fn.__name__.removeprefix("check_")
+)
+def test_invariant_suite(suite):
+    res = suite()
+    assert res.passed, res.line()
+    print(res.line())
