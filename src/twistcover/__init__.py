@@ -4,8 +4,8 @@ The pipeline: exact defining polynomials (exactpoly), certified numeric roots
 (solver), the matrix representation and its longitude (rep), the slope map
 g and its inversion (slopes), and lifting to the universal cover with surgery
 certificates (cover).  checks bundles the runtime invariant suites; cli is
-the command line frontend.  Hot kernels live in kernels, with a compiled
-extension used when available (kernels.BACKEND says which).
+the command line frontend.  kernels holds the four hot inner loops that
+solver, rep and cover call.
 """
 
 from ._version import __version__
@@ -28,7 +28,6 @@ from .cover import (
 )
 from .errors import (
     CertificateFailed,
-    ClosedFormAvailable,
     DomainError,
     LongitudeOmegaNonzero,
     NoBracketFound,
@@ -52,56 +51,3 @@ from .rep import (
 from .slopes import SlopeSample, g_eval, invert, scan, scan_to_csv
 from .solver import Bracket, RepSolution, bracket, phi_num, solve, t_from_T, tau_num
 
-__all__ = [
-    "__version__",
-    "BivarPoly",
-    "TRACE_POLY",
-    "tau_poly",
-    "riley_poly",
-    "eval_exact",
-    "Bracket",
-    "RepSolution",
-    "tau_num",
-    "phi_num",
-    "bracket",
-    "solve",
-    "t_from_T",
-    "Mat2",
-    "HolonomyData",
-    "gen_matrices",
-    "w_matrix",
-    "w_power",
-    "relation_residual",
-    "longitude",
-    "longitude_holonomy",
-    "SlopeSample",
-    "g_eval",
-    "scan",
-    "scan_to_csv",
-    "invert",
-    "CoverElem",
-    "SU11Elem",
-    "SurgeryCertificate",
-    "to_su11",
-    "from_su11",
-    "chart",
-    "unchart",
-    "cover_mul",
-    "cover_inv",
-    "cover_pow",
-    "cover_word",
-    "lift_generators",
-    "lifted_longitude",
-    "certificate",
-    "certificate_json",
-    "DomainError",
-    "SlopeOutOfRange",
-    "ClosedFormAvailable",
-    "NumericsError",
-    "NonConvergence",
-    "NoBracketFound",
-    "OffDiagonalTooLarge",
-    "RelatorNotCentral",
-    "LongitudeOmegaNonzero",
-    "CertificateFailed",
-]

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import ceil, cos, inf, log2, pi, sin, sqrt, tau
 
 from . import cover, exactpoly, rep, slopes, solver
-from .errors import ClosedFormAvailable
+from .errors import DomainError
 
 GRID_N = (-6, -5, -4, -3, -2, 1, 2, 3, 4, 5, 6)
 GRID_S = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
@@ -138,7 +138,7 @@ def check_bracket_signs() -> CheckResult:
             try:
                 solver.bracket(n, 1.0)
                 w.fail("n=1 should defer to the closed form")
-            except ClosedFormAvailable:
+            except DomainError:
                 w.push(0.0, "n=1")
             continue
         for s in GRID_S:

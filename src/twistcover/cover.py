@@ -33,7 +33,7 @@ from .errors import (
 )
 from .rep import Mat2, gen_matrices, longitude, longitude_word, relator_word
 from .slopes import DEFAULT_TOL_G, invert
-from .solver import DEFAULT_TOL_T, RepSolution, solve
+from .solver import DEFAULT_TOL_T, RepSolution, check_positive, solve
 
 DEFAULT_TOL_CERT = 1e-6
 # Relator and longitude words keep intermediate |gamma| within ~1/norm^2 of
@@ -252,6 +252,7 @@ def certificate(
     Finds s* with g(s*) = p/q, lifts the representation there, and verifies
     that the lifted x^p L^q lands on (0, 0) within tol_cert.
     """
+    check_positive("tol_cert", tol_cert)
     smp = invert(n, p, q, tol=tol_g, tol_T=tol_T)
     sol = solve(n, smp.s, tol=tol_T)
     _, hol = longitude(n, sol)

@@ -15,14 +15,6 @@ class SlopeOutOfRange(DomainError):
     """Requested slope p/q is not strictly inside (0, 4)."""
 
 
-class ClosedFormAvailable(Exception):
-    """Signal, not a failure: the requested quantity has a closed form.
-
-    Raised by bracket() for n = 1, where the defining polynomial is linear
-    in T and solve() short-circuits to T = s + 2 + 1/(s+1).
-    """
-
-
 class NumericsError(RuntimeError):
     """A numerical check failed at the requested tolerance."""
 

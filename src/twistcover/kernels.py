@@ -1,8 +1,8 @@
-"""Pure-Python kernels.
+"""Hot kernels.
 
-These four functions are the hot inner loops of the solver and the cover
-arithmetic.  kernels/_compiled.pyx mirrors them statement for statement; keep
-the two in sync (the parity tests compare them pointwise).
+These four functions are the inner loops of the solver and the cover
+arithmetic: the Chebyshev ratio, the defining function in the solver's
+offset coordinate, the bisection loop over it, and the cover group law.
 """
 
 from math import acos, acosh, atan2, cos, pi, sin, sinh

@@ -24,7 +24,7 @@ from math import sqrt
 
 from . import kernels
 from .errors import DomainError, NumericsError, OffDiagonalTooLarge
-from .solver import RepSolution
+from .solver import RepSolution, check_positive
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,8 @@ def max_abs_diff(a: Mat2, b: Mat2) -> float:
 
 
 def _check_params(s: float, t: float) -> tuple[float, float]:
-    s = float(s)
+    s = check_positive("s", s)
     t = float(t)
-    if not s > 0:
-        raise DomainError(f"s must be positive, got {s}")
     # u = sqrt(t) - 1/sqrt(t) vanishes at t = 1
     if not t > 1.0 or t - 1.0 < 1e-12:
         raise DomainError(f"t must exceed 1 by more than 1e-12, got {t}")

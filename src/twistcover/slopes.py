@@ -18,7 +18,7 @@ from math import exp, gcd, log, sqrt
 
 from .errors import DomainError, NoBracketFound, NonConvergence, NumericsError, SlopeOutOfRange
 from .rep import longitude_holonomy
-from .solver import DEFAULT_TOL_T, solve
+from .solver import DEFAULT_TOL_T, check_positive, solve
 
 DEFAULT_TOL_G = 1e-9
 GRID_S_MIN = 1e-6
@@ -117,6 +117,7 @@ def invert(
         raise SlopeOutOfRange(
             f"slope {p}/{q} is outside the certified open interval (0, 4)"
         )
+    check_positive("tol", tol)
 
     evaluations = 0
 

@@ -18,10 +18,10 @@ rounding once s is large (see Bracket.delta_lo).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, cos, pi, sqrt
+from math import acos, cos, inf, pi, sqrt
 
 from . import kernels
-from .errors import ClosedFormAvailable, DomainError, NonConvergence, NumericsError
+from .errors import DomainError, NonConvergence, NumericsError
 
 DEFAULT_TOL_T = 1e-13
 DEFAULT_MAX_ITER = 200
@@ -34,11 +34,12 @@ def _check_n(n: int) -> None:
         raise DomainError(f"n must not be 0 or -1, got {n}")
 
 
-def _check_s(s: float) -> float:
-    s = float(s)
-    if not s > 0:
-        raise DomainError(f"s must be positive, got {s}")
-    return s
+def check_positive(name: str, value: float) -> float:
+    """value as a float; DomainError unless it is finite and positive."""
+    value = float(value)
+    if not 0.0 < value < inf:
+        raise DomainError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def tau_num(m: int, trace: float) -> float:
 def phi_num(n: int, s: float, T: float) -> float:
     """Numeric phi_n(s, T) for T in the trace band [s+2, s+2+4/s]."""
     _check_n(n)
-    s = _check_s(s)
+    s = check_positive("s", s)
     T = float(T)
     delta = ((T - s) - 2.0) * s
     # rounding slack: computing delta from T costs about s*ulp(T)
@@ -121,12 +122,13 @@ def _delta_window(n: int) -> tuple[float, float]:
 def bracket(n: int, s: float) -> Bracket:
     """Interval with opposite signs of phi_n at the endpoints.
 
-    Raises ClosedFormAvailable for n = 1 (phi_1 is linear in T).
+    Raises DomainError for n = 1 (phi_1 is linear in T; solve uses its
+    closed form).
     """
     _check_n(n)
-    s = _check_s(s)
+    s = check_positive("s", s)
     if n == 1:
-        raise ClosedFormAvailable("phi_1 is linear in T; use solve(1, s)")
+        raise DomainError("n = 1 has no bracket; phi_1 is linear in T")
     dlo, dhi = _delta_window(n)
     f_lo = kernels.phi_delta(n, s, dlo)
     f_hi = kernels.phi_delta(n, s, dhi)
@@ -161,9 +163,8 @@ def solve(
 ) -> RepSolution:
     """Locate the certified root of phi_n(s, .) to |hi - lo| < tol in T."""
     _check_n(n)
-    s = _check_s(s)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    s = check_positive("s", s)
+    check_positive("tol", tol)
     if n == 1:
         delta = s / (s + 1.0)
         T = s + 2.0 + 1.0 / (s + 1.0)

@@ -1,11 +1,14 @@
 """Command line surface: formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import twistcover
 from twistcover import __version__
 from twistcover.cli import main
 
@@ -69,6 +72,24 @@ def test_domain_error_exit_code(capsys):
     data = json.loads(err)
     assert data["error"] == "DomainError"
     assert "n must not be 0 or -1" in data["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--n", "2", "--s", "inf"),
+        ("solve", "--n", "2", "--s", "1", "--tol-T", "inf"),
+        ("certify", "--n", "2", "--r", "7/2", "--tol-cert", "nan"),
+        ("certify", "--n", "2", "--r", "7/2", "--tol-cert", "inf"),
+        ("slope", "--n", "2", "--r", "3/2", "--tol-g", "nan"),
+        ("slope", "--n", "2", "--s", "inf"),
+        ("scan", "--n", "2", "--s-min", "1", "--s-max", "inf", "--samples", "3"),
+    ],
+)
+def test_nonfinite_inputs_are_domain_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
 
 
 def test_slope_requires_exactly_one_target(capsys):
@@ -165,10 +186,14 @@ def test_verify_text(capsys):
 
 
 def test_entry_point_subprocess():
+    # the child imports the same package as this process, installed or not
+    path = [str(Path(twistcover.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     out = subprocess.run(
         [sys.executable, "-m", "twistcover.cli", "riley", "--n", "-2", "--format", "csv"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert out.returncode == 0
     assert out.stdout.splitlines()[0] == "s_deg,T_deg,coeff"

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from twistcover import (
-    ClosedFormAvailable,
     DomainError,
     NonConvergence,
     bracket,
@@ -95,7 +94,7 @@ def test_bracket_sign_convention_on_grid():
 
 
 def test_bracket_n1_defers_to_closed_form():
-    with pytest.raises(ClosedFormAvailable):
+    with pytest.raises(DomainError, match="n = 1 has no bracket"):
         bracket(1, 1.0)
 
 
