@@ -126,9 +126,7 @@ def _cmd_slope(a) -> tuple[str, int]:
         payload = {"version": __version__, "n": a.n, **asdict(smp)}
     else:
         p, q = a.r
-        smp, report = slopes.invert(
-            a.n, p, q, tol=a.tol_g, tol_T=a.tol_T, full_output=True
-        )
+        smp, report = slopes.invert(a.n, p, q, tol=a.tol_g, tol_T=a.tol_T)
         payload = {
             "version": __version__,
             "n": a.n,

@@ -76,7 +76,7 @@ def to_su11(m: Mat2) -> SU11Elem:
     """Conjugate a real matrix of determinant 1 into SU(1,1)."""
     det = m.det()
     scale = 1.0 + abs(m.m11 * m.m22) + abs(m.m12 * m.m21)
-    if abs(det - 1.0) > 1e-9 * scale:
+    if not abs(det - 1.0) <= 1e-9 * scale:
         raise DomainError(f"matrix determinant {det} is not 1")
     alpha = complex(0.5 * (m.m11 + m.m22), 0.5 * (m.m12 - m.m21))
     beta = complex(0.5 * (m.m11 - m.m22), -0.5 * (m.m12 + m.m21))
@@ -152,9 +152,7 @@ def cover_word(word: str, xt: CoverElem, yt: CoverElem) -> CoverElem:
     return acc
 
 
-def lift_generators(
-    n: int, sol: RepSolution, tol: float = DEFAULT_LIFT_TOL
-) -> tuple[CoverElem, CoverElem, float]:
+def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, float]:
     """Lift the generator images to the cover so the relator maps to (0, 0).
 
     x lifts with omega exactly 0: alpha of its SU(1,1) image is
@@ -176,40 +174,35 @@ def lift_generators(
         yt = CoverElem(yt0.gamma, yt0.omega + tau * k)
         rel = cover_word(word, xt, yt)
     residual = max(abs(rel.gamma), abs(rel.omega))
-    if residual > tol:
+    if not residual <= DEFAULT_LIFT_TOL:
         raise RelatorNotCentral(
             f"lifted relator at n={n}, s={sol.s} is ({rel.gamma}, {rel.omega}), "
-            f"residual {residual:.3e} > {tol}; the parameters do not satisfy "
-            f"the group relation"
+            f"residual {residual:.3e} > {DEFAULT_LIFT_TOL}; the parameters do "
+            f"not satisfy the group relation"
         )
     return xt, yt, residual
 
 
 def lifted_longitude(
-    n: int,
-    xt: CoverElem,
-    yt: CoverElem,
-    expected_gamma: float | None = None,
-    tol_omega: float = DEFAULT_TOL_CERT,
-    gamma_tol: float = LONGITUDE_GAMMA_TOL,
+    n: int, xt: CoverElem, yt: CoverElem, expected_gamma: float | None = None
 ) -> CoverElem:
-    """Lift of the longitude; its omega component must vanish.
+    """Lift of the longitude; |omega| must stay within DEFAULT_TOL_CERT.
 
     Optionally cross-checks gamma against the closed form (B^2-1)/(B^2+1)
-    computed from the holonomy; gamma_tol may need widening where B is tiny
-    and gamma sits within ulps of the unit circle.
+    computed from the holonomy, to LONGITUDE_GAMMA_TOL.
     """
     lt = cover_word(longitude_word(n), xt, yt)
-    if abs(lt.omega) > tol_omega:
+    if not abs(lt.omega) <= DEFAULT_TOL_CERT:
         raise LongitudeOmegaNonzero(
-            f"lifted longitude has omega = {lt.omega}, |omega| > {tol_omega} at n={n}"
+            f"lifted longitude has omega = {lt.omega}, "
+            f"|omega| > {DEFAULT_TOL_CERT} at n={n}"
         )
     if expected_gamma is not None:
         err = abs(lt.gamma - expected_gamma)
-        if err > gamma_tol:
+        if not err <= LONGITUDE_GAMMA_TOL:
             raise NumericsError(
                 f"lifted longitude gamma = {lt.gamma} differs from holonomy "
-                f"value {expected_gamma} by {err:.3e}"
+                f"value {expected_gamma} by {err:.3e} > {LONGITUDE_GAMMA_TOL}"
             )
     return lt
 
@@ -253,7 +246,7 @@ def certificate(
     that the lifted x^p L^q lands on (0, 0) within tol_cert.
     """
     check_positive("tol_cert", tol_cert)
-    smp = invert(n, p, q, tol=tol_g, tol_T=tol_T)
+    smp, _ = invert(n, p, q, tol=tol_g, tol_T=tol_T)
     sol = solve(n, smp.s, tol=tol_T)
     _, hol = longitude(n, sol)
     xt, yt, rel_res = lift_generators(n, sol)
@@ -263,7 +256,7 @@ def certificate(
     final = cover_mul(cover_pow(xt, p), cover_pow(lt, q))
     final_gamma_abs = abs(final.gamma)
     final_omega = final.omega
-    if final_gamma_abs > tol_cert or abs(final_omega) > tol_cert:
+    if not (final_gamma_abs <= tol_cert and abs(final_omega) <= tol_cert):
         raise CertificateFailed(
             f"lifted x^{p} L^{q} at n={n}, s*={sol.s} is "
             f"({final.gamma}, {final.omega}); |gamma| = {final_gamma_abs:.3e}, "

@@ -168,14 +168,21 @@ def tau_poly(m: int) -> BivarPoly:
     return -_tau_nonneg(-m)
 
 
-def riley_poly(n: int) -> BivarPoly:
-    """Defining polynomial phi_n = tau_{n+1} - (T-1-s)*tau_n.
+def check_n(n: int) -> None:
+    """DomainError unless n is an integer twist parameter other than 0 and -1.
 
-    n = 0 and n = -1 are rejected: those twist parameters give the unknot and
-    the trefoil, which are outside this machinery.
+    n = 0 and n = -1 give the unknot and the trefoil, which are outside this
+    machinery.
     """
+    if not isinstance(n, int):
+        raise DomainError(f"n must be an integer, got {n!r}")
     if n in (0, -1):
         raise DomainError(f"n must not be 0 or -1, got {n}")
+
+
+def riley_poly(n: int) -> BivarPoly:
+    """Defining polynomial phi_n = tau_{n+1} - (T-1-s)*tau_n."""
+    check_n(n)
     return tau_poly(n + 1) - _SHIFT * tau_poly(n)
 
 

@@ -26,6 +26,8 @@ from . import kernels
 from .errors import DomainError, NumericsError, OffDiagonalTooLarge
 from .solver import RepSolution, check_positive
 
+OFFDIAG_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Mat2:
@@ -72,9 +74,9 @@ def max_abs_diff(a: Mat2, b: Mat2) -> float:
 
 def _check_params(s: float, t: float) -> tuple[float, float]:
     s = check_positive("s", s)
-    t = float(t)
+    t = check_positive("t", t)
     # u = sqrt(t) - 1/sqrt(t) vanishes at t = 1
-    if not t > 1.0 or t - 1.0 < 1e-12:
+    if t - 1.0 < 1e-12:
         raise DomainError(f"t must exceed 1 by more than 1e-12, got {t}")
     return s, t
 
@@ -177,32 +179,27 @@ def w_rev_power(n: int, s: float, t: float) -> Mat2:
     return Mat2(u.m11, u.m21 / sigma, u.m12 * sigma, u.m22)
 
 
-def relation_residual(n: int, s: float, t: float, relative: bool = False) -> float:
-    """Max-abs entrywise difference of rho(w^n x) and rho(y w^n).
+def relation_residual(n: int, s: float, t: float) -> float:
+    """Max-abs entrywise difference of rho(w^n x) and rho(y w^n), scaled by
+    1 + the larger entry norm, which is the meaningful reading once entries
+    grow with s and t.
 
-    Zero exactly when (s, t) solves the defining equation.  With
-    relative=True the difference is scaled by 1 + the larger entry norm,
-    which is the meaningful reading once entries grow with s and t.
+    Zero exactly when (s, t) solves the defining equation.
     """
     gx, gy = gen_matrices(s, t)
     wn = w_power(n, s, t)
     lhs = wn @ gx
     rhs = gy @ wn
-    d = max_abs_diff(lhs, rhs)
-    if relative:
-        d /= 1.0 + max(lhs.maxabs(), rhs.maxabs())
-    return d
+    return max_abs_diff(lhs, rhs) / (1.0 + max(lhs.maxabs(), rhs.maxabs()))
 
 
 @dataclass(frozen=True)
 class HolonomyData:
-    """Peripheral scalars at a solution: meridian stretch A = sqrt(t) > 1,
-    longitude entry B > 0, the sigma factor, and the achieved off-diagonal
-    residual of the longitude matrix (scaled by 1 + its entry norm)."""
+    """Peripheral scalars at a solution: longitude entry B > 0 and the
+    achieved off-diagonal residual of the longitude matrix (scaled by 1 + its
+    entry norm)."""
 
-    A: float
     B: float
-    sigma: float
     offdiag_residual: float
 
 
@@ -211,14 +208,12 @@ def longitude_holonomy(s: float, t: float) -> float:
     return (t - s - 1.0) / ((1.0 + s) * t - 1.0)
 
 
-def longitude(
-    n: int, sol: RepSolution, offdiag_tol: float = 1e-6
-) -> tuple[Mat2, HolonomyData]:
+def longitude(n: int, sol: RepSolution) -> tuple[Mat2, HolonomyData]:
     """rho(longitude) at a solution, with its peripheral scalars.
 
-    The matrix is assembled from W^n and sigma; it must come out diagonal,
-    and OffDiagonalTooLarge signals that sol does not actually satisfy the
-    defining equation.  B is reported from the closed form; the matrix
+    The matrix is assembled from W^n and sigma; it must come out diagonal to
+    OFFDIAG_TOL, and OffDiagonalTooLarge signals that sol does not actually
+    satisfy the defining equation.  B is reported from the closed form; the matrix
     (1,1) entry is the cross-check, not the source.
     """
     s, t = sol.s, sol.t
@@ -231,12 +226,12 @@ def longitude(
         u.m12 * u.m12 * sigma + u.m22 * u.m22,
     )
     offdiag = max(abs(ell.m12), abs(ell.m21)) / (1.0 + ell.maxabs())
-    if offdiag > offdiag_tol:
+    if not offdiag <= OFFDIAG_TOL:
         raise OffDiagonalTooLarge(
-            f"longitude off-diagonal residual {offdiag:.3e} at n={n}, "
+            f"longitude off-diagonal residual {offdiag:.3e} > {OFFDIAG_TOL} at n={n}, "
             f"s={s}, t={t}; the pair does not solve the defining equation"
         )
     b = longitude_holonomy(s, t)
     if not b > 0:
         raise NumericsError(f"longitude entry B = {b} is not positive at s={s}, t={t}")
-    return ell, HolonomyData(A=sqrt(t), B=b, sigma=sigma, offdiag_residual=offdiag)
+    return ell, HolonomyData(B=b, offdiag_residual=offdiag)

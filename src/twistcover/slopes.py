@@ -97,12 +97,12 @@ def invert(
     q: int,
     tol: float = DEFAULT_TOL_G,
     tol_T: float = DEFAULT_TOL_T,
-    full_output: bool = False,
-):
+) -> tuple[SlopeSample, InvertReport]:
     """Find s with |g(s) - p/q| <= tol; p/q must be reduced and in (0, 4).
 
     Scans a log grid over [1e-6, 1e8] for sign changes of g - p/q, takes the
-    leftmost, and bisects geometrically.  If the interval collapses to float
+    leftmost, and bisects geometrically; returns the sample at s with the
+    report of how it was found.  If the interval collapses to float
     resolution without meeting tol the sign change was a jump, not a
     crossing, and NonConvergence reports it instead of returning a bogus s.
     """
@@ -130,8 +130,7 @@ def invert(
     samples = [f(s) for s in grid]
     for smp in samples:
         if abs(smp.g - r) <= tol:
-            report = InvertReport(brackets=((smp.s, smp.s),), evaluations=evaluations)
-            return (smp, report) if full_output else smp
+            return smp, InvertReport(brackets=((smp.s, smp.s),), evaluations=evaluations)
 
     brackets = []
     for a, b in zip(samples, samples[1:]):
@@ -168,5 +167,4 @@ def invert(
         raise NonConvergence(
             f"slope bisection hit the iteration cap for n={n}, slope {p}/{q}"
         )
-    report = InvertReport(brackets=tuple(brackets), evaluations=evaluations)
-    return (result, report) if full_output else result
+    return result, InvertReport(brackets=tuple(brackets), evaluations=evaluations)

@@ -22,16 +22,10 @@ from math import acos, cos, inf, pi, sqrt
 
 from . import kernels
 from .errors import DomainError, NonConvergence, NumericsError
+from .exactpoly import check_n
 
 DEFAULT_TOL_T = 1e-13
 DEFAULT_MAX_ITER = 200
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, int):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    if n in (0, -1):
-        raise DomainError(f"n must not be 0 or -1, got {n}")
 
 
 def check_positive(name: str, value: float) -> float:
@@ -81,7 +75,7 @@ class RepSolution:
 def tau_num(m: int, trace: float) -> float:
     """Numeric (z^m - z^-m)/(z - z^-1) with z + 1/z = trace, |trace| <= 2."""
     trace = float(trace)
-    if abs(trace) > 2.0:
+    if not abs(trace) <= 2.0:
         if abs(trace) - 2.0 <= 1e-12:
             trace = 2.0 if trace > 0 else -2.0
         else:
@@ -91,13 +85,13 @@ def tau_num(m: int, trace: float) -> float:
 
 def phi_num(n: int, s: float, T: float) -> float:
     """Numeric phi_n(s, T) for T in the trace band [s+2, s+2+4/s]."""
-    _check_n(n)
+    check_n(n)
     s = check_positive("s", s)
     T = float(T)
     delta = ((T - s) - 2.0) * s
     # rounding slack: computing delta from T costs about s*ulp(T)
     slack = max(1e-9, 8e-16 * s * max(abs(T), 1.0))
-    if delta < -slack or delta > 4.0 + slack:
+    if not -slack <= delta <= 4.0 + slack:
         raise DomainError(
             f"T = {T} outside the trace band [s+2, s+2+4/s] for s = {s}"
         )
@@ -125,7 +119,7 @@ def bracket(n: int, s: float) -> Bracket:
     Raises DomainError for n = 1 (phi_1 is linear in T; solve uses its
     closed form).
     """
-    _check_n(n)
+    check_n(n)
     s = check_positive("s", s)
     if n == 1:
         raise DomainError("n = 1 has no bracket; phi_1 is linear in T")
@@ -150,19 +144,14 @@ def bracket(n: int, s: float) -> Bracket:
 def t_from_T(T: float) -> float:
     """Larger root of t + 1/t = T, real for T >= 2."""
     T = float(T)
-    if T < 2.0:
+    if not T >= 2.0:
         raise DomainError(f"T must be at least 2, got {T}")
     return 0.5 * (T + sqrt(T * T - 4.0))
 
 
-def solve(
-    n: int,
-    s: float,
-    tol: float = DEFAULT_TOL_T,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> RepSolution:
+def solve(n: int, s: float, tol: float = DEFAULT_TOL_T) -> RepSolution:
     """Locate the certified root of phi_n(s, .) to |hi - lo| < tol in T."""
-    _check_n(n)
+    check_n(n)
     s = check_positive("s", s)
     check_positive("tol", tol)
     if n == 1:
@@ -172,12 +161,12 @@ def solve(
     else:
         br = bracket(n, s)
         delta, iters, status = kernels.bisect_phi_delta(
-            n, s, br.delta_lo, br.delta_hi, tol * s, max_iter
+            n, s, br.delta_lo, br.delta_hi, tol * s, DEFAULT_MAX_ITER
         )
         if status == kernels.ITER_CAP:
             raise NonConvergence(
-                f"bisection hit the {max_iter}-iteration cap at n={n}, s={s}; "
-                f"tol={tol} is too small for the floating format"
+                f"bisection hit the {DEFAULT_MAX_ITER}-iteration cap at n={n}, "
+                f"s={s}; tol={tol} is too small for the floating format"
             )
         T = s + 2.0 + delta / s
     trace = 2.0 - delta

@@ -156,3 +156,13 @@ def test_invariant_suite(suite):
     res = suite()
     assert res.passed, res.line()
     print(res.line())
+
+
+def test_suite_fails_closed_on_nan():
+    w = checks._Worst()
+    w.push(1e-12, "a")
+    w.push(float("nan"), "b")
+    w.push(1e-9, "c")
+    res = w.result("nan_probe", 1e-6)
+    assert not res.passed
+    assert res.worst == math.inf and res.where == "b"

@@ -146,6 +146,71 @@ def test_certify_json(capsys):
     assert out2 == out  # byte-identical rerun
 
 
+# Full stdout of three commands, captured once; the CLI promises byte-identical
+# output for identical inputs, so any drift in a digit or a field is a change.
+GOLDEN_STDOUT = {
+    "solve --n 2 --s 1": """\
+{
+  "version": "0.1.0",
+  "n": 2,
+  "s": 1.0,
+  "T": 5.280776406404408,
+  "t": 5.084084146565323,
+  "trace_W": -0.28077640640440826,
+  "theta": 1.7116498168299619,
+  "phi_residual": -2.8199664825478976e-14,
+  "iterations": 46
+}
+""",
+    "slope --n 2 --r 3/2": """\
+{
+  "version": "0.1.0",
+  "n": 2,
+  "p": 3,
+  "q": 2,
+  "s_star": 1.1154183219884457,
+  "T": 5.175461064137046,
+  "t": 4.974433133273718,
+  "B": 0.3002218536431868,
+  "g": 1.4999999996171036,
+  "brackets": [
+    [
+      1.084145868935835,
+      1.1753722651306366
+    ]
+  ],
+  "evaluations": 427
+}
+""",
+    "certify --n -3 --r 7/2": """\
+{
+  "version": "0.1.0",
+  "n": -3,
+  "p": 7,
+  "q": 2,
+  "s_star": 2.1505522549842464,
+  "t": 4.151062039482287,
+  "B": 0.08283642688498666,
+  "gamma_x": 0.6117305548505853,
+  "gamma_L": -0.9863697815979305,
+  "relator_residual": 2.3412363485908135e-14,
+  "longitude_omega": 1.657726587246115e-14,
+  "final_gamma_abs": 1.0151751968706233e-09,
+  "final_omega": -3.1746031914151872e-12,
+  "tol_slope": 1e-09,
+  "tol_certificate": 1e-06
+}
+""",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_STDOUT)
+def test_stdout_golden(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert out == GOLDEN_STDOUT[command]
+
+
 def test_scan_csv(capsys):
     code, out, _ = run(capsys, "scan", "--n", "1", "--s-min", "1", "--s-max", "2", "--samples", "2", "--format", "csv")
     assert code == 0

@@ -11,6 +11,7 @@ from twistcover import (
     CoverElem,
     DomainError,
     LongitudeOmegaNonzero,
+    NumericsError,
     RelatorNotCentral,
     SlopeOutOfRange,
     certificate,
@@ -208,6 +209,14 @@ def test_lifted_longitude_frozen_value():
     b = longitude_holonomy(1.0, sol.t)
     want = (b * b - 1.0) / (b * b + 1.0)
     lifted_longitude(1, xt, yt, expected_gamma=want)  # must not raise
+
+
+@pytest.mark.parametrize("expected_gamma", [0.99, math.nan])
+def test_lifted_longitude_rejects_wrong_gamma(expected_gamma):
+    # the lifted gamma at n = 2, s = 1 is far from 0.99, and NaN matches nothing
+    xt, yt, _ = lift_generators(2, solve(2, 1.0))
+    with pytest.raises(NumericsError, match="differs from holonomy"):
+        lifted_longitude(2, xt, yt, expected_gamma=expected_gamma)
 
 
 def test_lifted_longitude_flags_winding():

@@ -71,6 +71,12 @@ def test_rejected_twist_parameters():
             riley_poly(n)
 
 
+def test_non_integer_twist_parameter():
+    # a float n would recurse without end in the tau recursion
+    with pytest.raises(DomainError, match="n must be an integer"):
+        riley_poly(2.5)
+
+
 def test_evaluate_is_exact_rational():
     p = riley_poly(3)
     v = eval_exact(p, Fraction(1, 3), Fraction(7, 2))

@@ -84,15 +84,15 @@ def test_scan_csv_frozen_row():
 
 def test_invert_hits_requested_slope():
     for n, p, q in ((1, 1, 1), (2, 3, 2), (-2, 1, 2), (3, 7, 2)):
-        smp = invert(n, p, q)
+        smp, _ = invert(n, p, q)
         assert abs(smp.g - p / q) <= 1e-9, (n, p, q)
         # independent recheck through the forward map
         again = g_eval(n, smp.s)
         assert abs(again.g - p / q) <= 1e-9, (n, p, q)
 
 
-def test_invert_full_output_report():
-    smp, report = invert(2, 3, 2, full_output=True)
+def test_invert_report():
+    smp, report = invert(2, 3, 2)
     assert abs(smp.g - 1.5) <= 1e-9
     assert len(report.brackets) >= 1
     lo, hi = report.brackets[0]

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import twistcover.solver as solver
 from twistcover import (
     DomainError,
     NonConvergence,
@@ -140,9 +141,10 @@ def test_solve_rejects_bad_s():
         solve(2, -1.0)
 
 
-def test_solve_iteration_cap():
-    with pytest.raises(NonConvergence):
-        solve(2, 1.0, max_iter=3)
+def test_solve_iteration_cap(monkeypatch):
+    monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 3)
+    with pytest.raises(NonConvergence, match="3-iteration cap"):
+        solve(2, 1.0)
 
 
 def test_t_from_T():
