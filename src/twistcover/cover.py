@@ -18,7 +18,7 @@ x^p L^q at the slope-p/q parameter.
 from __future__ import annotations
 
 import json
-from cmath import phase
+from cmath import isfinite, phase
 from dataclasses import asdict, dataclass
 from math import cos, sin, sqrt, tau
 
@@ -53,6 +53,9 @@ class CoverElem:
     omega: float
 
     def __post_init__(self) -> None:
+        # a non-finite coordinate is a numerical breakdown, not a bad input
+        if not (isfinite(self.gamma) and isfinite(self.omega)):
+            raise NumericsError(f"cover element ({self.gamma}, {self.omega}) is not finite")
         if not abs(self.gamma) < 1.0:
             raise DomainError(f"|gamma| = {abs(self.gamma)} is not < 1")
 

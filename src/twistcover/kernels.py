@@ -35,14 +35,40 @@ def cheb_ratio(m, x):
     return r
 
 
+def _cheb_ratio_pair(m, x):
+    """(cheb_ratio(m + 1, x), cheb_ratio(m, x)), bit for bit, sharing one
+    acos (or acosh) and one sine (or sinh) between the two."""
+    if abs(x) <= 2.0:
+        theta = acos(0.5 * x)
+        if theta < 1e-8:
+            return float(m + 1), float(m)
+        if pi - theta < 1e-8:
+            # (-1)^(k-1) * k at k = m + 1 and k = m: exactly one is negated
+            if m % 2 == 0:
+                return float(m + 1), float(-m)
+            return float(-(m + 1)), float(m)
+        st = sin(theta)
+        return sin((m + 1) * theta) / st, sin(m * theta) / st
+    xi = acosh(0.5 * abs(x))
+    sh = sinh(xi)
+    hi = sinh((m + 1) * xi) / sh
+    lo = sinh(m * xi) / sh
+    if x < 0.0:
+        if m % 2 != 0:
+            hi = -hi
+        else:
+            lo = -lo
+    return hi, lo
+
+
 def phi_delta(n, s, delta):
     """Defining function at T = s + 2 + delta/s, evaluated through the trace.
 
     trace(W) = 2 - delta exactly in this parametrization, so the evaluation
     stays well conditioned for arbitrarily large s.
     """
-    x = 2.0 - delta
-    return cheb_ratio(n + 1, x) - (1.0 + delta / s) * cheb_ratio(n, x)
+    hi, lo = _cheb_ratio_pair(n, 2.0 - delta)
+    return hi - (1.0 + delta / s) * lo
 
 
 def bisect_phi_delta(n, s, lo, hi, tol, max_iter):

@@ -157,6 +157,8 @@ def relator_word(n: int) -> str:
 
 def w_power(n: int, s: float, t: float) -> Mat2:
     """W^n through the trace recursion; valid for every integer n."""
+    if not isinstance(n, int):
+        raise DomainError(f"n must be an integer, got {n!r}")
     if n == 0:
         return IDENTITY2
     w = w_matrix(s, t)

@@ -8,12 +8,15 @@ A = sqrt(t) (meridian) and B (longitude), and
 A Dehn filling along x^p L^q kills the lifted peripheral element exactly when
 A^p B^q = 1, i.e. g(s) = p/q.  g tends to 0 as s -> 0 and to 4 as s -> inf,
 so every rational slope strictly inside (0, 4) is attained; invert() finds
-the leftmost attaining s on a logarithmic scan grid and bisects.
+the leftmost attaining s on a logarithmic scan grid and bisects.  The grid
+does not depend on the slope, so it is scanned once per (n, tol_T) and its
+samples are reused for every p/q at that n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import exp, gcd, log, sqrt
 
 from .errors import DomainError, NoBracketFound, NonConvergence, NumericsError, SlopeOutOfRange
@@ -24,6 +27,8 @@ DEFAULT_TOL_G = 1e-9
 GRID_S_MIN = 1e-6
 GRID_S_MAX = 1e8
 GRID_POINTS = 400
+# grids kept by _grid_samples; one grid of SlopeSamples holds about 100 KB
+GRID_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,9 @@ class SlopeSample:
 @dataclass(frozen=True)
 class InvertReport:
     """Diagnostics from invert(): every sign-change interval the scan found
-    (leftmost one is used), and the number of slope evaluations spent."""
+    (leftmost one is used), and the number of slope samples the search
+    consulted.  Cached grid samples count as consulted, so `evaluations` is
+    the same on every call with the same arguments."""
 
     brackets: tuple
     evaluations: int
@@ -64,6 +71,17 @@ def _log_grid(s_min: float, s_max: float, samples: int) -> list[float]:
     xs[0] = s_min
     xs[-1] = s_max
     return xs
+
+
+# typed, so that n = 2.0 is not served the grid of n = 2: solve() rejects it
+@lru_cache(maxsize=GRID_CACHE_SIZE, typed=True)
+def _grid_samples(n: int, tol_T: float) -> tuple[SlopeSample, ...]:
+    """invert()'s scan grid at (n, tol_T), evaluated once and then reused.
+
+    lru_cache keeps no result for a call that raises, so an n whose grid
+    fails raises again on every call.
+    """
+    return tuple(g_eval(n, s, tol_T) for s in _log_grid(GRID_S_MIN, GRID_S_MAX, GRID_POINTS))
 
 
 def scan(
@@ -102,7 +120,9 @@ def invert(
 
     Scans a log grid over [1e-6, 1e8] for sign changes of g - p/q, takes the
     leftmost, and bisects geometrically; returns the sample at s with the
-    report of how it was found.  If the interval collapses to float
+    report of how it was found.  The grid samples come from a per-(n, tol_T)
+    cache and count toward the report's evaluations whether or not they were
+    computed by this call.  If the interval collapses to float
     resolution without meeting tol the sign change was a jump, not a
     crossing, and NonConvergence reports it instead of returning a bogus s.
     """
@@ -126,8 +146,8 @@ def invert(
         evaluations += 1
         return g_eval(n, s, tol_T)
 
-    grid = _log_grid(GRID_S_MIN, GRID_S_MAX, GRID_POINTS)
-    samples = [f(s) for s in grid]
+    samples = _grid_samples(n, tol_T)
+    evaluations += len(samples)
     for smp in samples:
         if abs(smp.g - r) <= tol:
             return smp, InvertReport(brackets=((smp.s, smp.s),), evaluations=evaluations)

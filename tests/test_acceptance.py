@@ -13,7 +13,8 @@ from time import perf_counter
 import pytest
 
 import twistcover.checks as checks
-from twistcover import certificate, g_eval, phi_num, riley_poly, solve
+import twistcover.slopes as slopes
+from twistcover import CertificateFailed, certificate, g_eval, phi_num, riley_poly, solve
 from twistcover.exactpoly import clear_cache
 
 CERT_PAIRS = [
@@ -166,3 +167,23 @@ def test_suite_fails_closed_on_nan():
     res = w.result("nan_probe", 1e-6)
     assert not res.passed
     assert res.worst == math.inf and res.where == "b"
+
+
+def test_batch_certify_budget(g_eval_calls):
+    # many slopes at one n share invert's scan grid; the bound is a count of
+    # slope evaluations, not a time: one cold grid plus under 60 per slope
+    slopes._grid_samples.cache_clear()
+    fracs = [(p, q) for q in range(1, 6) for p in range(1, 4 * q) if math.gcd(p, q) == 1][:20]
+    refused = 0
+    for p, q in fracs:
+        try:
+            certificate(2, p, q)
+        except CertificateFailed:
+            refused += 1
+    budget = slopes.GRID_POINTS + 60 * len(fracs)
+    calls = g_eval_calls[0]
+    assert calls < budget, f"{calls} slope evaluations for {len(fracs)} certificates"
+    report(
+        "batch certify budget",
+        f"n=2, {len(fracs)} slopes ({refused} refused), {calls} slope evaluations vs {budget}",
+    )

@@ -93,6 +93,14 @@ def test_cover_elem_stays_in_disk():
         CoverElem(0.8 + 0.7j, 0.0)
 
 
+@pytest.mark.parametrize(
+    "gamma, omega", [(0j, math.nan), (0j, math.inf), (complex(math.nan, 0.0), 0.0)]
+)
+def test_cover_elem_rejects_nonfinite_as_numerics(gamma, omega):
+    with pytest.raises(NumericsError, match="not finite"):
+        CoverElem(gamma, omega)
+
+
 def test_chart_unchart_roundtrip():
     rng = random.Random(29)
     for _ in range(200):

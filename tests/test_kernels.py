@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from twistcover import kernels
+from twistcover.checks import GRID_N
 from twistcover.kernels import CONVERGED, FLOAT_LIMIT, ITER_CAP
 from twistcover.solver import bracket
 
@@ -78,3 +79,26 @@ def test_cover_compose_rejects_nonprincipal_branch():
     with pytest.raises(ValueError):
         kernels.cover_compose(1.5 + 0j, 0.0, -0.9 + 0j, 0.0)
 
+
+def test_phi_delta_is_the_cheb_ratio_formula_bit_for_bit():
+    # phi_delta shares one acos/acosh between its two Chebyshev ratios; the
+    # two-call formula is the reference, inside the band delta in [0, 4], on
+    # its edges and outside it
+    ns = sorted(GRID_N + (-20, -10, 10, 20))
+    edges = (0.0, 4.0, 1e-17, 5e-17, 1e-16, 4.0 - 4e-16, 2e-8, 4.0 - 2e-8)
+    rng = random.Random(11)
+    for k in range(1500):
+        s = 10.0 ** rng.uniform(-7.0, 9.0)
+        if k % 10 == 0:
+            delta = edges[k // 10 % len(edges)]
+        elif k % 10 < 7:
+            delta = rng.uniform(0.0, 4.0)
+        elif k % 10 == 7:
+            delta = -rng.uniform(0.0, 50.0)
+        else:
+            delta = 4.0 + rng.uniform(0.0, 50.0)
+        x = 2.0 - delta
+        for n in ns:
+            want = kernels.cheb_ratio(n + 1, x) - (1.0 + delta / s) * kernels.cheb_ratio(n, x)
+            got = kernels.phi_delta(n, s, delta)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (n, s, delta)

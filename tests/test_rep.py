@@ -189,3 +189,9 @@ def test_gen_matrices_rejects_degenerate_params():
 def test_nonfinite_t_is_a_domain_error(fn, t):
     with pytest.raises(DomainError, match="t must be finite"):
         fn(1.0, t)
+
+
+@pytest.mark.parametrize("fn", [w_power, w_rev_power, relation_residual])
+def test_non_integer_n_is_a_domain_error(fn):
+    with pytest.raises(DomainError, match="n must be an integer"):
+        fn(2.5, 1.0, 4.0)

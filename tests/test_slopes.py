@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+import twistcover.slopes as slopes
 from twistcover import (
     DomainError,
+    NoBracketFound,
     SlopeOutOfRange,
     g_eval,
     invert,
@@ -129,3 +131,43 @@ def test_slope_limits():
     # the map runs from 0 to 4 as s sweeps the positive axis
     assert g_eval(1, 1e-6).g < 0.005
     assert g_eval(1, 1e6).g > 3.995
+
+
+@pytest.mark.parametrize("n, p, q", [(2, 3, 2), (-3, 7, 2), (1, 1, 1)])
+def test_invert_cold_and_warm_agree(n, p, q):
+    slopes._grid_samples.cache_clear()
+    cold = invert(n, p, q)
+    warm = invert(n, p, q)
+    assert warm == cold
+    if (n, p, q) == (2, 3, 2):
+        assert warm[1].evaluations == 427
+
+
+def test_invert_scans_the_grid_once_per_n(g_eval_calls):
+    slopes._grid_samples.cache_clear()
+    invert(4, 3, 2)
+    assert g_eval_calls[0] >= slopes.GRID_POINTS
+    g_eval_calls[0] = 0
+    smp, report = invert(4, 5, 3)
+    assert abs(smp.g - 5 / 3) <= 1e-9
+    assert g_eval_calls[0] < 60
+    # the report still counts the grid samples it consulted
+    assert report.evaluations == slopes.GRID_POINTS + g_eval_calls[0]
+
+
+@pytest.mark.parametrize(
+    "n, p, q, err", [(2, 1, 100000000, NoBracketFound), (0, 1, 1, DomainError)]
+)
+def test_invert_errors_are_not_cached(n, p, q, err):
+    for _ in range(2):
+        with pytest.raises(err):
+            invert(n, p, q)
+
+
+def test_grid_cache():
+    # perfbench's verify workload clears every cache_clear in the package
+    assert callable(slopes._grid_samples.cache_clear)
+    # with the grid of n = 2 cached, n = 2.0 is still refused
+    slopes._grid_samples(2, slopes.DEFAULT_TOL_T)
+    with pytest.raises(DomainError):
+        slopes._grid_samples(2.0, slopes.DEFAULT_TOL_T)
