@@ -33,7 +33,7 @@ from .errors import (
 )
 from .rep import Mat2, gen_matrices, longitude, longitude_word, relator_word
 from .slopes import DEFAULT_TOL_G, invert
-from .solver import DEFAULT_TOL_T, RepSolution, check_positive, solve
+from .solver import DEFAULT_TOL_T, RepSolution, check_positive
 
 DEFAULT_TOL_CERT = 1e-6
 # Relator and longitude words keep intermediate |gamma| within ~1/norm^2 of
@@ -120,12 +120,15 @@ def unchart(e: CoverElem) -> SU11Elem:
 
 
 def cover_mul(a: CoverElem, b: CoverElem) -> CoverElem:
-    """Product in the cover; projects to the SU(1,1) product of a then b."""
+    """Product in the cover; projects to the SU(1,1) product of a then b.
+
+    A branch violation and a |gamma| rounded onto the unit circle (chart
+    saturation) are numerical failures: the exact product is in the disk."""
     try:
         g, w = kernels.cover_compose(a.gamma, a.omega, b.gamma, b.omega)
-    except ValueError as exc:
+        return CoverElem(g, w)
+    except ValueError as exc:  # DomainError from CoverElem included
         raise NumericsError(f"cover composition left the chart: {exc}") from exc
-    return CoverElem(g, w)
 
 
 def cover_inv(a: CoverElem) -> CoverElem:
@@ -157,6 +160,8 @@ def cover_word(word: str, xt: CoverElem, yt: CoverElem) -> CoverElem:
 
 def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, float]:
     """Lift the generator images to the cover so the relator maps to (0, 0).
+
+    Only sol.s and sol.t are read, so a slopes.SlopeSample serves as well.
 
     x lifts with omega exactly 0: alpha of its SU(1,1) image is
     (t+1)/(2 sqrt(t)), real and positive.  y takes its principal chart value
@@ -191,8 +196,8 @@ def lifted_longitude(
 ) -> CoverElem:
     """Lift of the longitude; |omega| must stay within DEFAULT_TOL_CERT.
 
-    Optionally cross-checks gamma against the closed form (B^2-1)/(B^2+1)
-    computed from the holonomy, to LONGITUDE_GAMMA_TOL.
+    Optionally cross-checks gamma against the holonomy's value
+    (rep.HolonomyData.lifted_gamma), to LONGITUDE_GAMMA_TOL.
     """
     lt = cover_word(longitude_word(n), xt, yt)
     if not abs(lt.omega) <= DEFAULT_TOL_CERT:
@@ -246,39 +251,41 @@ def certificate(
     """Full pipeline: invert the slope map at p/q, lift, and certify.
 
     Finds s* with g(s*) = p/q, lifts the representation there, and verifies
-    that the lifted x^p L^q lands on (0, 0) within tol_cert.
+    that the lifted x^p L^q lands on (0, 0) within tol_cert.  It lifts at
+    invert's own sample, whose s and t come from the one solve at s*.
     """
     check_positive("tol_cert", tol_cert)
     smp, _ = invert(n, p, q, tol=tol_g, tol_T=tol_T)
-    sol = solve(n, smp.s, tol=tol_T)
-    _, hol = longitude(n, sol)
-    xt, yt, rel_res = lift_generators(n, sol)
-    b = hol.B
-    gamma_l_expected = (b * b - 1.0) / (b * b + 1.0)
-    lt = lifted_longitude(n, xt, yt, expected_gamma=gamma_l_expected)
-    final = cover_mul(cover_pow(xt, p), cover_pow(lt, q))
+    _, hol = longitude(n, smp)
+    xt, yt, rel_res = lift_generators(n, smp)
+    lt = lifted_longitude(n, xt, yt, expected_gamma=hol.lifted_gamma)
+    try:
+        final = cover_mul(cover_pow(xt, p), cover_pow(lt, q))
+    except NumericsError as exc:
+        raise NumericsError(
+            f"closure of x^{p} L^{q} at n={n}, r={p}/{q}, s*={smp.s} failed: {exc}"
+        ) from exc
     final_gamma_abs = abs(final.gamma)
-    final_omega = final.omega
-    if not (final_gamma_abs <= tol_cert and abs(final_omega) <= tol_cert):
+    if not (final_gamma_abs <= tol_cert and abs(final.omega) <= tol_cert):
         raise CertificateFailed(
-            f"lifted x^{p} L^{q} at n={n}, s*={sol.s} is "
+            f"lifted x^{p} L^{q} at n={n}, s*={smp.s} is "
             f"({final.gamma}, {final.omega}); |gamma| = {final_gamma_abs:.3e}, "
-            f"|omega| = {abs(final_omega):.3e} exceed tol = {tol_cert} "
+            f"|omega| = {abs(final.omega):.3e} exceed tol = {tol_cert} "
             f"(relator residual {rel_res:.3e}, longitude omega {lt.omega:.3e})"
         )
     return SurgeryCertificate(
         n=n,
         p=p,
         q=q,
-        s_star=sol.s,
-        t=sol.t,
-        B=b,
+        s_star=smp.s,
+        t=smp.t,
+        B=hol.B,
         gamma_x=xt.gamma.real,
         gamma_L=lt.gamma.real,
         relator_residual=rel_res,
         longitude_omega=lt.omega,
         final_gamma_abs=final_gamma_abs,
-        final_omega=final_omega,
+        final_omega=final.omega,
         tol_slope=tol_g,
         tol_certificate=tol_cert,
     )

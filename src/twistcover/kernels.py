@@ -71,25 +71,21 @@ def phi_delta(n, s, delta):
     return hi - (1.0 + delta / s) * lo
 
 
-def bisect_phi_delta(n, s, lo, hi, tol, max_iter):
+def bisect_phi_delta(n, s, lo, hi, sign_lo, tol, max_iter):
     """Bisect phi_delta's sign change on [lo, hi] in the delta coordinate.
 
-    Returns (root, iterations, status).  The loop runs until the width drops
-    below tol/2, so iterations <= ceil(log2((hi-lo)/tol)) + 1 in exact
-    arithmetic, one halving inside the ceil+2 bound to absorb rounding of the
-    widths, and the returned midpoint sits within ~tol/4 of the bracketed
-    root.  A midpoint that is no longer strictly interior means float
-    resolution was reached; that counts as converged (status FLOAT_LIMIT).
-    Only the iteration cap is a failure.
+    The caller supplies a certified bracket: phi_delta is nonzero at both
+    ends with opposite signs, and sign_lo (+1 or -1) is its sign at lo, so
+    neither end is evaluated here.  Returns (root, iterations, status).
+
+    The loop runs until the width drops below tol/2, so iterations <=
+    ceil(log2((hi-lo)/tol)) + 1 in exact arithmetic, one halving inside the
+    ceil+2 bound to absorb rounding of the widths, and the returned midpoint
+    sits within ~tol/4 of the bracketed root.  A midpoint that is no longer
+    strictly interior means float resolution was reached; that counts as
+    converged (status FLOAT_LIMIT).  Only the iteration cap is a failure.
     """
-    f_lo = phi_delta(n, s, lo)
-    if f_lo == 0.0:
-        return lo, 0, CONVERGED
-    f_hi = phi_delta(n, s, hi)
-    if f_hi == 0.0:
-        return hi, 0, CONVERGED
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise ValueError("endpoints do not bracket a sign change")
+    lo_pos = sign_lo > 0
     target = 0.5 * tol
     iters = 0
     while hi - lo >= target:
@@ -102,9 +98,8 @@ def bisect_phi_delta(n, s, lo, hi, tol, max_iter):
         iters += 1
         if f == 0.0:
             return mid, iters, CONVERGED
-        if (f > 0.0) == (f_lo > 0.0):
+        if (f > 0.0) == lo_pos:
             lo = mid
-            f_lo = f
         else:
             hi = mid
     return 0.5 * (lo + hi), iters, CONVERGED

@@ -204,6 +204,11 @@ class HolonomyData:
     B: float
     offdiag_residual: float
 
+    @property
+    def lifted_gamma(self) -> float:
+        """Chart gamma of the lifted longitude, (B^2 - 1)/(B^2 + 1)."""
+        return (self.B * self.B - 1.0) / (self.B * self.B + 1.0)
+
 
 def longitude_holonomy(s: float, t: float) -> float:
     """Closed form of the longitude's (1,1) entry, B = (t-s-1)/((1+s)t - 1)."""
@@ -216,7 +221,8 @@ def longitude(n: int, sol: RepSolution) -> tuple[Mat2, HolonomyData]:
     The matrix is assembled from W^n and sigma; it must come out diagonal to
     OFFDIAG_TOL, and OffDiagonalTooLarge signals that sol does not actually
     satisfy the defining equation.  B is reported from the closed form; the matrix
-    (1,1) entry is the cross-check, not the source.
+    (1,1) entry is the cross-check, not the source.  Only sol.s and sol.t are
+    read, so a slopes.SlopeSample serves as well as a RepSolution.
     """
     s, t = sol.s, sol.t
     u = w_power(n, s, t)

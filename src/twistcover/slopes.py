@@ -46,8 +46,8 @@ class SlopeSample:
 class InvertReport:
     """Diagnostics from invert(): every sign-change interval the scan found
     (leftmost one is used), and the number of slope samples the search
-    consulted.  Cached grid samples count as consulted, so `evaluations` is
-    the same on every call with the same arguments."""
+    consulted: the grid points, cached or not, plus one per bisection step.
+    So `evaluations` is the same on every call with the same arguments."""
 
     brackets: tuple
     evaluations: int
@@ -94,8 +94,8 @@ def scan(
     """Slope map on a log-spaced grid, sorted by s."""
     if not (0 < s_min < s_max):
         raise DomainError(f"need 0 < s_min < s_max, got {s_min}, {s_max}")
-    if samples < 2:
-        raise DomainError(f"samples must be at least 2, got {samples}")
+    if not isinstance(samples, int) or samples < 2:
+        raise DomainError(f"samples must be an integer of at least 2, got {samples!r}")
     return [g_eval(n, s, tol_T) for s in _log_grid(s_min, s_max, samples)]
 
 
@@ -121,9 +121,10 @@ def invert(
     Scans a log grid over [1e-6, 1e8] for sign changes of g - p/q, takes the
     leftmost, and bisects geometrically; returns the sample at s with the
     report of how it was found.  The grid samples come from a per-(n, tol_T)
-    cache and count toward the report's evaluations whether or not they were
-    computed by this call.  If the interval collapses to float
-    resolution without meeting tol the sign change was a jump, not a
+    cache, and the bisection takes its left-end sign from them, so the
+    report's evaluations are the grid points plus the bisection steps,
+    whether or not this call computed the grid.  If the interval collapses to
+    float resolution without meeting tol the sign change was a jump, not a
     crossing, and NonConvergence reports it instead of returning a bogus s.
     """
     if not isinstance(p, int) or not isinstance(q, int):
@@ -139,40 +140,33 @@ def invert(
         )
     check_positive("tol", tol)
 
-    evaluations = 0
-
-    def f(s: float) -> SlopeSample:
-        nonlocal evaluations
-        evaluations += 1
-        return g_eval(n, s, tol_T)
-
     samples = _grid_samples(n, tol_T)
-    evaluations += len(samples)
+    evaluations = len(samples)
     for smp in samples:
         if abs(smp.g - r) <= tol:
             return smp, InvertReport(brackets=((smp.s, smp.s),), evaluations=evaluations)
 
-    brackets = []
-    for a, b in zip(samples, samples[1:]):
-        if (a.g - r > 0) != (b.g - r > 0):
-            brackets.append((a.s, b.s))
-    if not brackets:
+    crossings = [
+        (a, b) for a, b in zip(samples, samples[1:]) if (a.g - r > 0) != (b.g - r > 0)
+    ]
+    if not crossings:
         gs = [smp.g for smp in samples]
         raise NoBracketFound(
             f"g - {p}/{q} never changes sign on the scan grid for n={n}; "
             f"observed g in [{min(gs):.6g}, {max(gs):.6g}]"
         )
+    brackets = tuple((a.s, b.s) for a, b in crossings)
 
-    lo, hi = brackets[0]
-    lo_pos = f(lo).g - r > 0
-    result = None
+    left, right = crossings[0]
+    lo, hi = left.s, right.s
+    lo_pos = left.g - r > 0
     for _ in range(200):
         mid = sqrt(lo * hi)
-        smp = f(mid)
+        smp = g_eval(n, mid, tol_T)
+        evaluations += 1
         diff = smp.g - r
         if abs(diff) <= tol:
-            result = smp
-            break
+            return smp, InvertReport(brackets=brackets, evaluations=evaluations)
         if hi - lo <= 1e-15 * hi:
             raise NonConvergence(
                 f"interval [{lo}, {hi}] collapsed with |g - {p}/{q}| = "
@@ -183,8 +177,4 @@ def invert(
             lo = mid
         else:
             hi = mid
-    if result is None:
-        raise NonConvergence(
-            f"slope bisection hit the iteration cap for n={n}, slope {p}/{q}"
-        )
-    return result, InvertReport(brackets=tuple(brackets), evaluations=evaluations)
+    raise NonConvergence(f"slope bisection hit the iteration cap for n={n}, slope {p}/{q}")

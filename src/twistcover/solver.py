@@ -161,7 +161,7 @@ def solve(n: int, s: float, tol: float = DEFAULT_TOL_T) -> RepSolution:
     else:
         br = bracket(n, s)
         delta, iters, status = kernels.bisect_phi_delta(
-            n, s, br.delta_lo, br.delta_hi, tol * s, DEFAULT_MAX_ITER
+            n, s, br.delta_lo, br.delta_hi, br.sign_lo, tol * s, DEFAULT_MAX_ITER
         )
         if status == kernels.ITER_CAP:
             raise NonConvergence(

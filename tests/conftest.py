@@ -1,19 +1,40 @@
 """Shared fixtures."""
 
+import sys
+
 import pytest
 
+import twistcover.kernels as kernels
 import twistcover.slopes as slopes
+import twistcover.solver as solver
 
 
-@pytest.fixture
-def g_eval_calls(monkeypatch):
-    """Route slopes.g_eval through a counter; yields the one-cell tally."""
+def _count_calls(monkeypatch, module, name):
+    """Route module.name through a counter at every twistcover module that
+    binds it; returns the one-cell tally."""
     calls = [0]
-    real = slopes.g_eval
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(slopes, "g_eval", counted)
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("twistcover") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+@pytest.fixture
+def g_eval_calls(monkeypatch):
+    return _count_calls(monkeypatch, slopes, "g_eval")
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    return _count_calls(monkeypatch, solver, "solve")
+
+
+@pytest.fixture
+def phi_delta_calls(monkeypatch):
+    return _count_calls(monkeypatch, kernels, "phi_delta")

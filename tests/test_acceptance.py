@@ -169,9 +169,10 @@ def test_suite_fails_closed_on_nan():
     assert res.worst == math.inf and res.where == "b"
 
 
-def test_batch_certify_budget(g_eval_calls):
+def test_batch_certify_budget(g_eval_calls, solve_calls):
     # many slopes at one n share invert's scan grid; the bound is a count of
-    # slope evaluations, not a time: one cold grid plus under 60 per slope
+    # slope evaluations, not a time: one cold grid plus under 60 per slope.
+    # A certificate lifts at invert's own sample, so it solves nowhere else.
     slopes._grid_samples.cache_clear()
     fracs = [(p, q) for q in range(1, 6) for p in range(1, 4 * q) if math.gcd(p, q) == 1][:20]
     refused = 0
@@ -183,6 +184,7 @@ def test_batch_certify_budget(g_eval_calls):
     budget = slopes.GRID_POINTS + 60 * len(fracs)
     calls = g_eval_calls[0]
     assert calls < budget, f"{calls} slope evaluations for {len(fracs)} certificates"
+    assert solve_calls[0] == calls, f"{solve_calls[0]} solves for {calls} slope evaluations"
     report(
         "batch certify budget",
         f"n=2, {len(fracs)} slopes ({refused} refused), {calls} slope evaluations vs {budget}",

@@ -179,7 +179,7 @@ GOLDEN_STDOUT = {
       1.1753722651306366
     ]
   ],
-  "evaluations": 427
+  "evaluations": 426
 }
 """,
     "certify --n -3 --r 7/2": """\
@@ -221,6 +221,16 @@ def test_scan_csv(capsys):
     assert out2 == out
 
 
+def test_chart_saturation_exits_2(capsys):
+    # x^19 at s* has |gamma| = tanh(19 log sqrt(t)), which rounds to 1
+    code, out, err = run(capsys, "certify", "--n", "2", "--r", "19/5")
+    assert code == 2 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "NumericsError"
+    assert "closure of x^19 L^5" in data["message"]
+    assert "n=2" in data["message"] and "19/5" in data["message"]
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--n", "2"])  # missing --s
@@ -250,15 +260,27 @@ def test_verify_text(capsys):
     assert lines[-1].endswith("checks passed")
 
 
-def test_entry_point_subprocess():
-    # the child imports the same package as this process, installed or not
+def run_child(*argv):
+    """Run a fresh interpreter that imports the same package as this
+    process, installed or not."""
     path = [str(Path(twistcover.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    out = subprocess.run(
-        [sys.executable, "-m", "twistcover.cli", "riley", "--n", "-2", "--format", "csv"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_entry_point_subprocess():
+    out = run_child("-m", "twistcover.cli", "riley", "--n", "-2", "--format", "csv")
     assert out.returncode == 0
     assert out.stdout.splitlines()[0] == "s_deg,T_deg,coeff"
+
+
+def test_no_runtime_dependencies():
+    # the package runs on the standard library alone
+    heavy = ("numpy", "scipy", "mpmath", "sympy")
+    out = run_child(
+        "-c",
+        "import sys, twistcover.cli, twistcover.checks; "
+        f"print([m for m in {heavy} if m in sys.modules])",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

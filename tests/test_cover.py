@@ -29,7 +29,7 @@ from twistcover import (
     unchart,
 )
 from twistcover.cover import IDENTITY_COVER, SU11Elem, su11_dist, su11_mul
-from twistcover.rep import IDENTITY2, Mat2, gen_matrices, max_abs_diff
+from twistcover.rep import IDENTITY2, Mat2, gen_matrices, longitude, max_abs_diff
 from twistcover.solver import RepSolution, t_from_T
 
 TAU = 2.0 * math.pi
@@ -91,6 +91,13 @@ def test_cover_elem_stays_in_disk():
         CoverElem(1.0 + 0j, 0.0)
     with pytest.raises(DomainError):
         CoverElem(0.8 + 0.7j, 0.0)
+
+
+def test_cover_mul_saturation_is_numerics():
+    # both factors lie in the disk; their product rounds onto its boundary
+    a = CoverElem(complex(1.0 - 2.0**-52, 0.0), 0.0)
+    with pytest.raises(NumericsError, match="left the chart"):
+        cover_mul(a, a)
 
 
 @pytest.mark.parametrize(
@@ -216,6 +223,7 @@ def test_lifted_longitude_frozen_value():
 
     b = longitude_holonomy(1.0, sol.t)
     want = (b * b - 1.0) / (b * b + 1.0)
+    assert longitude(1, sol)[1].lifted_gamma == want
     lifted_longitude(1, xt, yt, expected_gamma=want)  # must not raise
 
 

@@ -59,17 +59,18 @@ def test_phi_delta_matches_solver_values():
 
 def test_bisect_statuses():
     br = bracket(2, 1.0)
-    root, iters, status = kernels.bisect_phi_delta(2, 1.0, br.delta_lo, br.delta_hi, 1e-13, 200)
+    window = (br.delta_lo, br.delta_hi, br.sign_lo)
+    root, iters, status = kernels.bisect_phi_delta(2, 1.0, *window, 1e-13, 200)
     assert status == CONVERGED
     assert 0 < iters <= 60
     # delta = T - s - 2 at s = 1 with T = (17 + sqrt(17))/4
     assert root == pytest.approx((5 + math.sqrt(17)) / 4, rel=1e-12)
 
-    _, _, capped = kernels.bisect_phi_delta(2, 1.0, br.delta_lo, br.delta_hi, 1e-13, 3)
+    _, _, capped = kernels.bisect_phi_delta(2, 1.0, *window, 1e-13, 3)
     assert capped == ITER_CAP
 
     # demanding more resolution than doubles have stops at the float limit
-    _, _, limited = kernels.bisect_phi_delta(2, 1.0, br.delta_lo, br.delta_hi, 0.0, 200)
+    _, _, limited = kernels.bisect_phi_delta(2, 1.0, *window, 0.0, 200)
     assert limited == FLOAT_LIMIT
 
 

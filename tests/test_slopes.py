@@ -60,6 +60,8 @@ def test_scan_validation():
         scan(1, 10.0, 1.0, 5)
     with pytest.raises(DomainError):
         scan(1, 1.0, 10.0, 1)
+    with pytest.raises(DomainError):
+        scan(1, 1e-3, 1e3, 3.0)  # range() would raise a bare TypeError
 
 
 def test_scan_to_csv_format():
@@ -140,7 +142,7 @@ def test_invert_cold_and_warm_agree(n, p, q):
     warm = invert(n, p, q)
     assert warm == cold
     if (n, p, q) == (2, 3, 2):
-        assert warm[1].evaluations == 427
+        assert warm[1].evaluations == 426
 
 
 def test_invert_scans_the_grid_once_per_n(g_eval_calls):

@@ -141,6 +141,13 @@ def test_solve_rejects_bad_s():
         solve(2, -1.0)
 
 
+@pytest.mark.parametrize("n", [2, -3, 5])
+def test_solve_evaluates_each_point_once(phi_delta_calls, n):
+    # two bracket ends, one point per bisection step, one residual
+    sol = solve(n, 0.5)
+    assert phi_delta_calls[0] == sol.iterations + 3
+
+
 def test_solve_iteration_cap(monkeypatch):
     monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 3)
     with pytest.raises(NonConvergence, match="3-iteration cap"):
