@@ -37,7 +37,7 @@ from .errors import (
     RelatorNotCentral,
     SlopeOutOfRange,
 )
-from .exactpoly import TRACE_POLY, BivarPoly, eval_exact, riley_poly, tau_poly
+from .exactpoly import TRACE_POLY, BivarPoly, riley_poly, tau_poly
 from .rep import (
     HolonomyData,
     Mat2,

@@ -109,7 +109,7 @@ def check_phi_exact_vs_float() -> CheckResult:
         n = rng.choice(ns)
         s = 10.0 ** rng.uniform(-3.0, 2.0)
         T = s + 2.0 + 4.0 * rng.random() / s
-        vx = float(exactpoly.eval_exact(exactpoly.riley_poly(n), s, T))
+        vx = float(exactpoly.phi_exact(n, s, T))
         vf = solver.phi_num(n, s, T)
         w.push(abs(vf - vx) / (1.0 + abs(vx)), f"case {i}: n={n}, s={s:.6g}")
     return w.result("phi_exact_vs_float", 1e-8)
@@ -164,7 +164,7 @@ def check_solve_grid_soundness() -> CheckResult:
             w.fail(where + " trace")
         if not abs(sol.t + 1.0 / sol.t - sol.T) <= 1e-12 * (1.0 + abs(sol.T)):
             w.fail(where + " t vs T")
-        res = abs(float(exactpoly.eval_exact(exactpoly.riley_poly(n), s, sol.T)))
+        res = abs(float(exactpoly.phi_exact(n, s, sol.T)))
         w.push(res, where)
     return w.result("solve_grid_soundness", 1e-9)
 

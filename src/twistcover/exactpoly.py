@@ -9,7 +9,9 @@ recursion
 
 and phi_n = tau_{n+1} - (T - 1 - s) * tau_n.  The real parameters feeding the
 numeric solver are roots of phi_n in T; this module is the exact-arithmetic
-ground truth against which the floating evaluation is checked.
+ground truth against which the floating evaluation is checked.  tau_poly and
+riley_poly expand the recursion into coefficients; tau_exact and phi_exact run
+it on the exact value of the trace at one point, in O(|n|) rational steps.
 
 Representation: sparse dict {(s_degree, T_degree): int} with no explicit zero
 coefficients; the zero polynomial is the empty dict.  Coefficients are plain
@@ -107,16 +109,6 @@ class BivarPoly:
     def degree_T(self) -> int:
         return max((k[1] for k in self.coeffs), default=-1)
 
-    def evaluate(self, s, T) -> Fraction:
-        """Exact value at rational (s, T).  Accepts int, Fraction or float;
-        floats are taken at their exact binary value."""
-        s = Fraction(s)
-        T = Fraction(T)
-        total = Fraction(0)
-        for (a, b), c in self.coeffs.items():
-            total += c * s**a * T**b
-        return total
-
     def terms(self) -> list:
         """Serialization form: coefficients as decimal strings, ordered
         lexicographically by T-degree then s-degree."""
@@ -163,9 +155,24 @@ def _tau_nonneg(m: int) -> BivarPoly:
 
 def tau_poly(m: int) -> BivarPoly:
     """m-th trace recursion polynomial; tau_{-m} = -tau_m."""
-    if m >= 0:
-        return _tau_nonneg(m)
-    return -_tau_nonneg(-m)
+    k = abs(m)
+    # fill the memo from the bottom, so that each call below recurses one
+    # level deep however large |m| is
+    for j in range(2, k):
+        _tau_nonneg(j)
+    p = _tau_nonneg(k)
+    return p if m >= 0 else -p
+
+
+def tau_exact(m: int, K) -> Fraction:
+    """tau_m at the exact trace value K, by the recursion in |m| steps."""
+    K = Fraction(K)
+    lo, hi = Fraction(0), Fraction(1)
+    if m == 0:
+        return lo
+    for _ in range(abs(m) - 1):
+        lo, hi = hi, K * hi - lo
+    return hi if m > 0 else -hi
 
 
 def check_n(n: int) -> None:
@@ -186,9 +193,17 @@ def riley_poly(n: int) -> BivarPoly:
     return tau_poly(n + 1) - _SHIFT * tau_poly(n)
 
 
-def eval_exact(p: BivarPoly, s, T) -> Fraction:
-    """Exact rational evaluation of p at (s, T)."""
-    return p.evaluate(s, T)
+def phi_exact(n: int, s, T) -> Fraction:
+    """Exact value of phi_n at (s, T), by the trace recursion.
+
+    s and T may be int, Fraction or float; floats are taken at their exact
+    binary value.  Equal to riley_poly(n) summed term by term at (s, T).
+    """
+    check_n(n)
+    s = Fraction(s)
+    T = Fraction(T)
+    K = s * s - (T - 2) * s + 2
+    return tau_exact(n + 1, K) - (T - 1 - s) * tau_exact(n, K)
 
 
 def clear_cache() -> None:

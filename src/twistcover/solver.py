@@ -4,10 +4,10 @@ For n not in {0, -1} and s > 0 the equation phi_n(s, T) = 0 has a root in the
 open band (s+2, s+2+4/s), bracketed by endpoints where the sign of phi_n is
 known in closed form:
 
-    n > 1:   T = s+2+c/s, s+2+c'/s with c  = 2 - 2cos(pi/(2n+1)),
-                                       c' = 2 - 2cos(3pi/(2n+1))
+    n > 1:   T = s+2+c/s, s+2+c'/s with c  = 2 - 2cos(pi/k),
+                                       c' = 2 - 2cos(3pi/k), k = 2n+1
     n = -2:  T = s+2+1/s (value 1/s > 0) and s+2+2/s (value -1)
-    n < -2:  as n > 1 with 2|n| - 1 in place of 2n+1
+    n < -2:  as n > 1 with k = 2|n| - 1
     n = 1:   no bracket needed, T = s + 2 + 1/(s+1) exactly.
 
 Bisection runs in the offset coordinate d = (T - s - 2)*s, where the trace of
@@ -18,7 +18,7 @@ rounding once s is large (see Bracket.delta_lo).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, cos, inf, pi, sqrt
+from math import acos, cos, inf, isfinite, pi, sqrt
 
 from . import kernels
 from .errors import DomainError, NonConvergence, NumericsError
@@ -101,16 +101,10 @@ def phi_num(n: int, s: float, T: float) -> float:
 
 def _delta_window(n: int) -> tuple[float, float]:
     """Certified sign-change endpoints in the offset coordinate."""
-    if n > 1:
-        c = 2.0 - 2.0 * cos(pi / (2 * n + 1))
-        c2 = 2.0 - 2.0 * cos(3.0 * pi / (2 * n + 1))
-        return c, c2
     if n == -2:
         return 1.0, 2.0
-    m = -n
-    d = 2.0 - 2.0 * cos(pi / (2 * m - 1))
-    d2 = 2.0 - 2.0 * cos(3.0 * pi / (2 * m - 1))
-    return d, d2
+    k = abs(2 * n + 1)  # 2n + 1 for n > 1, 2|n| - 1 for n < -2
+    return 2.0 - 2.0 * cos(pi / k), 2.0 - 2.0 * cos(3.0 * pi / k)
 
 
 def bracket(n: int, s: float) -> Bracket:
@@ -170,13 +164,20 @@ def solve(n: int, s: float, tol: float = DEFAULT_TOL_T) -> RepSolution:
             )
         T = s + 2.0 + delta / s
     trace = 2.0 - delta
+    t = t_from_T(T)
+    residual = kernels.phi_delta(n, s, delta)
+    if not (isfinite(T) and isfinite(t) and isfinite(residual)):
+        raise NumericsError(
+            f"solve left the floating range at n={n}, s={s}: T = {T}, "
+            f"t = {t}, phi_residual = {residual}"
+        )
     return RepSolution(
         n=n,
         s=s,
         T=T,
-        t=t_from_T(T),
+        t=t,
         trace_W=trace,
         theta=acos(0.5 * trace),
-        phi_residual=kernels.phi_delta(n, s, delta),
+        phi_residual=residual,
         iterations=iters,
     )

@@ -13,9 +13,18 @@ from twistcover import __version__
 from twistcover.cli import main
 
 
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
 def run(capsys, *argv):
+    """Exit code, stdout and stderr of one CLI call; every JSON document it
+    writes must be valid JSON, so Infinity and NaN fail the test."""
     code = main(list(argv))
     captured = capsys.readouterr()
+    for text in (captured.out, captured.err):
+        if text.startswith("{"):
+            json.loads(text, parse_constant=_reject_constant)
     return code, captured.out, captured.err
 
 
@@ -90,6 +99,22 @@ def test_nonfinite_inputs_are_domain_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--n", "2", "--s", "5e-324"),  # delta/s overflows T
+        ("solve", "--n", "2", "--s", "1e300"),  # T*T overflows t
+        ("solve", "--n", "1", "--s", "1e300"),
+    ],
+)
+def test_nonfinite_solutions_are_numerics_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "NumericsError"
+    assert f"n={argv[2]}" in data["message"] and f"s={float(argv[4])}" in data["message"]
 
 
 def test_slope_requires_exactly_one_target(capsys):

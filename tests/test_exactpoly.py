@@ -6,11 +6,13 @@ itself in exact rational arithmetic.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from twistcover import BivarPoly, DomainError, TRACE_POLY, eval_exact, riley_poly, tau_poly
+from twistcover import BivarPoly, DomainError, TRACE_POLY, riley_poly, tau_poly
+from twistcover.exactpoly import clear_cache, phi_exact, tau_exact
 
 # phi_1 = T^2 ... in (s_deg, T_deg) form: s^2 + 3s + 3 - (s+1)T
 PHI_1 = {(1, 1): -1, (0, 1): -1, (2, 0): 1, (1, 0): 3, (0, 0): 3}
@@ -48,8 +50,8 @@ def test_phi_minus_2_is_shift_times_trace_minus_one():
 def test_phi_values_on_the_s_equals_1_line():
     # phi_2(1, T) = 2T^2 - 17T + 34,  phi_{-2}(1, T) = -T^2 + 7T - 11
     for T in (0, 1, 4, 7, Fraction(9, 2)):
-        assert eval_exact(riley_poly(2), 1, T) == 2 * T * T - 17 * T + 34
-        assert eval_exact(riley_poly(-2), 1, T) == -T * T + 7 * T - 11
+        assert phi_exact(2, 1, T) == 2 * T * T - 17 * T + 34
+        assert phi_exact(-2, 1, T) == -T * T + 7 * T - 11
 
 
 def test_tau_small_cases():
@@ -65,31 +67,79 @@ def test_riley_T_degree_is_abs_n():
         assert riley_poly(n).degree_T == abs(n)
 
 
+# both exact entry points validate n
+BUILDERS = (riley_poly, lambda n: phi_exact(n, 1, 4))
+
+
 def test_rejected_twist_parameters():
-    for n in (0, -1):
-        with pytest.raises(DomainError):
-            riley_poly(n)
+    for build in BUILDERS:
+        for n in (0, -1):
+            with pytest.raises(DomainError):
+                build(n)
 
 
 def test_non_integer_twist_parameter():
     # a float n would recurse without end in the tau recursion
-    with pytest.raises(DomainError, match="n must be an integer"):
-        riley_poly(2.5)
+    for build in BUILDERS:
+        with pytest.raises(DomainError, match="n must be an integer"):
+            build(2.5)
+
+
+def _summed(p: BivarPoly, s: Fraction, T: Fraction) -> Fraction:
+    """p at (s, T), its coefficients summed term by term."""
+    s_pow = [s**a for a in range(p.degree_s + 1)]
+    T_pow = [T**b for b in range(p.degree_T + 1)]
+    return sum((c * s_pow[a] * T_pow[b] for (a, b), c in p.coeffs.items()), Fraction(0))
 
 
 def test_evaluate_is_exact_rational():
-    p = riley_poly(3)
-    v = eval_exact(p, Fraction(1, 3), Fraction(7, 2))
-    assert isinstance(v, Fraction)
-    # independently: sum the terms by hand
-    s, T = Fraction(1, 3), Fraction(7, 2)
-    total = sum(c * s**a * T**b for (a, b), c in p.coeffs.items())
-    assert v == total
+    # the expanded coefficients and the scalar recursion agree exactly, at
+    # rational points and at floats taken at their binary value
+    rng = random.Random(314159)
+    points = [
+        (Fraction(rng.randrange(1, 60), rng.randrange(1, 13)), Fraction(rng.randrange(-90, 91), rng.randrange(1, 9)))
+        for _ in range(6)
+    ]
+    for _ in range(6):
+        s = 10.0 ** rng.uniform(-2.0, 1.5)
+        points.append((s, s + 2.0 + 4.0 * rng.random() / s))
+    for s, T in points:
+        fs, fT = Fraction(s), Fraction(T)
+        for n in range(-12, 13):
+            if n in (0, -1):
+                continue
+            v = phi_exact(n, s, T)
+            assert isinstance(v, Fraction)
+            assert v == _summed(riley_poly(n), fs, fT), (n, s, T)
+        K = _summed(TRACE_POLY, fs, fT)
+        for m in range(-12, 13):
+            assert tau_exact(m, K) == _summed(tau_poly(m), fs, fT), (m, s, T)
 
 
 def test_float_arguments_evaluate_at_their_binary_value():
-    p = riley_poly(2)
-    assert eval_exact(p, 0.5, 0.25) == eval_exact(p, Fraction(1, 2), Fraction(1, 4))
+    assert phi_exact(2, 0.5, 0.25) == phi_exact(2, Fraction(1, 2), Fraction(1, 4))
+    assert phi_exact(2, 0.1, 4.0) == phi_exact(2, Fraction(0.1), 4)
+    assert phi_exact(2, 0.1, 4.0) != phi_exact(2, Fraction(1, 10), 4)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_tau_memo_builds_without_deep_recursion():
+    # the memo fills from the bottom, so depth does not grow with |m|
+    want_tau, want_phi = tau_poly(60), riley_poly(-60)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        clear_cache()
+        got_tau, got_phi = tau_poly(60), riley_poly(-60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got_tau == want_tau and got_phi == want_phi
 
 
 def test_terms_serialization_order_and_roundtrip():

@@ -8,18 +8,9 @@ import pytest
 
 from twistcover import kernels
 from twistcover.checks import GRID_N
+from twistcover.exactpoly import tau_exact
 from twistcover.kernels import CONVERGED, FLOAT_LIMIT, ITER_CAP
 from twistcover.solver import bracket
-
-
-def cheb_oracle(m: int, x: Fraction) -> Fraction:
-    """tau_m by the bare three-term recursion in exact arithmetic."""
-    lo, hi = Fraction(0), Fraction(1)
-    if m == 0:
-        return lo
-    for _ in range(abs(m) - 1):
-        lo, hi = hi, x * hi - lo
-    return hi if m > 0 else -hi
 
 
 def test_cheb_ratio_against_exact_recursion():
@@ -27,7 +18,7 @@ def test_cheb_ratio_against_exact_recursion():
     for _ in range(300):
         m = rng.randrange(-12, 13)
         x = Fraction(rng.randrange(-40, 41), rng.randrange(1, 12))
-        want = float(cheb_oracle(m, x))
+        want = float(tau_exact(m, x))
         got = kernels.cheb_ratio(m, float(x))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (m, x)
 

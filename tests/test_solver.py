@@ -10,14 +10,13 @@ from twistcover import (
     DomainError,
     NonConvergence,
     bracket,
-    eval_exact,
     phi_num,
-    riley_poly,
     solve,
     t_from_T,
     tau_num,
 )
 from twistcover.checks import GRID_N, GRID_S
+from twistcover.exactpoly import phi_exact
 
 
 def test_tau_num_spot_values():
@@ -52,7 +51,7 @@ def test_phi_num_matches_exact_on_random_points():
         s = rng.uniform(0.05, 20.0)
         # stay inside the elliptic band: T in (s+2, s+2+4/s)
         T = s + 2 + rng.uniform(0.0, 4.0) / s
-        want = float(eval_exact(riley_poly(n), s, T))
+        want = float(phi_exact(n, s, T))
         got = phi_num(n, s, T)
         scale = max(1.0, abs(want))
         assert abs(got - want) <= 1e-8 * scale, (n, s, T)
