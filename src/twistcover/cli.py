@@ -63,15 +63,12 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("solve", help="root of the defining polynomial at s")
     _add_common(p, ("json", "text"))
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--tol-T", type=float, default=solver.DEFAULT_TOL_T)
     p.set_defaults(handler=_cmd_solve)
 
     p = subs.add_parser("slope", help="evaluate g at s, or invert g at r = p/q")
     _add_common(p, ("json", "text"))
     p.add_argument("--s", type=float)
     p.add_argument("--r", type=_rational, metavar="P/Q")
-    p.add_argument("--tol-T", type=float, default=solver.DEFAULT_TOL_T)
-    p.add_argument("--tol-g", type=float, default=slopes.DEFAULT_TOL_G)
     p.set_defaults(handler=_cmd_slope)
 
     p = subs.add_parser("scan", help="table of the slope map on a log grid")
@@ -79,15 +76,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--s-min", type=float, required=True)
     p.add_argument("--s-max", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--tol-T", type=float, default=solver.DEFAULT_TOL_T)
     p.set_defaults(handler=_cmd_scan)
 
     p = subs.add_parser("certify", help="surgery certificate for slope p/q")
     _add_common(p, ("json", "text"))
     p.add_argument("--r", type=_rational, metavar="P/Q", required=True)
-    p.add_argument("--tol-T", type=float, default=solver.DEFAULT_TOL_T)
-    p.add_argument("--tol-g", type=float, default=slopes.DEFAULT_TOL_G)
-    p.add_argument("--tol-cert", type=float, default=cover.DEFAULT_TOL_CERT)
     p.set_defaults(handler=_cmd_certify)
 
     p = subs.add_parser("verify", help="run every invariant suite on the standard grid")
@@ -111,7 +104,7 @@ def _cmd_riley(a) -> tuple[str, int]:
 
 
 def _cmd_solve(a) -> tuple[str, int]:
-    sol = solver.solve(a.n, a.s, tol=a.tol_T)
+    sol = solver.solve(a.n, a.s)
     payload = {"version": __version__, **asdict(sol)}
     if a.format == "json":
         return _json(payload), 0
@@ -122,11 +115,11 @@ def _cmd_slope(a) -> tuple[str, int]:
     if (a.s is None) == (a.r is None):
         raise DomainError("slope takes exactly one of --s or --r")
     if a.s is not None:
-        smp = slopes.g_eval(a.n, a.s, tol_T=a.tol_T)
+        smp = slopes.g_eval(a.n, a.s)
         payload = {"version": __version__, "n": a.n, **asdict(smp)}
     else:
         p, q = a.r
-        smp, report = slopes.invert(a.n, p, q, tol=a.tol_g, tol_T=a.tol_T)
+        smp, report = slopes.invert(a.n, p, q)
         payload = {
             "version": __version__,
             "n": a.n,
@@ -146,7 +139,7 @@ def _cmd_slope(a) -> tuple[str, int]:
 
 
 def _cmd_scan(a) -> tuple[str, int]:
-    rows = slopes.scan(a.n, a.s_min, a.s_max, a.samples, tol_T=a.tol_T)
+    rows = slopes.scan(a.n, a.s_min, a.s_max, a.samples)
     if a.format == "csv":
         return slopes.scan_to_csv(rows), 0
     payload = {"version": __version__, "n": a.n, "rows": [asdict(r) for r in rows]}
@@ -154,10 +147,7 @@ def _cmd_scan(a) -> tuple[str, int]:
 
 
 def _cmd_certify(a) -> tuple[str, int]:
-    p, q = a.r
-    cert = cover.certificate(
-        a.n, p, q, tol_g=a.tol_g, tol_cert=a.tol_cert, tol_T=a.tol_T
-    )
+    cert = cover.certificate(a.n, *a.r)
     if a.format == "json":
         return cover.certificate_json(cert), 0
     pairs = [("version", __version__)] + list(asdict(cert).items())

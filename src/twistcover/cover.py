@@ -33,7 +33,7 @@ from .errors import (
 )
 from .rep import Mat2, gen_matrices, longitude, longitude_word, relator_word
 from .slopes import DEFAULT_TOL_G, invert
-from .solver import DEFAULT_TOL_T, RepSolution, check_positive
+from .solver import RepSolution
 
 DEFAULT_TOL_CERT = 1e-6
 # Relator and longitude words keep intermediate |gamma| within ~1/norm^2 of
@@ -240,37 +240,28 @@ class SurgeryCertificate:
     tol_certificate: float
 
 
-def certificate(
-    n: int,
-    p: int,
-    q: int,
-    tol_g: float = DEFAULT_TOL_G,
-    tol_cert: float = DEFAULT_TOL_CERT,
-    tol_T: float = DEFAULT_TOL_T,
-) -> SurgeryCertificate:
+def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
     """Full pipeline: invert the slope map at p/q, lift, and certify.
 
     Finds s* with g(s*) = p/q, lifts the representation there, and verifies
-    that the lifted x^p L^q lands on (0, 0) within tol_cert.  It lifts at
-    invert's own sample, whose s and t come from the one solve at s*.
+    that the lifted x^p L^q lands on (0, 0) within DEFAULT_TOL_CERT.  It
+    lifts at invert's own sample, whose s and t come from the one solve at s*.
     """
-    check_positive("tol_cert", tol_cert)
-    smp, _ = invert(n, p, q, tol=tol_g, tol_T=tol_T)
+    smp, _ = invert(n, p, q)
     _, hol = longitude(n, smp)
     xt, yt, rel_res = lift_generators(n, smp)
     lt = lifted_longitude(n, xt, yt, expected_gamma=hol.lifted_gamma)
+    stage = f"closure of x^{p} L^{q} at n={n}, r={p}/{q}, s*={smp.s}"
     try:
         final = cover_mul(cover_pow(xt, p), cover_pow(lt, q))
     except NumericsError as exc:
-        raise NumericsError(
-            f"closure of x^{p} L^{q} at n={n}, r={p}/{q}, s*={smp.s} failed: {exc}"
-        ) from exc
+        raise NumericsError(f"{stage} failed: {exc}") from exc
     final_gamma_abs = abs(final.gamma)
-    if not (final_gamma_abs <= tol_cert and abs(final.omega) <= tol_cert):
+    if not (final_gamma_abs <= DEFAULT_TOL_CERT and abs(final.omega) <= DEFAULT_TOL_CERT):
         raise CertificateFailed(
-            f"lifted x^{p} L^{q} at n={n}, s*={smp.s} is "
-            f"({final.gamma}, {final.omega}); |gamma| = {final_gamma_abs:.3e}, "
-            f"|omega| = {abs(final.omega):.3e} exceed tol = {tol_cert} "
+            f"{stage} failed: lifted word is ({final.gamma}, {final.omega}); "
+            f"|gamma| = {final_gamma_abs:.3e}, |omega| = {abs(final.omega):.3e} "
+            f"exceed tol = {DEFAULT_TOL_CERT} "
             f"(relator residual {rel_res:.3e}, longitude omega {lt.omega:.3e})"
         )
     return SurgeryCertificate(
@@ -286,8 +277,8 @@ def certificate(
         longitude_omega=lt.omega,
         final_gamma_abs=final_gamma_abs,
         final_omega=final.omega,
-        tol_slope=tol_g,
-        tol_certificate=tol_cert,
+        tol_slope=DEFAULT_TOL_G,
+        tol_certificate=DEFAULT_TOL_CERT,
     )
 
 

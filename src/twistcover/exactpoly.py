@@ -53,9 +53,6 @@ class BivarPoly:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -116,10 +113,6 @@ class BivarPoly:
         return [
             {"s_deg": a, "T_deg": b, "coeff": str(c)} for (a, b), c in items
         ]
-
-    @classmethod
-    def from_terms(cls, terms) -> "BivarPoly":
-        return cls({(d["s_deg"], d["T_deg"]): int(d["coeff"]) for d in terms})
 
     def __repr__(self):
         if not self.coeffs:

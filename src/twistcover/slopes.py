@@ -9,8 +9,8 @@ A Dehn filling along x^p L^q kills the lifted peripheral element exactly when
 A^p B^q = 1, i.e. g(s) = p/q.  g tends to 0 as s -> 0 and to 4 as s -> inf,
 so every rational slope strictly inside (0, 4) is attained; invert() finds
 the leftmost attaining s on a logarithmic scan grid and bisects.  The grid
-does not depend on the slope, so it is scanned once per (n, tol_T) and its
-samples are reused for every p/q at that n.
+does not depend on the slope, so it is scanned once per n and its samples
+are reused for every p/q at that n.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import exp, gcd, log, sqrt
 
 from .errors import DomainError, NoBracketFound, NonConvergence, NumericsError, SlopeOutOfRange
 from .rep import longitude_holonomy
-from .solver import DEFAULT_TOL_T, check_positive, solve
+from .solver import solve
 
 DEFAULT_TOL_G = 1e-9
 GRID_S_MIN = 1e-6
@@ -53,9 +53,9 @@ class InvertReport:
     evaluations: int
 
 
-def g_eval(n: int, s: float, tol_T: float = DEFAULT_TOL_T) -> SlopeSample:
+def g_eval(n: int, s: float) -> SlopeSample:
     """Solve at (n, s) and evaluate the slope map there."""
-    sol = solve(n, s, tol=tol_T)
+    sol = solve(n, s)
     b = longitude_holonomy(sol.s, sol.t)
     if not b > 0:
         raise NumericsError(f"longitude entry B = {b} not positive at n={n}, s={s}")
@@ -75,28 +75,22 @@ def _log_grid(s_min: float, s_max: float, samples: int) -> list[float]:
 
 # typed, so that n = 2.0 is not served the grid of n = 2: solve() rejects it
 @lru_cache(maxsize=GRID_CACHE_SIZE, typed=True)
-def _grid_samples(n: int, tol_T: float) -> tuple[SlopeSample, ...]:
-    """invert()'s scan grid at (n, tol_T), evaluated once and then reused.
+def _grid_samples(n: int) -> tuple[SlopeSample, ...]:
+    """invert()'s scan grid at n, evaluated once and then reused.
 
     lru_cache keeps no result for a call that raises, so an n whose grid
     fails raises again on every call.
     """
-    return tuple(g_eval(n, s, tol_T) for s in _log_grid(GRID_S_MIN, GRID_S_MAX, GRID_POINTS))
+    return tuple(g_eval(n, s) for s in _log_grid(GRID_S_MIN, GRID_S_MAX, GRID_POINTS))
 
 
-def scan(
-    n: int,
-    s_min: float,
-    s_max: float,
-    samples: int,
-    tol_T: float = DEFAULT_TOL_T,
-) -> list[SlopeSample]:
+def scan(n: int, s_min: float, s_max: float, samples: int) -> list[SlopeSample]:
     """Slope map on a log-spaced grid, sorted by s."""
     if not (0 < s_min < s_max):
         raise DomainError(f"need 0 < s_min < s_max, got {s_min}, {s_max}")
     if not isinstance(samples, int) or samples < 2:
         raise DomainError(f"samples must be an integer of at least 2, got {samples!r}")
-    return [g_eval(n, s, tol_T) for s in _log_grid(s_min, s_max, samples)]
+    return [g_eval(n, s) for s in _log_grid(s_min, s_max, samples)]
 
 
 def scan_to_csv(rows: list[SlopeSample]) -> str:
@@ -109,23 +103,18 @@ def scan_to_csv(rows: list[SlopeSample]) -> str:
     return "\n".join(out) + "\n"
 
 
-def invert(
-    n: int,
-    p: int,
-    q: int,
-    tol: float = DEFAULT_TOL_G,
-    tol_T: float = DEFAULT_TOL_T,
-) -> tuple[SlopeSample, InvertReport]:
-    """Find s with |g(s) - p/q| <= tol; p/q must be reduced and in (0, 4).
+def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
+    """Find s with |g(s) - p/q| <= DEFAULT_TOL_G; p/q must be reduced and in
+    (0, 4).
 
     Scans a log grid over [1e-6, 1e8] for sign changes of g - p/q, takes the
     leftmost, and bisects geometrically; returns the sample at s with the
-    report of how it was found.  The grid samples come from a per-(n, tol_T)
-    cache, and the bisection takes its left-end sign from them, so the
-    report's evaluations are the grid points plus the bisection steps,
-    whether or not this call computed the grid.  If the interval collapses to
-    float resolution without meeting tol the sign change was a jump, not a
-    crossing, and NonConvergence reports it instead of returning a bogus s.
+    report of how it was found.  The grid samples come from a per-n cache,
+    and the bisection takes its left-end sign from them, so the report's
+    evaluations are the grid points plus the bisection steps, whether or not
+    this call computed the grid.  If the interval collapses to float
+    resolution without meeting DEFAULT_TOL_G the sign change was a jump, not
+    a crossing, and NonConvergence reports it instead of returning a bogus s.
     """
     if not isinstance(p, int) or not isinstance(q, int):
         raise DomainError(f"p and q must be integers, got {p!r}, {q!r}")
@@ -138,12 +127,11 @@ def invert(
         raise SlopeOutOfRange(
             f"slope {p}/{q} is outside the certified open interval (0, 4)"
         )
-    check_positive("tol", tol)
 
-    samples = _grid_samples(n, tol_T)
+    samples = _grid_samples(n)
     evaluations = len(samples)
     for smp in samples:
-        if abs(smp.g - r) <= tol:
+        if abs(smp.g - r) <= DEFAULT_TOL_G:
             return smp, InvertReport(brackets=((smp.s, smp.s),), evaluations=evaluations)
 
     crossings = [
@@ -162,15 +150,15 @@ def invert(
     lo_pos = left.g - r > 0
     for _ in range(200):
         mid = sqrt(lo * hi)
-        smp = g_eval(n, mid, tol_T)
+        smp = g_eval(n, mid)
         evaluations += 1
         diff = smp.g - r
-        if abs(diff) <= tol:
+        if abs(diff) <= DEFAULT_TOL_G:
             return smp, InvertReport(brackets=brackets, evaluations=evaluations)
         if hi - lo <= 1e-15 * hi:
             raise NonConvergence(
                 f"interval [{lo}, {hi}] collapsed with |g - {p}/{q}| = "
-                f"{abs(diff):.3e} > tol = {tol}; g jumps across the target "
+                f"{abs(diff):.3e} > tol = {DEFAULT_TOL_G}; g jumps across the target "
                 f"(branch discontinuity) or tol is below attainable resolution"
             )
         if (diff > 0) == lo_pos:

@@ -143,11 +143,10 @@ def t_from_T(T: float) -> float:
     return 0.5 * (T + sqrt(T * T - 4.0))
 
 
-def solve(n: int, s: float, tol: float = DEFAULT_TOL_T) -> RepSolution:
-    """Locate the certified root of phi_n(s, .) to |hi - lo| < tol in T."""
+def solve(n: int, s: float) -> RepSolution:
+    """Locate the certified root of phi_n(s, .) to |hi - lo| < DEFAULT_TOL_T in T."""
     check_n(n)
     s = check_positive("s", s)
-    check_positive("tol", tol)
     if n == 1:
         delta = s / (s + 1.0)
         T = s + 2.0 + 1.0 / (s + 1.0)
@@ -155,12 +154,12 @@ def solve(n: int, s: float, tol: float = DEFAULT_TOL_T) -> RepSolution:
     else:
         br = bracket(n, s)
         delta, iters, status = kernels.bisect_phi_delta(
-            n, s, br.delta_lo, br.delta_hi, br.sign_lo, tol * s, DEFAULT_MAX_ITER
+            n, s, br.delta_lo, br.delta_hi, br.sign_lo, DEFAULT_TOL_T * s, DEFAULT_MAX_ITER
         )
         if status == kernels.ITER_CAP:
             raise NonConvergence(
                 f"bisection hit the {DEFAULT_MAX_ITER}-iteration cap at n={n}, "
-                f"s={s}; tol={tol} is too small for the floating format"
+                f"s={s}; tol={DEFAULT_TOL_T} is too small for the floating format"
             )
         T = s + 2.0 + delta / s
     trace = 2.0 - delta

@@ -87,10 +87,6 @@ def test_domain_error_exit_code(capsys):
     "argv",
     [
         ("solve", "--n", "2", "--s", "inf"),
-        ("solve", "--n", "2", "--s", "1", "--tol-T", "inf"),
-        ("certify", "--n", "2", "--r", "7/2", "--tol-cert", "nan"),
-        ("certify", "--n", "2", "--r", "7/2", "--tol-cert", "inf"),
-        ("slope", "--n", "2", "--r", "3/2", "--tol-g", "nan"),
         ("slope", "--n", "2", "--s", "inf"),
         ("scan", "--n", "2", "--s-min", "1", "--s-max", "inf", "--samples", "3"),
     ],
@@ -246,22 +242,42 @@ def test_scan_csv(capsys):
     assert out2 == out
 
 
-def test_chart_saturation_exits_2(capsys):
-    # x^19 at s* has |gamma| = tanh(19 log sqrt(t)), which rounds to 1
-    code, out, err = run(capsys, "certify", "--n", "2", "--r", "19/5")
+@pytest.mark.parametrize(
+    "r, error",
+    [
+        # x^19 at s* has |gamma| = tanh(19 log sqrt(t)), which rounds to 1
+        ("19/5", "NumericsError"),
+        # the lifted x^10 L^3 misses (0, 0) by |gamma| = 1.089e-06
+        ("10/3", "CertificateFailed"),
+    ],
+)
+def test_closure_failure_exits_2(capsys, r, error):
+    code, out, err = run(capsys, "certify", "--n", "2", "--r", r)
     assert code == 2 and out == ""
     data = json.loads(err)
-    assert data["error"] == "NumericsError"
-    assert "closure of x^19 L^5" in data["message"]
-    assert "n=2" in data["message"] and "19/5" in data["message"]
+    assert data["error"] == error
+    p, q = r.split("/")
+    assert f"closure of x^{p} L^{q}" in data["message"]
+    assert "n=2" in data["message"] and f"r={r}" in data["message"]
 
 
-def test_usage_error_exit_code(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--n", "2"),  # missing --s
+        # bounds are constants, not options
+        ("solve", "--n", "2", "--s", "1", "--tol-T", "1e-15"),
+        ("slope", "--n", "2", "--r", "3/2", "--tol-g", "1e-12"),
+        ("certify", "--n", "2", "--r", "7/2", "--tol-cert", "0.5"),
+    ],
+)
+def test_usage_error_exit_code(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["solve", "--n", "2"])  # missing --s
+        main(list(argv))
     assert exc.value.code == 1
-    err = capsys.readouterr().err
-    assert "UsageError" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "UsageError" in captured.err
 
 
 def test_unknown_subcommand(capsys):

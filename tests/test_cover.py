@@ -303,4 +303,5 @@ def test_certificate_failure_modes():
     with pytest.raises(SlopeOutOfRange):
         certificate(1, 4, 1)
     with pytest.raises(CertificateFailed):
-        certificate(2, 1, 1, tol_cert=1e-16)
+        # the lifted x^10 L^3 misses (0, 0) by |gamma| = 1.089e-06
+        certificate(2, 10, 3)

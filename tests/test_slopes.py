@@ -170,6 +170,6 @@ def test_grid_cache():
     # perfbench's verify workload clears every cache_clear in the package
     assert callable(slopes._grid_samples.cache_clear)
     # with the grid of n = 2 cached, n = 2.0 is still refused
-    slopes._grid_samples(2, slopes.DEFAULT_TOL_T)
+    slopes._grid_samples(2)
     with pytest.raises(DomainError):
-        slopes._grid_samples(2.0, slopes.DEFAULT_TOL_T)
+        slopes._grid_samples(2.0)
