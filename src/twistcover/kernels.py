@@ -2,7 +2,7 @@
 
 These four functions are the inner loops of the solver and the cover
 arithmetic: the Chebyshev ratio, the defining function in the solver's
-offset coordinate, the bisection loop over it, and the cover group law.
+offset coordinate, the ITP root-finding loop over it, and the cover group law.
 """
 
 from math import acos, acosh, atan2, cos, pi, sin, sinh
@@ -11,6 +11,13 @@ from math import acos, acosh, atan2, cos, pi, sin, sinh
 CONVERGED = 0
 FLOAT_LIMIT = 1
 ITER_CAP = 2
+
+# ITP constants of Oliveira & Takahashi: the truncation is
+# ITP_K1 / (hi - lo) * width**ITP_K2, and ITP_N0 is the number of steps it
+# may take beyond bisection's count
+ITP_K1 = 0.2
+ITP_K2 = 2
+ITP_N0 = 1
 
 
 def cheb_ratio(m, x):
@@ -71,37 +78,61 @@ def phi_delta(n, s, delta):
     return hi - (1.0 + delta / s) * lo
 
 
-def bisect_phi_delta(n, s, lo, hi, sign_lo, tol, max_iter):
-    """Bisect phi_delta's sign change on [lo, hi] in the delta coordinate.
+def bisect_phi_delta(n, s, lo, hi, f_lo, f_hi, tol, max_iter):
+    """Locate phi_delta's sign change on [lo, hi] in the delta coordinate by ITP.
 
-    The caller supplies a certified bracket: phi_delta is nonzero at both
-    ends with opposite signs, and sign_lo (+1 or -1) is its sign at lo, so
-    neither end is evaluated here.  Returns (root, iterations, status).
+    ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS
+    47(1), 2020) steps to the regula falsi point, nudged toward the midpoint
+    by ITP_K1 * width**ITP_K2 and kept within a slack r of the midpoint, so
+    it converges superlinearly on a smooth root.  The caller supplies a
+    certified bracket: f_lo and f_hi are phi_delta at lo and hi, nonzero
+    with opposite signs (solver.bracket computes them), so neither end is
+    evaluated here.  Returns (root, iterations, status).
 
-    The loop runs until the width drops below tol/2, so iterations <=
-    ceil(log2((hi-lo)/tol)) + 1 in exact arithmetic, one halving inside the
-    ceil+2 bound to absorb rounding of the widths, and the returned midpoint
-    sits within ~tol/4 of the bracketed root.  A midpoint that is no longer
-    strictly interior means float resolution was reached; that counts as
-    converged (status FLOAT_LIMIT).  Only the iteration cap is a failure.
+    The loop runs until the width drops below tol/2 and returns the midpoint,
+    as bisection does, so the midpoint sits within tol/4 of the bracketed
+    root.  Bisection needs floor(log2((hi-lo)/tol)) + 2 halvings for that.
+    The slack r keeps the width after j steps at most (hi-lo) * 2**(ITP_N0 -
+    j), so in exact arithmetic ITP stops within ITP_N0 = 1 step more:
+    ceil(log2((hi-lo)/tol)) + 2 unless the ratio is a power of two.  tol = 0
+    has no finite step budget, so it leaves no slack and bisects.  A midpoint
+    that is no longer strictly interior means float resolution was reached;
+    that counts as converged (status FLOAT_LIMIT).  A step point that is not
+    strictly interior is replaced by the midpoint.  Only the iteration cap is
+    a failure.
     """
-    lo_pos = sign_lo > 0
     target = 0.5 * tol
+    k1 = ITP_K1 / (hi - lo)
+    # halved before each step, it is the width that step may leave
+    slack_width = (hi - lo) * 2.0**ITP_N0 if tol > 0.0 else 0.0
     iters = 0
     while hi - lo >= target:
         if iters >= max_iter:
             return 0.5 * (lo + hi), iters, ITER_CAP
+        width = hi - lo
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return mid, iters, FLOAT_LIMIT
-        f = phi_delta(n, s, mid)
+        # interpolate (regula falsi), truncate toward the midpoint, project
+        # into the slack r around it
+        x_f = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        sigma = 1.0 if x_f < mid else -1.0
+        trunc = k1 * width**ITP_K2
+        x = x_f + sigma * trunc if trunc <= abs(mid - x_f) else mid
+        slack_width *= 0.5
+        r = max(slack_width - 0.5 * width, 0.0)
+        if abs(x - mid) > r:
+            x = mid - sigma * r
+        if x <= lo or x >= hi:
+            x = mid
+        f = phi_delta(n, s, x)
         iters += 1
         if f == 0.0:
-            return mid, iters, CONVERGED
-        if (f > 0.0) == lo_pos:
-            lo = mid
+            return x, iters, CONVERGED
+        if (f > 0.0) == (f_lo > 0.0):
+            lo, f_lo = x, f
         else:
-            hi = mid
+            hi, f_hi = x, f
     return 0.5 * (lo + hi), iters, CONVERGED
 
 

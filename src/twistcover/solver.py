@@ -10,8 +10,10 @@ known in closed form:
     n < -2:  as n > 1 with k = 2|n| - 1
     n = 1:   no bracket needed, T = s + 2 + 1/(s+1) exactly.
 
-Bisection runs in the offset coordinate d = (T - s - 2)*s, where the trace of
-the commutator word is 2 - d exactly; the T form loses the root entirely to
+The root is found by ITP (kernels.bisect_phi_delta: regula falsi, truncated
+and projected so that it never takes more than one step beyond bisection's
+count) in the offset coordinate d = (T - s - 2)*s, where the trace of the
+commutator word is 2 - d exactly; the T form loses the root entirely to
 rounding once s is large (see Bracket.delta_lo).
 """
 
@@ -41,14 +43,19 @@ class Bracket:
     """Sign-change interval in T.
 
     delta_lo/delta_hi are the same endpoints in the offset coordinate
-    d = (T - s - 2)*s; the solver bisects in d because T = s + 2 + d/s
-    cannot represent the bracket once d/s falls under ulp(s).
+    d = (T - s - 2)*s; the solver searches in d because T = s + 2 + d/s
+    cannot represent the bracket once d/s falls under ulp(s).  phi_lo and
+    phi_hi are phi_delta at delta_lo and delta_hi, nonzero with the signs
+    sign_lo and sign_hi; the ITP kernel interpolates between them, so solve
+    evaluates neither end again.
     """
 
     lo: float
     hi: float
     sign_lo: int
     sign_hi: int
+    phi_lo: float
+    phi_hi: float
     delta_lo: float
     delta_hi: float
 
@@ -130,6 +137,8 @@ def bracket(n: int, s: float) -> Bracket:
         hi=s + 2.0 + dhi / s,
         sign_lo=1 if f_lo > 0 else -1,
         sign_hi=1 if f_hi > 0 else -1,
+        phi_lo=f_lo,
+        phi_hi=f_hi,
         delta_lo=dlo,
         delta_hi=dhi,
     )
@@ -144,7 +153,13 @@ def t_from_T(T: float) -> float:
 
 
 def solve(n: int, s: float) -> RepSolution:
-    """Locate the certified root of phi_n(s, .) to |hi - lo| < DEFAULT_TOL_T in T."""
+    """Locate the certified root of phi_n(s, .) to |hi - lo| < DEFAULT_TOL_T in T.
+
+    ITP runs on the bracket's delta window from the phi values the bracket
+    computed, to a width of DEFAULT_TOL_T * min(s, 1) in delta, so a solve
+    makes iterations + 3 phi_delta calls: two bracket ends, one per step and
+    the residual.
+    """
     check_n(n)
     s = check_positive("s", s)
     if n == 1:
@@ -153,12 +168,15 @@ def solve(n: int, s: float) -> RepSolution:
         iters = 0
     else:
         br = bracket(n, s)
+        # a width of tol*min(s, 1) in delta is at most tol in T = s + 2 + delta/s;
+        # tol*s would outgrow the delta window, at most 4 wide, past s ~ 4e13
         delta, iters, status = kernels.bisect_phi_delta(
-            n, s, br.delta_lo, br.delta_hi, br.sign_lo, DEFAULT_TOL_T * s, DEFAULT_MAX_ITER
+            n, s, br.delta_lo, br.delta_hi, br.phi_lo, br.phi_hi,
+            DEFAULT_TOL_T * min(s, 1.0), DEFAULT_MAX_ITER,
         )
         if status == kernels.ITER_CAP:
             raise NonConvergence(
-                f"bisection hit the {DEFAULT_MAX_ITER}-iteration cap at n={n}, "
+                f"root finding hit the {DEFAULT_MAX_ITER}-iteration cap at n={n}, "
                 f"s={s}; tol={DEFAULT_TOL_T} is too small for the floating format"
             )
         T = s + 2.0 + delta / s

@@ -169,10 +169,11 @@ def test_suite_fails_closed_on_nan():
     assert res.worst == math.inf and res.where == "b"
 
 
-def test_batch_certify_budget(g_eval_calls, solve_calls):
+def test_batch_certify_budget(g_eval_calls, solve_calls, phi_delta_calls):
     # many slopes at one n share invert's scan grid; the bound is a count of
     # slope evaluations, not a time: one cold grid plus under 60 per slope.
     # A certificate lifts at invert's own sample, so it solves nowhere else.
+    # ITP keeps the kernel evaluations under 16000 (plain bisection: 41029).
     slopes._grid_samples.cache_clear()
     fracs = [(p, q) for q in range(1, 6) for p in range(1, 4 * q) if math.gcd(p, q) == 1][:20]
     refused = 0
@@ -185,7 +186,10 @@ def test_batch_certify_budget(g_eval_calls, solve_calls):
     calls = g_eval_calls[0]
     assert calls < budget, f"{calls} slope evaluations for {len(fracs)} certificates"
     assert solve_calls[0] == calls, f"{solve_calls[0]} solves for {calls} slope evaluations"
+    evals = phi_delta_calls[0]
+    assert evals < 16000, f"{evals} phi_delta calls for {len(fracs)} certificates"
     report(
         "batch certify budget",
-        f"n=2, {len(fracs)} slopes ({refused} refused), {calls} slope evaluations vs {budget}",
+        f"n=2, {len(fracs)} slopes ({refused} refused), {calls} slope evaluations vs {budget}, "
+        f"{evals} phi_delta calls vs 16000",
     )

@@ -303,5 +303,5 @@ def test_certificate_failure_modes():
     with pytest.raises(SlopeOutOfRange):
         certificate(1, 4, 1)
     with pytest.raises(CertificateFailed):
-        # the lifted x^10 L^3 misses (0, 0) by |gamma| = 1.089e-06
-        certificate(2, 10, 3)
+        # the lifted x^11 L^3 misses (0, 0) by |gamma| = 9.012e-04
+        certificate(2, 11, 3)

@@ -50,7 +50,7 @@ def test_phi_delta_matches_solver_values():
 
 def test_bisect_statuses():
     br = bracket(2, 1.0)
-    window = (br.delta_lo, br.delta_hi, br.sign_lo)
+    window = (br.delta_lo, br.delta_hi, br.phi_lo, br.phi_hi)
     root, iters, status = kernels.bisect_phi_delta(2, 1.0, *window, 1e-13, 200)
     assert status == CONVERGED
     assert 0 < iters <= 60

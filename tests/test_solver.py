@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import twistcover.slopes as slopes
 import twistcover.solver as solver
 from twistcover import (
     DomainError,
@@ -145,6 +146,34 @@ def test_solve_evaluates_each_point_once(phi_delta_calls, n):
     # two bracket ends, one point per bisection step, one residual
     sol = solve(n, 0.5)
     assert phi_delta_calls[0] == sol.iterations + 3
+
+
+@pytest.mark.parametrize("s", [1e13, 1e14, 1e20])
+def test_solve_large_s_finds_the_root(s):
+    # a delta tolerance of DEFAULT_TOL_T * s would exceed the whole delta
+    # window here and return the left bracket end unsearched
+    sol = solve(2, s)
+    assert sol.iterations > 0
+    assert abs(sol.phi_residual) <= 1e-12
+
+
+def test_solve_iterations_on_the_inversion_grid():
+    # ITP converges superlinearly, yet never exceeds the bisection bound of
+    # the bisection_iteration_bound suite, with the window taken from delta:
+    # at s = 1e8 the T window is below ulp(T)
+    xs = slopes._log_grid(slopes.GRID_S_MIN, slopes.GRID_S_MAX, slopes.GRID_POINTS)
+    iterations = []
+    for n in GRID_N:
+        for s in xs:
+            sol = solve(n, s)
+            iterations.append(sol.iterations)
+            if n == 1:
+                continue
+            br = bracket(n, s)
+            window = (br.delta_hi - br.delta_lo) / s
+            assert sol.iterations <= math.ceil(math.log2(window / solver.DEFAULT_TOL_T)) + 2, (n, s)
+    mean = sum(iterations) / len(iterations)
+    assert mean <= 10.0, mean
 
 
 def test_solve_iteration_cap(monkeypatch):
