@@ -146,7 +146,7 @@ def check_bracket_signs() -> CheckResult:
             continue
         for s in GRID_S:
             br = solver.bracket(n, s)
-            ok = br.sign_lo * br.sign_hi < 0 and br.lo < br.hi
+            ok = (br.phi_lo > 0.0) != (br.phi_hi > 0.0) and br.lo < br.hi
             w.push(0.0 if ok else 1.0, f"n={n}, s={s}")
     return w.result("bracket_signs", 0.0)
 

@@ -28,12 +28,12 @@ def _text(pairs) -> str:
 
 
 def _rational(text: str) -> tuple[int, int]:
-    """Parse "p/q" (or "p") without reducing; reducibility is the library's
-    call to reject."""
-    body = text.strip()
-    num, _, den = body.partition("/")
+    """Parse "p/q" (or "p", meaning p/1) without reducing; reducibility is
+    the library's call to reject.  "p/" has an empty denominator and is
+    refused."""
+    num, slash, den = text.strip().partition("/")
     try:
-        return int(num), int(den) if den else 1
+        return int(num), int(den) if slash else 1
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}") from None
 

@@ -1,13 +1,13 @@
 """Hot kernels.
 
 These four functions are the inner loops of the solver and the cover
-arithmetic: the Chebyshev ratio, the defining function in the solver's
-offset coordinate, the ITP root-finding loop over it, and the cover group law.
+arithmetic: the Chebyshev ratio, the defining function in the solver's offset
+coordinate, the ITP root finder of solve and invert, and the cover group law.
 """
 
 from math import acos, acosh, atan2, cos, pi, sin, sinh
 
-# bisect_phi_delta status codes
+# itp status codes
 CONVERGED = 0
 FLOAT_LIMIT = 1
 ITER_CAP = 2
@@ -78,16 +78,16 @@ def phi_delta(n, s, delta):
     return hi - (1.0 + delta / s) * lo
 
 
-def bisect_phi_delta(n, s, lo, hi, f_lo, f_hi, tol, max_iter):
-    """Locate phi_delta's sign change on [lo, hi] in the delta coordinate by ITP.
+def itp(f, lo, hi, f_lo, f_hi, tol, max_iter, ftol):
+    """Locate f's sign change on [lo, hi] by ITP; returns (root, iterations, status).
 
     ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS
     47(1), 2020) steps to the regula falsi point, nudged toward the midpoint
     by ITP_K1 * width**ITP_K2 and kept within a slack r of the midpoint, so
     it converges superlinearly on a smooth root.  The caller supplies a
-    certified bracket: f_lo and f_hi are phi_delta at lo and hi, nonzero
-    with opposite signs (solver.bracket computes them), so neither end is
-    evaluated here.  Returns (root, iterations, status).
+    certified bracket: f_lo and f_hi are f at lo and hi, nonzero with
+    opposite signs, so f is called once per step and never at an end.  A
+    step point x with |f(x)| <= ftol is returned at once.
 
     The loop runs until the width drops below tol/2 and returns the midpoint,
     as bisection does, so the midpoint sits within tol/4 of the bracketed
@@ -125,14 +125,14 @@ def bisect_phi_delta(n, s, lo, hi, f_lo, f_hi, tol, max_iter):
             x = mid - sigma * r
         if x <= lo or x >= hi:
             x = mid
-        f = phi_delta(n, s, x)
+        fx = f(x)
         iters += 1
-        if f == 0.0:
+        if abs(fx) <= ftol:
             return x, iters, CONVERGED
-        if (f > 0.0) == (f_lo > 0.0):
-            lo, f_lo = x, f
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo, f_lo = x, fx
         else:
-            hi, f_hi = x, f
+            hi, f_hi = x, fx
     return 0.5 * (lo + hi), iters, CONVERGED
 
 

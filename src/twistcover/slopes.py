@@ -8,7 +8,7 @@ A = sqrt(t) (meridian) and B (longitude), and
 A Dehn filling along x^p L^q kills the lifted peripheral element exactly when
 A^p B^q = 1, i.e. g(s) = p/q.  g tends to 0 as s -> 0 and to 4 as s -> inf,
 so every rational slope strictly inside (0, 4) is attained; invert() finds
-the leftmost attaining s on a logarithmic scan grid and bisects.  The grid
+the leftmost attaining s on a log scan grid and runs ITP in log s.  The grid
 does not depend on the slope, so it is scanned once per n and its samples
 are reused for every p/q at that n.
 """
@@ -17,16 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, gcd, log, sqrt
+from math import exp, gcd, log
 
+from . import kernels, solver
 from .errors import DomainError, NoBracketFound, NonConvergence, NumericsError, SlopeOutOfRange
 from .rep import longitude_holonomy
-from .solver import solve
 
 DEFAULT_TOL_G = 1e-9
 GRID_S_MIN = 1e-6
 GRID_S_MAX = 1e8
 GRID_POINTS = 400
+INVERT_TOL_LOG_S = 2e-15  # invert's ITP stops at hi - lo <= 1e-15 * hi in s
 # grids kept by _grid_samples; one grid of SlopeSamples holds about 100 KB
 GRID_CACHE_SIZE = 64
 
@@ -46,7 +47,7 @@ class SlopeSample:
 class InvertReport:
     """Diagnostics from invert(): every sign-change interval the scan found
     (leftmost one is used), and the number of slope samples the search
-    consulted: the grid points, cached or not, plus one per bisection step.
+    consulted: the grid points, cached or not, plus one per ITP step.
     So `evaluations` is the same on every call with the same arguments."""
 
     brackets: tuple
@@ -55,7 +56,7 @@ class InvertReport:
 
 def g_eval(n: int, s: float) -> SlopeSample:
     """Solve at (n, s) and evaluate the slope map there."""
-    sol = solve(n, s)
+    sol = solver.solve(n, s)
     b = longitude_holonomy(sol.s, sol.t)
     if not b > 0:
         raise NumericsError(f"longitude entry B = {b} not positive at n={n}, s={s}")
@@ -108,13 +109,12 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     (0, 4).
 
     Scans a log grid over [1e-6, 1e8] for sign changes of g - p/q, takes the
-    leftmost, and bisects geometrically; returns the sample at s with the
-    report of how it was found.  The grid samples come from a per-n cache,
-    and the bisection takes its left-end sign from them, so the report's
-    evaluations are the grid points plus the bisection steps, whether or not
-    this call computed the grid.  If the interval collapses to float
-    resolution without meeting DEFAULT_TOL_G the sign change was a jump, not
-    a crossing, and NonConvergence reports it instead of returning a bogus s.
+    leftmost, and runs kernels.itp over it in log s from the grid's g values
+    at its ends; returns the first sample it evaluates with |g - p/q| <=
+    DEFAULT_TOL_G and the report of how it was found.  The grid comes from a
+    per-n cache, so `evaluations` is the grid points plus the ITP steps either
+    way.  A bracket that collapses without such a sample is a jump, not a
+    crossing: NonConvergence reports it, as it does solver.DEFAULT_MAX_ITER.
     """
     if not isinstance(p, int) or not isinstance(q, int):
         raise DomainError(f"p and q must be integers, got {p!r}, {q!r}")
@@ -129,10 +129,9 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
         )
 
     samples = _grid_samples(n)
-    evaluations = len(samples)
     for smp in samples:
         if abs(smp.g - r) <= DEFAULT_TOL_G:
-            return smp, InvertReport(brackets=((smp.s, smp.s),), evaluations=evaluations)
+            return smp, InvertReport(brackets=((smp.s, smp.s),), evaluations=len(samples))
 
     crossings = [
         (a, b) for a, b in zip(samples, samples[1:]) if (a.g - r > 0) != (b.g - r > 0)
@@ -146,23 +145,25 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     brackets = tuple((a.s, b.s) for a, b in crossings)
 
     left, right = crossings[0]
-    lo, hi = left.s, right.s
-    lo_pos = left.g - r > 0
-    for _ in range(200):
-        mid = sqrt(lo * hi)
-        smp = g_eval(n, mid)
-        evaluations += 1
-        diff = smp.g - r
-        if abs(diff) <= DEFAULT_TOL_G:
-            return smp, InvertReport(brackets=brackets, evaluations=evaluations)
-        if hi - lo <= 1e-15 * hi:
-            raise NonConvergence(
-                f"interval [{lo}, {hi}] collapsed with |g - {p}/{q}| = "
-                f"{abs(diff):.3e} > tol = {DEFAULT_TOL_G}; g jumps across the target "
-                f"(branch discontinuity) or tol is below attainable resolution"
-            )
-        if (diff > 0) == lo_pos:
-            lo = mid
-        else:
-            hi = mid
-    raise NonConvergence(f"slope bisection hit the iteration cap for n={n}, slope {p}/{q}")
+    evaluated = [left]  # missed DEFAULT_TOL_G on the grid, so never returned
+
+    def g_minus_r(u):
+        smp = g_eval(n, exp(u))
+        evaluated.append(smp)
+        return smp.g - r
+
+    u, iters, status = kernels.itp(
+        g_minus_r, log(left.s), log(right.s), left.g - r, right.g - r,
+        INVERT_TOL_LOG_S, solver.DEFAULT_MAX_ITER, DEFAULT_TOL_G,
+    )
+    last = evaluated[-1]
+    if abs(last.g - r) <= DEFAULT_TOL_G:
+        return last, InvertReport(brackets=brackets, evaluations=len(samples) + iters)
+    if status == kernels.ITER_CAP:
+        cap = solver.DEFAULT_MAX_ITER
+        raise NonConvergence(f"slope root finding hit the {cap}-iteration cap for n={n}, {p}/{q}")
+    raise NonConvergence(
+        f"bracket around s = {exp(u)} collapsed with |g - {p}/{q}| = "
+        f"{abs(last.g - r):.3e} > tol = {DEFAULT_TOL_G}; g jumps across the target "
+        f"(branch discontinuity) or tol is below attainable resolution"
+    )

@@ -10,11 +10,11 @@ known in closed form:
     n < -2:  as n > 1 with k = 2|n| - 1
     n = 1:   no bracket needed, T = s + 2 + 1/(s+1) exactly.
 
-The root is found by ITP (kernels.bisect_phi_delta: regula falsi, truncated
-and projected so that it never takes more than one step beyond bisection's
-count) in the offset coordinate d = (T - s - 2)*s, where the trace of the
-commutator word is 2 - d exactly; the T form loses the root entirely to
-rounding once s is large (see Bracket.delta_lo).
+The root is found by ITP (kernels.itp: regula falsi, truncated and projected
+so that it never takes more than one step beyond bisection's count) in the
+offset coordinate d = (T - s - 2)*s, where the trace of the commutator word
+is 2 - d exactly; the T form loses the root entirely to rounding once s is
+large (see Bracket.delta_lo).
 """
 
 from __future__ import annotations
@@ -45,15 +45,13 @@ class Bracket:
     delta_lo/delta_hi are the same endpoints in the offset coordinate
     d = (T - s - 2)*s; the solver searches in d because T = s + 2 + d/s
     cannot represent the bracket once d/s falls under ulp(s).  phi_lo and
-    phi_hi are phi_delta at delta_lo and delta_hi, nonzero with the signs
-    sign_lo and sign_hi; the ITP kernel interpolates between them, so solve
-    evaluates neither end again.
+    phi_hi are phi_delta at delta_lo and delta_hi, nonzero with opposite
+    signs; the ITP kernel interpolates between them, so solve evaluates
+    neither end again.
     """
 
     lo: float
     hi: float
-    sign_lo: int
-    sign_hi: int
     phi_lo: float
     phi_hi: float
     delta_lo: float
@@ -135,8 +133,6 @@ def bracket(n: int, s: float) -> Bracket:
     return Bracket(
         lo=s + 2.0 + dlo / s,
         hi=s + 2.0 + dhi / s,
-        sign_lo=1 if f_lo > 0 else -1,
-        sign_hi=1 if f_hi > 0 else -1,
         phi_lo=f_lo,
         phi_hi=f_hi,
         delta_lo=dlo,
@@ -170,9 +166,9 @@ def solve(n: int, s: float) -> RepSolution:
         br = bracket(n, s)
         # a width of tol*min(s, 1) in delta is at most tol in T = s + 2 + delta/s;
         # tol*s would outgrow the delta window, at most 4 wide, past s ~ 4e13
-        delta, iters, status = kernels.bisect_phi_delta(
-            n, s, br.delta_lo, br.delta_hi, br.phi_lo, br.phi_hi,
-            DEFAULT_TOL_T * min(s, 1.0), DEFAULT_MAX_ITER,
+        delta, iters, status = kernels.itp(
+            lambda d: kernels.phi_delta(n, s, d), br.delta_lo, br.delta_hi,
+            br.phi_lo, br.phi_hi, DEFAULT_TOL_T * min(s, 1.0), DEFAULT_MAX_ITER, 0.0,
         )
         if status == kernels.ITER_CAP:
             raise NonConvergence(

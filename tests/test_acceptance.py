@@ -171,9 +171,10 @@ def test_suite_fails_closed_on_nan():
 
 def test_batch_certify_budget(g_eval_calls, solve_calls, phi_delta_calls):
     # many slopes at one n share invert's scan grid; the bound is a count of
-    # slope evaluations, not a time: one cold grid plus under 60 per slope.
-    # A certificate lifts at invert's own sample, so it solves nowhere else.
-    # ITP keeps the kernel evaluations under 16000 (plain bisection: 41029).
+    # slope evaluations, not a time: one cold grid plus under 10 per slope
+    # (invert's ITP in log s takes at most 7). A certificate lifts at
+    # invert's own sample, so it solves nowhere else. ITP in solve and in
+    # invert keeps the kernel evaluations under 8000.
     slopes._grid_samples.cache_clear()
     fracs = [(p, q) for q in range(1, 6) for p in range(1, 4 * q) if math.gcd(p, q) == 1][:20]
     refused = 0
@@ -182,14 +183,14 @@ def test_batch_certify_budget(g_eval_calls, solve_calls, phi_delta_calls):
             certificate(2, p, q)
         except CertificateFailed:
             refused += 1
-    budget = slopes.GRID_POINTS + 60 * len(fracs)
+    budget = slopes.GRID_POINTS + 10 * len(fracs)
     calls = g_eval_calls[0]
     assert calls < budget, f"{calls} slope evaluations for {len(fracs)} certificates"
     assert solve_calls[0] == calls, f"{solve_calls[0]} solves for {calls} slope evaluations"
     evals = phi_delta_calls[0]
-    assert evals < 16000, f"{evals} phi_delta calls for {len(fracs)} certificates"
+    assert evals < 8000, f"{evals} phi_delta calls for {len(fracs)} certificates"
     report(
         "batch certify budget",
         f"n=2, {len(fracs)} slopes ({refused} refused), {calls} slope evaluations vs {budget}, "
-        f"{evals} phi_delta calls vs 16000",
+        f"{evals} phi_delta calls vs 8000",
     )

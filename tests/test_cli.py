@@ -148,6 +148,14 @@ def test_slope_inverse(capsys):
     assert data["brackets"] and data["evaluations"] > 0
 
 
+def test_slope_bare_integer_is_over_one(capsys):
+    code, out, err = run(capsys, "slope", "--n", "2", "--r", "3")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert (data["p"], data["q"]) == (3, 1)
+    assert run(capsys, "slope", "--n", "2", "--r", "3/1")[1] == out
+
+
 def test_slope_rejects_unreduced_fraction(capsys):
     code, _, err = run(capsys, "slope", "--n", "2", "--r", "2/4")
     assert code == 1
@@ -201,18 +209,18 @@ GOLDEN_STDOUT = {
   "n": 2,
   "p": 3,
   "q": 2,
-  "s_star": 1.1154183219884457,
-  "T": 5.175461064137041,
-  "t": 4.9744331332737115,
-  "B": 0.3002218536431866,
-  "g": 1.499999999617106,
+  "s_star": 1.1154183222762097,
+  "T": 5.175461063929493,
+  "t": 4.974433133057424,
+  "B": 0.30022185355955283,
+  "g": 1.5000000000050393,
   "brackets": [
     [
       1.084145868935835,
       1.1753722651306366
     ]
   ],
-  "evaluations": 426
+  "evaluations": 407
 }
 """,
     "certify --n -3 --r 7/2": """\
@@ -221,15 +229,15 @@ GOLDEN_STDOUT = {
   "n": -3,
   "p": 7,
   "q": 2,
-  "s_star": 2.1505522549842464,
-  "t": 4.15106203948229,
-  "B": 0.08283642688498682,
-  "gamma_x": 0.6117305548505856,
-  "gamma_L": -0.9863697815979314,
-  "relator_residual": 7.35032242750686e-15,
-  "longitude_omega": -2.9964016842839857e-15,
-  "final_gamma_abs": 1.0146294172162286e-09,
-  "final_omega": -9.949933760861456e-12,
+  "s_star": 2.1505522536308845,
+  "t": 4.15106203824899,
+  "B": 0.08283642696010562,
+  "gamma_x": 0.6117305547576237,
+  "gamma_L": -0.9863697815733782,
+  "relator_residual": 1.3334708521308553e-14,
+  "longitude_omega": -6.344250450072734e-15,
+  "final_gamma_abs": 2.4060577455562173e-10,
+  "final_omega": -1.7910303583802408e-11,
   "tol_slope": 1e-09,
   "tol_certificate": 1e-06
 }
@@ -281,6 +289,9 @@ def test_closure_failure_exits_2(capsys, r, error):
         ("solve", "--n", "2", "--s", "1", "--tol-T", "1e-15"),
         ("slope", "--n", "2", "--r", "3/2", "--tol-g", "1e-12"),
         ("certify", "--n", "2", "--r", "7/2", "--tol-cert", "0.5"),
+        # an empty denominator is not an integer; bare "3" is 3/1
+        ("certify", "--n", "2", "--r", "3/"),
+        ("slope", "--n", "2", "--r", "3/"),
     ],
 )
 def test_usage_error_exit_code(capsys, argv):

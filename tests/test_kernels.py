@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -40,8 +41,8 @@ def test_phi_delta_matches_solver_values():
 
     for n, s in ((2, 1.0), (-2, 1.0), (3, 0.5), (-4, 2.0)):
         br = bracket(n, s)
-        assert math.copysign(1, kernels.phi_delta(n, s, br.delta_lo)) == br.sign_lo
-        assert math.copysign(1, kernels.phi_delta(n, s, br.delta_hi)) == br.sign_hi
+        assert math.copysign(1, kernels.phi_delta(n, s, br.delta_lo)) == math.copysign(1, br.phi_lo)
+        assert math.copysign(1, kernels.phi_delta(n, s, br.delta_hi)) == math.copysign(1, br.phi_hi)
         mid = 0.5 * (br.delta_lo + br.delta_hi)
         assert kernels.phi_delta(n, s, mid) == pytest.approx(
             phi_num(n, s, s + 2 + mid / s), rel=1e-9, abs=1e-12
@@ -50,19 +51,36 @@ def test_phi_delta_matches_solver_values():
 
 def test_bisect_statuses():
     br = bracket(2, 1.0)
+    phi = partial(kernels.phi_delta, 2, 1.0)
     window = (br.delta_lo, br.delta_hi, br.phi_lo, br.phi_hi)
-    root, iters, status = kernels.bisect_phi_delta(2, 1.0, *window, 1e-13, 200)
+    root, iters, status = kernels.itp(phi, *window, 1e-13, 200, 0.0)
     assert status == CONVERGED
     assert 0 < iters <= 60
     # delta = T - s - 2 at s = 1 with T = (17 + sqrt(17))/4
     assert root == pytest.approx((5 + math.sqrt(17)) / 4, rel=1e-12)
 
-    _, _, capped = kernels.bisect_phi_delta(2, 1.0, *window, 1e-13, 3)
+    _, _, capped = kernels.itp(phi, *window, 1e-13, 3, 0.0)
     assert capped == ITER_CAP
 
     # demanding more resolution than doubles have stops at the float limit
-    _, _, limited = kernels.bisect_phi_delta(2, 1.0, *window, 0.0, 200)
+    _, _, limited = kernels.itp(phi, *window, 0.0, 200, 0.0)
     assert limited == FLOAT_LIMIT
+
+
+def test_itp_returns_the_first_step_within_ftol():
+    # x^3 - 2 on [0, 2]: every step calls f once, and the first step point
+    # with |f| <= ftol comes back as it is, not the bracket midpoint
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x**3 - 2.0
+
+    root, iters, status = kernels.itp(f, 0.0, 2.0, -2.0, 6.0, 1e-15, 200, 1e-6)
+    assert status == CONVERGED
+    assert iters == len(seen) and root == seen[-1]
+    assert abs(root**3 - 2.0) <= 1e-6
+    assert all(abs(x**3 - 2.0) > 1e-6 for x in seen[:-1])
 
 
 def test_cover_compose_rejects_nonprincipal_branch():

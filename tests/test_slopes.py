@@ -5,9 +5,11 @@ import math
 import pytest
 
 import twistcover.slopes as slopes
+import twistcover.solver as solver
 from twistcover import (
     DomainError,
     NoBracketFound,
+    NonConvergence,
     SlopeOutOfRange,
     g_eval,
     invert,
@@ -142,7 +144,7 @@ def test_invert_cold_and_warm_agree(n, p, q):
     warm = invert(n, p, q)
     assert warm == cold
     if (n, p, q) == (2, 3, 2):
-        assert warm[1].evaluations == 426
+        assert warm[1].evaluations == 407
 
 
 def test_invert_scans_the_grid_once_per_n(g_eval_calls):
@@ -152,9 +154,43 @@ def test_invert_scans_the_grid_once_per_n(g_eval_calls):
     g_eval_calls[0] = 0
     smp, report = invert(4, 5, 3)
     assert abs(smp.g - 5 / 3) <= 1e-9
-    assert g_eval_calls[0] < 60
+    assert g_eval_calls[0] < 12
     # the report still counts the grid samples it consulted
     assert report.evaluations == slopes.GRID_POINTS + g_eval_calls[0]
+
+
+@pytest.fixture
+def cold_grid():
+    """Empty the grid cache before and after, so a grid built from a patched
+    g_eval never reaches another test."""
+    slopes._grid_samples.cache_clear()
+    yield
+    slopes._grid_samples.cache_clear()
+
+
+def test_invert_refuses_a_jump(monkeypatch, cold_grid):
+    # g steps from 1 to 3 at s = 2: the grid brackets 2/1, but no s attains it
+    calls = []
+
+    def jumping_g_eval(n, s):
+        calls.append(s)
+        return slopes.SlopeSample(s=s, T=s + 2.0, t=2.0, B=0.5, g=1.0 if s < 2.0 else 3.0)
+
+    monkeypatch.setattr(slopes, "g_eval", jumping_g_eval)
+    with pytest.raises(NonConvergence, match="g jumps across the target"):
+        invert(2, 2, 1)
+    # ITP collapses the bracket in log s well inside the iteration cap
+    steps = len(calls) - slopes.GRID_POINTS
+    assert 0 < steps < solver.DEFAULT_MAX_ITER
+    assert min(calls[slopes.GRID_POINTS:]) < 2.0 <= max(calls[slopes.GRID_POINTS:])
+
+
+def test_invert_iteration_cap(monkeypatch, cold_grid):
+    # n = 1 solves in closed form, so the cap binds only invert's own loop,
+    # which needs 6 steps for 3/2
+    monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 3)
+    with pytest.raises(NonConvergence, match="3-iteration cap"):
+        invert(1, 3, 2)
 
 
 @pytest.mark.parametrize(

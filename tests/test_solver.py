@@ -65,20 +65,24 @@ def test_phi_num_rejects_points_outside_band():
         phi_num(2, 1.0, 7.5)  # T > s + 2 + 4/s
 
 
+def _signs(br):
+    return math.copysign(1, br.phi_lo), math.copysign(1, br.phi_hi)
+
+
 def test_bracket_frozen_endpoints():
     br = bracket(2, 1.0)
     assert br.lo == pytest.approx((9 - math.sqrt(5)) / 2, rel=1e-15)
     assert br.hi == pytest.approx((9 + math.sqrt(5)) / 2, rel=1e-15)
-    assert (br.sign_lo, br.sign_hi) == (-1, 1)
+    assert _signs(br) == (-1, 1)
 
     br = bracket(-2, 2.0)
     assert (br.lo, br.hi) == (4.5, 5.0)
-    assert (br.sign_lo, br.sign_hi) == (1, -1)
+    assert _signs(br) == (1, -1)
 
     # 2|n| - 1 = 2m + 1 makes these windows coincide, signs flipped
     same = bracket(-3, 1.0)
     assert (same.lo, same.hi) == (bracket(2, 1.0).lo, bracket(2, 1.0).hi)
-    assert (same.sign_lo, same.sign_hi) == (1, -1)
+    assert _signs(same) == (1, -1)
 
 
 def test_bracket_sign_convention_on_grid():
@@ -88,9 +92,9 @@ def test_bracket_sign_convention_on_grid():
         for s in GRID_S:
             br = bracket(n, s)
             if n > 1:
-                assert (br.sign_lo, br.sign_hi) == (-1, 1)
+                assert _signs(br) == (-1, 1)
             else:
-                assert (br.sign_lo, br.sign_hi) == (1, -1)
+                assert _signs(br) == (1, -1)
             assert s + 2 < br.lo < br.hi < s + 2 + 4.0 / s
 
 
@@ -143,7 +147,7 @@ def test_solve_rejects_bad_s():
 
 @pytest.mark.parametrize("n", [2, -3, 5])
 def test_solve_evaluates_each_point_once(phi_delta_calls, n):
-    # two bracket ends, one point per bisection step, one residual
+    # two bracket ends, one point per ITP step, one residual
     sol = solve(n, 0.5)
     assert phi_delta_calls[0] == sol.iterations + 3
 
