@@ -245,7 +245,7 @@ def check_longitude_diagonal() -> CheckResult:
         if not ell.m11 > 0.0:
             w.fail(f"n={n}, s={sol.s} sign")
         w.push(hol.offdiag_residual, f"n={n}, s={sol.s}")
-    return w.result("longitude_diagonal", 1e-6)
+    return w.result("longitude_diagonal", rep.OFFDIAG_TOL)
 
 
 def check_longitude_entry_product() -> CheckResult:
@@ -384,19 +384,18 @@ def check_chart_roundtrip() -> CheckResult:
 
 
 def check_lift_relator_residual() -> CheckResult:
-    # 1e-5 is the double-precision envelope at the grid corners; see the
-    # DEFAULT_LIFT_TOL note in cover
     w = _Worst()
     for n, sol in grid_solutions():
         _, _, res = cover.lift_generators(n, sol)
         w.push(res, f"n={n}, s={sol.s}")
-    return w.result("lift_relator_residual", 1e-5)
+    return w.result("lift_relator_residual", cover.DEFAULT_LIFT_TOL)
 
 
 def check_longitude_lift_level() -> CheckResult:
-    """Lifted longitude has omega ~ 0 and gamma within 1e-7 of the holonomy
-    value (wider than cover.LONGITUDE_GAMMA_TOL: the grid reaches B ~ 1e-4,
-    where gamma sits within ulps of the unit circle)."""
+    """Lifted longitude has |omega| within cover.DEFAULT_TOL_CERT and gamma
+    within 1e-7 of the holonomy value (wider than cover.LONGITUDE_GAMMA_TOL:
+    the grid reaches B ~ 1e-4, where gamma sits within ulps of the unit
+    circle)."""
     w = _Worst()
     for n, sol in grid_solutions():
         _, hol = rep.longitude(n, sol)
@@ -406,7 +405,7 @@ def check_longitude_lift_level() -> CheckResult:
         if not abs(lt.gamma - hol.lifted_gamma) <= 1e-7:
             w.fail(where + " gamma")
         w.push(abs(lt.omega), where)
-    return w.result("longitude_lift_level", 1e-6)
+    return w.result("longitude_lift_level", cover.DEFAULT_TOL_CERT)
 
 
 def check_deck_shift_invariance() -> CheckResult:

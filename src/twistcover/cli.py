@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from math import isfinite
 
 from . import checks, cover, exactpoly, slopes, solver
 from ._version import __version__
@@ -161,7 +162,12 @@ def _cmd_verify(a) -> tuple[str, int]:
     if a.format == "json":
         payload = {
             "version": __version__,
-            "results": [asdict(r) for r in results],
+            # a suite that fails closed records worst = inf, which JSON
+            # cannot hold; null stands for it
+            "results": [
+                {**asdict(r), "worst": r.worst if isfinite(r.worst) else None}
+                for r in results
+            ],
             "all_passed": ok,
         }
         return _json(payload), code

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from cmath import isfinite, phase
 from dataclasses import asdict, dataclass
-from math import cos, sin, sqrt, tau
+from math import cos, sin, sqrt
 
 from . import kernels
 from ._version import __version__
@@ -164,23 +164,20 @@ def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, flo
     Only sol.s and sol.t are read, so a slopes.SlopeSample serves as well.
 
     x lifts with omega exactly 0: alpha of its SU(1,1) image is
-    (t+1)/(2 sqrt(t)), real and positive.  y takes its principal chart value
-    and then the unique central correction (0, 2 k pi); because y appears in
-    the relator with exponent sum -1, k is read off by rounding the
-    uncorrected relator's omega to the nearest multiple of 2 pi.  The
-    returned residual is the corrected relator's distance from (0, 0),
-    re-evaluated rather than inferred.
+    (t+1)/(2 sqrt(t)), real and positive.  y takes its principal chart value.
+    That needs no central correction (0, 2 k pi): Y has the trace of X,
+    sqrt(t) + 1/sqrt(t) > 2, so Re(alpha) of its SU(1,1) image exceeds 1 and
+    the principal value is Y's lift with translation number 0.  The lifted
+    w^n x w^-n, a conjugate of x's lift, also has translation number 0 and
+    projects to Y, so it is that same lift: k = 0.  The returned residual is
+    the lifted relator's distance from (0, 0), and it is the only gate: a
+    lift on the wrong level would leave a residual near 2 pi and raise
+    RelatorNotCentral.
     """
     gen_x, gen_y = gen_matrices(sol.s, sol.t)
     xt = chart(to_su11(gen_x))
-    yt0 = chart(to_su11(gen_y))
-    word = relator_word(n)
-    rel = cover_word(word, xt, yt0)
-    k = round(rel.omega / tau)
-    yt = yt0
-    if k != 0:
-        yt = CoverElem(yt0.gamma, yt0.omega + tau * k)
-        rel = cover_word(word, xt, yt)
+    yt = chart(to_su11(gen_y))
+    rel = cover_word(relator_word(n), xt, yt)
     residual = max(abs(rel.gamma), abs(rel.omega))
     if not residual <= DEFAULT_LIFT_TOL:
         raise RelatorNotCentral(

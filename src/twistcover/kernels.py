@@ -1,8 +1,11 @@
 """Hot kernels.
 
 These four functions are the inner loops of the solver and the cover
-arithmetic: the Chebyshev ratio, the defining function in the solver's offset
-coordinate, the ITP root finder of solve and invert, and the cover group law.
+arithmetic: cheb_pair, the one float evaluation of the trace recursion (two
+consecutive Chebyshev ratios, which rep.w_power, solver.tau_num and phi_delta
+all read); phi_delta, the defining function in the solver's offset
+coordinate; itp, the root finder of solve and invert; and cover_compose, the
+cover group law.
 """
 
 from math import acos, acosh, atan2, cos, pi, sin, sinh
@@ -20,31 +23,14 @@ ITP_K2 = 2
 ITP_N0 = 1
 
 
-def cheb_ratio(m, x):
-    """(z^m - z^-m)/(z - z^-1) where z + z^-1 = x, for any real x, integer m.
+def cheb_pair(m, x):
+    """(U(m + 1), U(m)) for U(k) = (z^k - z^-k)/(z - z^-1), z + z^-1 = x.
 
-    On [-2, 2] this is sin(m*theta)/sin(theta) with x = 2*cos(theta); the
-    removable singularities at x = +-2 take the limit values m and
-    (-1)^(m-1) * m.  Outside [-2, 2] the sinh form applies.
+    Valid for any real x and integer m; the two values share one acos (or
+    acosh) and one sine (or sinh).  On [-2, 2], U(k) is sin(k*theta)/sin(theta)
+    with x = 2*cos(theta); the removable singularities at x = +-2 take the
+    limit values k and (-1)^(k-1) * k.  Outside [-2, 2] the sinh form applies.
     """
-    ax = abs(x)
-    if ax <= 2.0:
-        theta = acos(0.5 * x)
-        if theta < 1e-8:
-            return float(m)
-        if pi - theta < 1e-8:
-            return float(m) if (m - 1) % 2 == 0 else float(-m)
-        return sin(m * theta) / sin(theta)
-    xi = acosh(0.5 * ax)
-    r = sinh(m * xi) / sinh(xi)
-    if x < 0.0 and (m - 1) % 2 != 0:
-        r = -r
-    return r
-
-
-def _cheb_ratio_pair(m, x):
-    """(cheb_ratio(m + 1, x), cheb_ratio(m, x)), bit for bit, sharing one
-    acos (or acosh) and one sine (or sinh) between the two."""
     if abs(x) <= 2.0:
         theta = acos(0.5 * x)
         if theta < 1e-8:
@@ -74,7 +60,7 @@ def phi_delta(n, s, delta):
     trace(W) = 2 - delta exactly in this parametrization, so the evaluation
     stays well conditioned for arbitrarily large s.
     """
-    hi, lo = _cheb_ratio_pair(n, 2.0 - delta)
+    hi, lo = cheb_pair(n, 2.0 - delta)
     return hi - (1.0 + delta / s) * lo
 
 

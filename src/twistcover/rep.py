@@ -163,9 +163,8 @@ def w_power(n: int, s: float, t: float) -> Mat2:
         return IDENTITY2
     w = w_matrix(s, t)
     tr = w.m11 + w.m22
-    tn = kernels.cheb_ratio(n, tr)
-    tnm = kernels.cheb_ratio(n - 1, tr)
-    tnp = kernels.cheb_ratio(n + 1, tr)
+    tnp, tn = kernels.cheb_pair(n, tr)
+    tnm = kernels.cheb_pair(n - 1, tr)[1]
     return Mat2(
         w.m11 * tn - tnm,
         w.m12 * tn,

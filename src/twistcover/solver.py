@@ -85,7 +85,7 @@ def tau_num(m: int, trace: float) -> float:
             trace = 2.0 if trace > 0 else -2.0
         else:
             raise DomainError(f"trace must lie in [-2, 2], got {trace}")
-    return kernels.cheb_ratio(m, trace)
+    return kernels.cheb_pair(m - 1, trace)[0]
 
 
 def phi_num(n: int, s: float, T: float) -> float:

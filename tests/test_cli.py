@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import twistcover
-from twistcover import __version__
+from twistcover import __version__, checks
 from twistcover.cli import main
 
 
@@ -322,6 +322,26 @@ def test_verify_text(capsys):
     lines = out.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+def test_verify_json_fail_closed_writes_null(capsys, monkeypatch):
+    # a suite that fails closed records worst = inf; the JSON document must
+    # stay valid and carry null for it
+    def failing_suite():
+        w = checks._Worst()
+        w.fail("case 0")
+        return w.result("fails_closed", 1.0)
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", (failing_suite,))
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 2
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert data["results"] == [
+        {"name": "fails_closed", "passed": False, "worst": None, "bound": 1.0, "where": "case 0"}
+    ]
+    assert data["all_passed"] is False
+    code, out, _ = run(capsys, "verify")
+    assert code == 2 and out.startswith("FAIL  fails_closed: worst inf vs bound")
 
 
 def run_child(*argv):

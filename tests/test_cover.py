@@ -211,6 +211,36 @@ def test_lift_rejects_off_variety_input():
         lift_generators(2, fake)
 
 
+def test_lift_takes_y_at_its_principal_value():
+    # y's principal chart value is already the level on which the relator
+    # closes (lift_generators raises otherwise), over both signs of n and
+    # small to moderate s; Re(alpha) > 1 puts its omega inside (-pi/2, pi/2)
+    for n in (-20, -6, -2, 2, 3, 20):
+        for s in (1e-3, 0.5, 10.0):
+            sol = solve(n, s)
+            _, yt, _ = lift_generators(n, sol)
+            assert yt == chart(to_su11(gen_matrices(sol.s, sol.t)[1])), (n, s)
+            assert abs(yt.omega) < math.pi / 2, (n, s)
+
+
+def test_lift_on_a_wrong_level_is_refused(monkeypatch):
+    # shift y's lift by a full turn: the relator, with exponent sum -1 in y,
+    # then misses (0, 0) by 2 pi, and the residual gate has to say so
+    from twistcover import cover
+
+    principal = cover.chart
+    shifted = []
+
+    def chart_y_shifted(u):
+        e = principal(u)
+        shifted.append(e)
+        return e if len(shifted) == 1 else CoverElem(e.gamma, e.omega + TAU)
+
+    monkeypatch.setattr(cover, "chart", chart_y_shifted)
+    with pytest.raises(RelatorNotCentral, match="residual 6.28"):
+        lift_generators(2, solve(2, 1.0))
+
+
 def test_lifted_longitude_frozen_value():
     sol = solve(1, 1.0)
     xt, yt, _ = lift_generators(1, sol)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from functools import partial
+from math import acos, acosh, pi, sin, sinh
 
 import pytest
 
@@ -15,24 +16,32 @@ from twistcover.solver import bracket
 
 
 def test_cheb_ratio_against_exact_recursion():
+    # both components of cheb_pair against the exact recursion
     rng = random.Random(7)
     for _ in range(300):
         m = rng.randrange(-12, 13)
         x = Fraction(rng.randrange(-40, 41), rng.randrange(1, 12))
-        want = float(tau_exact(m, x))
-        got = kernels.cheb_ratio(m, float(x))
+        got = kernels.cheb_pair(m, float(x))
+        want = (float(tau_exact(m + 1, x)), float(tau_exact(m, x)))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (m, x)
 
 
 def test_cheb_ratio_spot_values():
     # x = 1 is theta = pi/3: sin(5 theta)/sin(theta) = -1
-    assert kernels.cheb_ratio(5, 1.0) == pytest.approx(-1.0, abs=1e-12)
+    assert kernels.cheb_pair(4, 1.0)[0] == pytest.approx(-1.0, abs=1e-12)
     # boundary x = 2: tau_m -> m
-    assert kernels.cheb_ratio(7, 2.0) == 7.0
-    assert kernels.cheb_ratio(7, -2.0) == 7.0
+    assert kernels.cheb_pair(6, 2.0)[0] == 7.0
+    assert kernels.cheb_pair(7, -2.0)[1] == 7.0
     # hyperbolic branch, exact integer answers
-    assert kernels.cheb_ratio(3, 2.5) == pytest.approx(5.25, rel=1e-14)
-    assert kernels.cheb_ratio(4, -2.5) == pytest.approx(-10.625, rel=1e-14)
+    assert kernels.cheb_pair(2, 2.5)[0] == pytest.approx(5.25, rel=1e-14)
+    assert kernels.cheb_pair(4, -2.5)[1] == pytest.approx(-10.625, rel=1e-14)
+
+
+def test_cheb_pair_sign_rule_at_the_removable_singularities():
+    # U(k) -> k at x = 2 and (-1)^(k-1) * k at x = -2, exactly
+    for m in range(-20, 21):
+        assert kernels.cheb_pair(m, 2.0) == (m + 1, m), m
+        assert kernels.cheb_pair(m, -2.0) == ((-1) ** m * (m + 1), (-1) ** (m - 1) * m), m
 
 
 def test_phi_delta_matches_solver_values():
@@ -90,10 +99,32 @@ def test_cover_compose_rejects_nonprincipal_branch():
         kernels.cover_compose(1.5 + 0j, 0.0, -0.9 + 0j, 0.0)
 
 
+def _cheb_ratio(m, x):
+    """The single-value formula, kept as the reference that cheb_pair must
+    match bit for bit."""
+    ax = abs(x)
+    if ax <= 2.0:
+        theta = acos(0.5 * x)
+        if theta < 1e-8:
+            return float(m)
+        if pi - theta < 1e-8:
+            return float(m) if (m - 1) % 2 == 0 else float(-m)
+        return sin(m * theta) / sin(theta)
+    xi = acosh(0.5 * ax)
+    r = sinh(m * xi) / sinh(xi)
+    if x < 0.0 and (m - 1) % 2 != 0:
+        r = -r
+    return r
+
+
+def _same_bits(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def test_phi_delta_is_the_cheb_ratio_formula_bit_for_bit():
-    # phi_delta shares one acos/acosh between its two Chebyshev ratios; the
-    # two-call formula is the reference, inside the band delta in [0, 4], on
-    # its edges and outside it
+    # cheb_pair shares one acos/acosh between its two Chebyshev ratios; the
+    # single-value formula is the reference, inside the band delta in [0, 4],
+    # on its edges and outside it
     ns = sorted(GRID_N + (-20, -10, 10, 20))
     edges = (0.0, 4.0, 1e-17, 5e-17, 1e-16, 4.0 - 4e-16, 2e-8, 4.0 - 2e-8)
     rng = random.Random(11)
@@ -109,6 +140,9 @@ def test_phi_delta_is_the_cheb_ratio_formula_bit_for_bit():
             delta = 4.0 + rng.uniform(0.0, 50.0)
         x = 2.0 - delta
         for n in ns:
-            want = kernels.cheb_ratio(n + 1, x) - (1.0 + delta / s) * kernels.cheb_ratio(n, x)
+            hi, lo = _cheb_ratio(n + 1, x), _cheb_ratio(n, x)
+            pair = kernels.cheb_pair(n, x)
+            assert _same_bits(pair[0], hi) and _same_bits(pair[1], lo), (n, x)
+            want = hi - (1.0 + delta / s) * lo
             got = kernels.phi_delta(n, s, delta)
-            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (n, s, delta)
+            assert _same_bits(got, want), (n, s, delta)
