@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from cmath import isfinite, phase
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from math import cos, sin, sqrt
 
 from . import kernels
@@ -31,15 +32,15 @@ from .errors import (
     NumericsError,
     RelatorNotCentral,
 )
-from .rep import Mat2, gen_matrices, longitude, longitude_word, relator_word
+from .rep import Mat2, gen_matrices, longitude
 from .slopes import DEFAULT_TOL_G, invert
 from .solver import RepSolution
 
 DEFAULT_TOL_CERT = 1e-6
-# Relator and longitude words keep intermediate |gamma| within ~1/norm^2 of
-# the unit circle, and the final collapse divides by that margin, so lift
+# Relator and longitude products keep intermediate |gamma| within ~1/norm^2
+# of the unit circle, and the final collapse divides by that margin, so lift
 # residuals scale like norm^2 * eps.  On the standard grid the worst case
-# (|n| = 6, s = 100) reaches 1.3e-6; the lift tolerance sits above that
+# (n = -6, s = 100) reaches 1.1e-6; the lift tolerance sits above that
 # envelope while still catching non-solutions, whose residuals are O(1).
 DEFAULT_LIFT_TOL = 1e-5
 LONGITUDE_GAMMA_TOL = 1e-8
@@ -137,13 +138,23 @@ def cover_inv(a: CoverElem) -> CoverElem:
 
 
 def cover_pow(a: CoverElem, k: int) -> CoverElem:
+    """a^k (a^-1 to the power -k for k < 0) by squaring, O(log |k|)
+    compositions: at most 2 floor(log2 |k|), against |k| for a fold.
+
+    The product is reassociated, so it matches the left fold, its test
+    oracle, only to rounding.
+    """
     if k < 0:
         a = cover_inv(a)
         k = -k
-    acc = IDENTITY_COVER
-    for _ in range(k):
-        acc = cover_mul(acc, a)
-    return acc
+    acc = None
+    while True:
+        if k & 1:
+            acc = a if acc is None else cover_mul(acc, a)
+        k >>= 1
+        if not k:
+            return IDENTITY_COVER if acc is None else acc
+        a = cover_mul(a, a)
 
 
 def cover_word(word: str, xt: CoverElem, yt: CoverElem) -> CoverElem:
@@ -156,6 +167,17 @@ def cover_word(word: str, xt: CoverElem, yt: CoverElem) -> CoverElem:
         except KeyError:
             raise DomainError(f"unknown letter {ch!r} in word") from None
     return acc
+
+
+@lru_cache(maxsize=1)
+def _lifted_w_power(n: int, xt: CoverElem, yt: CoverElem) -> CoverElem:
+    """Lift of w^n, w = x y^-1 x^-1 y, by squaring: O(log |n|) compositions.
+
+    The relator and the longitude both contain w^n; one entry is enough for
+    lifted_longitude to reuse the power that lift_generators formed at the
+    same lifts.
+    """
+    return cover_pow(cover_word("xYXy", xt, yt), n)
 
 
 def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, float]:
@@ -173,11 +195,15 @@ def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, flo
     the lifted relator's distance from (0, 0), and it is the only gate: a
     lift on the wrong level would leave a residual near 2 pi and raise
     RelatorNotCentral.
+
+    The relator w^n x w^-n y^-1 is formed from the lifted w raised to the
+    n-th power by squaring, O(log |n|) compositions, not letter by letter.
     """
     gen_x, gen_y = gen_matrices(sol.s, sol.t)
     xt = chart(to_su11(gen_x))
     yt = chart(to_su11(gen_y))
-    rel = cover_word(relator_word(n), xt, yt)
+    wn = _lifted_w_power(n, xt, yt)
+    rel = cover_mul(cover_mul(cover_mul(wn, xt), cover_inv(wn)), cover_inv(yt))
     residual = max(abs(rel.gamma), abs(rel.omega))
     if not residual <= DEFAULT_LIFT_TOL:
         raise RelatorNotCentral(
@@ -193,10 +219,12 @@ def lifted_longitude(
 ) -> CoverElem:
     """Lift of the longitude; |omega| must stay within DEFAULT_TOL_CERT.
 
+    The longitude w_rev^n w^n, w_rev = y x^-1 y^-1 x, is the product of two
+    powers by squaring, O(log |n|) compositions, not a letter walk.
     Optionally cross-checks gamma against the holonomy's value
     (rep.HolonomyData.lifted_gamma), to LONGITUDE_GAMMA_TOL.
     """
-    lt = cover_word(longitude_word(n), xt, yt)
+    lt = cover_mul(cover_pow(cover_word("yXYx", xt, yt), n), _lifted_w_power(n, xt, yt))
     if not abs(lt.omega) <= DEFAULT_TOL_CERT:
         raise LongitudeOmegaNonzero(
             f"lifted longitude has omega = {lt.omega}, "

@@ -38,3 +38,8 @@ def solve_calls(monkeypatch):
 @pytest.fixture
 def phi_delta_calls(monkeypatch):
     return _count_calls(monkeypatch, kernels, "phi_delta")
+
+
+@pytest.fixture
+def cover_compose_calls(monkeypatch):
+    return _count_calls(monkeypatch, kernels, "cover_compose")

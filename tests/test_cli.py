@@ -233,11 +233,11 @@ GOLDEN_STDOUT = {
   "t": 4.15106203824899,
   "B": 0.08283642696010562,
   "gamma_x": 0.6117305547576237,
-  "gamma_L": -0.9863697815733782,
-  "relator_residual": 1.3334708521308553e-14,
-  "longitude_omega": -6.344250450072734e-15,
-  "final_gamma_abs": 2.4060577455562173e-10,
-  "final_omega": -1.7910303583802408e-11,
+  "gamma_L": -0.9863697815733794,
+  "relator_residual": 5.421329947962153e-15,
+  "longitude_omega": -6.050715484207103e-15,
+  "final_gamma_abs": 2.4062080010407585e-10,
+  "final_omega": 6.670834506233933e-12,
   "tol_slope": 1e-09,
   "tol_certificate": 1e-06
 }

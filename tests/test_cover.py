@@ -28,8 +28,25 @@ from twistcover import (
     to_su11,
     unchart,
 )
-from twistcover.cover import IDENTITY_COVER, SU11Elem, su11_dist, su11_mul
-from twistcover.rep import IDENTITY2, Mat2, gen_matrices, longitude, max_abs_diff
+from twistcover import cover
+from twistcover.checks import GRID_N, GRID_S
+from twistcover.cover import (
+    DEFAULT_LIFT_TOL,
+    DEFAULT_TOL_CERT,
+    IDENTITY_COVER,
+    SU11Elem,
+    su11_dist,
+    su11_mul,
+)
+from twistcover.rep import (
+    IDENTITY2,
+    Mat2,
+    gen_matrices,
+    longitude,
+    longitude_word,
+    max_abs_diff,
+    relator_word,
+)
 from twistcover.solver import RepSolution, t_from_T
 
 TAU = 2.0 * math.pi
@@ -173,6 +190,45 @@ def test_cover_pow():
     assert full.omega == pytest.approx(TAU, rel=1e-15)
 
 
+def left_fold_pow(a: CoverElem, k: int) -> CoverElem:
+    """a^k one composition at a time: the oracle for cover_pow."""
+    step = a if k >= 0 else cover_inv(a)
+    acc = IDENTITY_COVER
+    for _ in range(abs(k)):
+        acc = cover_mul(acc, step)
+    return acc
+
+
+def test_cover_pow_matches_left_fold():
+    # conjugates of rotations (elliptic, omega winds with k) and of short
+    # real-axis elements (hyperbolic, translation length below 0.3, so
+    # |gamma| of the 64th power stays off the unit circle)
+    rng = random.Random(43)
+    for i in range(120):
+        g = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        c = CoverElem(g, rng.uniform(-4.0, 4.0))
+        if i % 2:
+            core = CoverElem(0j, rng.uniform(-math.pi, math.pi))
+        else:
+            core = CoverElem(complex(math.tanh(rng.uniform(-0.15, 0.15)), 0.0), 0.0)
+        a = cover_mul(cover_mul(c, core), cover_inv(c))
+        k = rng.randint(-64, 64)
+        got, want = cover_pow(a, k), left_fold_pow(a, k)
+        assert abs(got.gamma - want.gamma) <= 1e-10, (i, k)
+        assert abs(got.omega - want.omega) <= 1e-10, (i, k)
+
+
+@pytest.mark.parametrize("gamma", [-0.07, 0.03, 0.1])
+def test_cover_pow_stays_on_the_real_axis(gamma):
+    a = CoverElem(complex(gamma, 0.0), 0.0)
+    assert cover_pow(a, 0) == IDENTITY_COVER
+    assert cover_pow(a, 1) == a
+    for k in range(-64, 65):
+        e = cover_pow(a, k)
+        assert e.omega == 0.0 and e.gamma.imag == 0.0, k
+        assert e.gamma.real == pytest.approx(math.tanh(k * math.atanh(gamma)), abs=1e-12)
+
+
 def test_cover_word_folds_left_to_right():
     rng = random.Random(41)
     xt, yt = rand_elem(rng), rand_elem(rng)
@@ -193,6 +249,46 @@ def test_lift_generators_at_solution():
     rel = cover_word("xYXy" + "x" + "YxyX" + "Y", xt, yt)
     assert abs(rel.gamma) < 1e-9
     assert abs(rel.omega) < 1e-9
+
+
+POWERED_LIFT_POINTS = [(n, s) for n in GRID_N for s in GRID_S] + [
+    (n, s) for n in (-100, -20, 20, 100) for s in (0.05, 0.5, 2.0)
+]
+
+
+@pytest.mark.parametrize("n, s", POWERED_LIFT_POINTS)
+def test_powered_lift_matches_letter_walk(n, s):
+    sol = solve(n, s)
+    xt, yt, residual = lift_generators(n, sol)
+    lt = lifted_longitude(n, xt, yt)
+    rel_walk = cover_word(relator_word(n), xt, yt)
+    lt_walk = cover_word(longitude_word(n), xt, yt)
+    assert residual <= DEFAULT_LIFT_TOL
+    assert max(abs(rel_walk.gamma), abs(rel_walk.omega)) <= DEFAULT_LIFT_TOL
+    assert abs(lt.omega) <= DEFAULT_TOL_CERT
+    assert abs(lt_walk.omega) <= DEFAULT_TOL_CERT
+    # the bound of the longitude_lift_level suite
+    assert abs(lt.gamma - lt_walk.gamma) <= 1e-7
+
+
+@pytest.mark.parametrize("n", [2, -6, 20, -1000, 10**4])
+def test_lift_compositions_grow_with_log_n(n, cover_compose_calls):
+    # the letter walk takes 16|n| + 2; squaring takes at most 2 log2|n|
+    # per power, and lifted_longitude reuses lift_generators' w^n
+    sol = solve(n, 0.05)
+    cover._lifted_w_power.cache_clear()
+    cover_compose_calls[0] = 0
+    xt, yt, _ = lift_generators(n, sol)
+    lifted_longitude(n, xt, yt)
+    assert cover_compose_calls[0] <= 4 * math.ceil(math.log2(abs(n))) + 16
+
+
+@pytest.mark.parametrize("n", [-100, 100])
+@pytest.mark.parametrize("p, q", [(1, 1), (3, 2), (5, 2)])
+def test_certificate_at_large_n(n, p, q):
+    cert = certificate(n, p, q)
+    assert cert.final_gamma_abs <= DEFAULT_TOL_CERT
+    assert abs(cert.final_omega) <= DEFAULT_TOL_CERT
 
 
 def test_lift_rejects_off_variety_input():
@@ -226,8 +322,6 @@ def test_lift_takes_y_at_its_principal_value():
 def test_lift_on_a_wrong_level_is_refused(monkeypatch):
     # shift y's lift by a full turn: the relator, with exponent sum -1 in y,
     # then misses (0, 0) by 2 pi, and the residual gate has to say so
-    from twistcover import cover
-
     principal = cover.chart
     shifted = []
 
