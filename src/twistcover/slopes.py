@@ -8,16 +8,18 @@ A = sqrt(t) (meridian) and B (longitude), and
 A Dehn filling along x^p L^q kills the lifted peripheral element exactly when
 A^p B^q = 1, i.e. g(s) = p/q.  g tends to 0 as s -> 0 and to 4 as s -> inf,
 so every rational slope strictly inside (0, 4) is attained; invert() finds
-the leftmost attaining s on a log scan grid and runs ITP in log s.  The grid
-does not depend on the slope, so it is scanned once per n and its samples
-are reused for every p/q at that n.
+the leftmost attaining s on a log scan grid and runs ITP along the root
+branch between the two grid samples, in the eigenangle theta of W, where
+solver.branch_point gives each step's (s, T, t) in closed form without a
+solve.  The grid does not depend on the slope, so it is scanned once per n
+and its samples, with their theta, are reused for every p/q at that n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, gcd, log
+from math import exp, gcd, log, ulp
 
 from . import kernels, solver
 from .errors import DomainError, NoBracketFound, NonConvergence, NumericsError, SlopeOutOfRange
@@ -27,7 +29,6 @@ DEFAULT_TOL_G = 1e-9
 GRID_S_MIN = 1e-6
 GRID_S_MAX = 1e8
 GRID_POINTS = 400
-INVERT_TOL_LOG_S = 2e-15  # invert's ITP stops at hi - lo <= 1e-15 * hi in s
 # grids kept by _grid_samples; one grid of SlopeSamples holds about 100 KB
 GRID_CACHE_SIZE = 64
 
@@ -47,21 +48,30 @@ class SlopeSample:
 class InvertReport:
     """Diagnostics from invert(): every sign-change interval the scan found
     (leftmost one is used), and the number of slope samples the search
-    consulted: the grid points, cached or not, plus one per ITP step.
-    So `evaluations` is the same on every call with the same arguments."""
+    consulted: the grid points, cached or not, plus one branch point per ITP
+    step, plus the one g_eval at the result.  So `evaluations` is the same on
+    every call with the same arguments."""
 
     brackets: tuple
     evaluations: int
 
 
-def g_eval(n: int, s: float) -> SlopeSample:
-    """Solve at (n, s) and evaluate the slope map there."""
-    sol = solver.solve(n, s)
-    b = longitude_holonomy(sol.s, sol.t)
+def _slope(n: int, s: float, t: float) -> tuple[float, float]:
+    """(B, g) at a root (n, s, t): the one evaluation of the slope map."""
+    b = longitude_holonomy(s, t)
     if not b > 0:
         raise NumericsError(f"longitude entry B = {b} not positive at n={n}, s={s}")
-    g = -2.0 * log(b) / log(sol.t)
+    return b, -2.0 * log(b) / log(t)
+
+
+def _sample(n: int, sol: solver.RepSolution) -> SlopeSample:
+    b, g = _slope(n, sol.s, sol.t)
     return SlopeSample(s=sol.s, T=sol.T, t=sol.t, B=b, g=g)
+
+
+def g_eval(n: int, s: float) -> SlopeSample:
+    """Solve at (n, s) and evaluate the slope map there."""
+    return _sample(n, solver.solve(n, s))
 
 
 def _log_grid(s_min: float, s_max: float, samples: int) -> list[float]:
@@ -76,13 +86,15 @@ def _log_grid(s_min: float, s_max: float, samples: int) -> list[float]:
 
 # typed, so that n = 2.0 is not served the grid of n = 2: solve() rejects it
 @lru_cache(maxsize=GRID_CACHE_SIZE, typed=True)
-def _grid_samples(n: int) -> tuple[SlopeSample, ...]:
-    """invert()'s scan grid at n, evaluated once and then reused.
+def _grid_samples(n: int) -> tuple[tuple[SlopeSample, ...], tuple[float, ...]]:
+    """invert()'s scan grid at n, evaluated once and then reused: the
+    g_eval samples and, index for index, the theta of each one's root.
 
     lru_cache keeps no result for a call that raises, so an n whose grid
     fails raises again on every call.
     """
-    return tuple(g_eval(n, s) for s in _log_grid(GRID_S_MIN, GRID_S_MAX, GRID_POINTS))
+    sols = [solver.solve(n, s) for s in _log_grid(GRID_S_MIN, GRID_S_MAX, GRID_POINTS)]
+    return tuple(_sample(n, sol) for sol in sols), tuple(sol.theta for sol in sols)
 
 
 def scan(n: int, s_min: float, s_max: float, samples: int) -> list[SlopeSample]:
@@ -108,12 +120,14 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     """Find s with |g(s) - p/q| <= DEFAULT_TOL_G; p/q must be reduced and in
     (0, 4).
 
-    Scans a log grid over [1e-6, 1e8] for sign changes of g - p/q, takes the
-    leftmost, and runs kernels.itp over it in log s from the grid's g values
-    at its ends; returns the first sample it evaluates with |g - p/q| <=
-    DEFAULT_TOL_G and the report of how it was found.  The grid comes from a
-    per-n cache, so `evaluations` is the grid points plus the ITP steps either
-    way.  A bracket that collapses without such a sample is a jump, not a
+    Scans a log grid over [1e-6, 1e8] for sign changes of g - p/q and takes
+    the leftmost.  Between its two grid samples, kernels.itp runs in theta
+    from their g values to float resolution; each step evaluates g at
+    solver.branch_point, with no solve.  The returned sample is g_eval at the
+    s of the final theta, so it is exactly what a fresh g_eval at s* gives,
+    and it must meet DEFAULT_TOL_G.  The grid comes from a per-n cache, so
+    `evaluations` is the grid points plus the ITP steps plus one either way.
+    A bracket that collapses without meeting the bound is a jump, not a
     crossing: NonConvergence reports it, as it does solver.DEFAULT_MAX_ITER.
     """
     if not isinstance(p, int) or not isinstance(q, int):
@@ -128,13 +142,14 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
             f"slope {p}/{q} is outside the certified open interval (0, 4)"
         )
 
-    samples = _grid_samples(n)
+    samples, thetas = _grid_samples(n)
     for smp in samples:
         if abs(smp.g - r) <= DEFAULT_TOL_G:
             return smp, InvertReport(brackets=((smp.s, smp.s),), evaluations=len(samples))
 
     crossings = [
-        (a, b) for a, b in zip(samples, samples[1:]) if (a.g - r > 0) != (b.g - r > 0)
+        i for i in range(len(samples) - 1)
+        if (samples[i].g - r > 0) != (samples[i + 1].g - r > 0)
     ]
     if not crossings:
         gs = [smp.g for smp in samples]
@@ -142,28 +157,28 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
             f"g - {p}/{q} never changes sign on the scan grid for n={n}; "
             f"observed g in [{min(gs):.6g}, {max(gs):.6g}]"
         )
-    brackets = tuple((a.s, b.s) for a, b in crossings)
+    brackets = tuple((samples[i].s, samples[i + 1].s) for i in crossings)
 
-    left, right = crossings[0]
-    evaluated = [left]  # missed DEFAULT_TOL_G on the grid, so never returned
+    i = crossings[0]
+    ends = sorted(((thetas[i], samples[i].g - r), (thetas[i + 1], samples[i + 1].g - r)))
+    (lo, f_lo), (hi, f_hi) = ends  # s falls as theta rises for n < -1
 
-    def g_minus_r(u):
-        smp = g_eval(n, exp(u))
-        evaluated.append(smp)
-        return smp.g - r
+    def g_minus_r(theta):
+        s, _, t = solver.branch_point(n, theta)
+        return _slope(n, s, t)[1] - r
 
-    u, iters, status = kernels.itp(
-        g_minus_r, log(left.s), log(right.s), left.g - r, right.g - r,
-        INVERT_TOL_LOG_S, solver.DEFAULT_MAX_ITER, DEFAULT_TOL_G,
+    # ftol = 0, tol = 4 ulp(hi): ITP stops at hi - lo < 2 ulp(hi), float resolution
+    theta, iters, status = kernels.itp(
+        g_minus_r, lo, hi, f_lo, f_hi, 4.0 * ulp(hi), solver.DEFAULT_MAX_ITER, 0.0,
     )
-    last = evaluated[-1]
-    if abs(last.g - r) <= DEFAULT_TOL_G:
-        return last, InvertReport(brackets=brackets, evaluations=len(samples) + iters)
+    smp = g_eval(n, solver.branch_point(n, theta)[0])
+    if abs(smp.g - r) <= DEFAULT_TOL_G:
+        return smp, InvertReport(brackets=brackets, evaluations=len(samples) + iters + 1)
     if status == kernels.ITER_CAP:
         cap = solver.DEFAULT_MAX_ITER
         raise NonConvergence(f"slope root finding hit the {cap}-iteration cap for n={n}, {p}/{q}")
     raise NonConvergence(
-        f"bracket around s = {exp(u)} collapsed with |g - {p}/{q}| = "
-        f"{abs(last.g - r):.3e} > tol = {DEFAULT_TOL_G}; g jumps across the target "
+        f"bracket around s = {smp.s} collapsed with |g - {p}/{q}| = "
+        f"{abs(smp.g - r):.3e} > tol = {DEFAULT_TOL_G}; g jumps across the target "
         f"(branch discontinuity) or tol is below attainable resolution"
     )

@@ -15,12 +15,23 @@ so that it never takes more than one step beyond bisection's count) in the
 offset coordinate d = (T - s - 2)*s, where the trace of the commutator word
 is 2 - d exactly; the T form loses the root entirely to rounding once s is
 large (see Bracket.delta_lo).
+
+The same branch has a closed form in the eigenangle theta of W, with
+trace W = 2 - d = 2 cos(theta): phi_n = 0 reads
+s = 2 sin(theta/2) sin(n theta) / cos((n + 1/2) theta), and s runs strictly
+monotonically between 0 and inf as theta crosses the branch interval
+
+    n > 1:   (pi/n, 3pi/(2n+1)),         s increasing
+    n = 1:   (0, pi/3),                  s increasing
+    n < -1:  (pi/(2|n|-1), pi/|n|),      s decreasing.
+
+branch_point evaluates it; slopes.invert walks the branch in theta with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, cos, inf, isfinite, pi, sqrt
+from math import acos, cos, inf, isfinite, pi, sin, sqrt
 
 from . import kernels
 from .errors import DomainError, NonConvergence, NumericsError
@@ -146,6 +157,21 @@ def t_from_T(T: float) -> float:
     if not T >= 2.0:
         raise DomainError(f"T must be at least 2, got {T}")
     return 0.5 * (T + sqrt(T * T - 4.0))
+
+
+def branch_point(n: int, theta: float) -> tuple[float, float, float]:
+    """(s, T, t) of the root branch at eigenangle theta of W, in closed form.
+
+    theta must lie inside n's branch interval (module docstring), where s is
+    positive and finite; no check is made, since invert calls this once per
+    root-finding step.  T = s + 2 + d/s with d = 4 sin^2(theta/2) is the form
+    solve uses, and t comes from t_from_T as in solve, so a branch point
+    differs from solve(n, s) only by solve's own tolerance.
+    """
+    h = sin(0.5 * theta)
+    s = 2.0 * h * sin(n * theta) / cos((n + 0.5) * theta)
+    T = s + 2.0 + 4.0 * h * h / s
+    return s, T, t_from_T(T)
 
 
 def solve(n: int, s: float) -> RepSolution:

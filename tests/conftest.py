@@ -31,6 +31,11 @@ def g_eval_calls(monkeypatch):
 
 
 @pytest.fixture
+def branch_calls(monkeypatch):
+    return _count_calls(monkeypatch, solver, "branch_point")
+
+
+@pytest.fixture
 def solve_calls(monkeypatch):
     return _count_calls(monkeypatch, solver, "solve")
 

@@ -209,18 +209,18 @@ GOLDEN_STDOUT = {
   "n": 2,
   "p": 3,
   "q": 2,
-  "s_star": 1.1154183222762097,
-  "T": 5.175461063929493,
-  "t": 4.974433133057424,
-  "B": 0.30022185355955283,
-  "g": 1.5000000000050393,
+  "s_star": 1.1154183222724732,
+  "T": 5.175461063932209,
+  "t": 4.974433133060254,
+  "B": 0.30022185356063963,
+  "g": 1.4999999999999947,
   "brackets": [
     [
       1.084145868935835,
       1.1753722651306366
     ]
   ],
-  "evaluations": 407
+  "evaluations": 417
 }
 """,
     "certify --n -3 --r 7/2": """\
@@ -229,15 +229,15 @@ GOLDEN_STDOUT = {
   "n": -3,
   "p": 7,
   "q": 2,
-  "s_star": 2.1505522536308845,
-  "t": 4.15106203824899,
-  "B": 0.08283642696010562,
-  "gamma_x": 0.6117305547576237,
-  "gamma_L": -0.9863697815733794,
-  "relator_residual": 5.421329947962153e-15,
-  "longitude_omega": -6.050715484207103e-15,
-  "final_gamma_abs": 2.4062080010407585e-10,
-  "final_omega": 6.670834506233933e-12,
+  "s_star": 2.150552253210138,
+  "t": 4.15106203786557,
+  "B": 0.0828364269834593,
+  "gamma_x": 0.6117305547287226,
+  "gamma_L": -0.9863697815657477,
+  "relator_residual": 8.93842726970519e-15,
+  "longitude_omega": -1.459943277382081e-14,
+  "final_gamma_abs": 2.7711237546811302e-11,
+  "final_omega": -2.7717156911749444e-11,
   "tol_slope": 1e-09,
   "tol_certificate": 1e-06
 }

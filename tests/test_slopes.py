@@ -17,6 +17,7 @@ from twistcover import (
     scan_to_csv,
     solve,
 )
+from twistcover.checks import GRID_N
 
 
 def test_g_frozen_values():
@@ -89,12 +90,16 @@ def test_scan_csv_frozen_row():
 
 
 def test_invert_hits_requested_slope():
-    for n, p, q in ((1, 1, 1), (2, 3, 2), (-2, 1, 2), (3, 7, 2)):
-        smp, _ = invert(n, p, q)
-        assert abs(smp.g - p / q) <= 1e-9, (n, p, q)
-        # independent recheck through the forward map
-        again = g_eval(n, smp.s)
-        assert abs(again.g - p / q) <= 1e-9, (n, p, q)
+    # the returned sample is g_eval's at s*, and the theta walk reaches float
+    # resolution: measured worst |g - p/q| 2.7e-13 over this domain
+    for n in GRID_N + (-20, -10, 10, 20):
+        for q in range(1, 13):
+            for p in range(1, 4 * q):
+                if math.gcd(p, q) != 1:
+                    continue
+                smp, _ = invert(n, p, q)
+                assert smp == g_eval(n, smp.s), (n, p, q)
+                assert abs(smp.g - p / q) <= 1e-12, (n, p, q)
 
 
 def test_invert_report():
@@ -144,19 +149,23 @@ def test_invert_cold_and_warm_agree(n, p, q):
     warm = invert(n, p, q)
     assert warm == cold
     if (n, p, q) == (2, 3, 2):
-        assert warm[1].evaluations == 407
+        assert warm[1].evaluations == 417
 
 
-def test_invert_scans_the_grid_once_per_n(g_eval_calls):
+def test_invert_scans_the_grid_once_per_n(g_eval_calls, solve_calls, branch_calls):
     slopes._grid_samples.cache_clear()
     invert(4, 3, 2)
-    assert g_eval_calls[0] >= slopes.GRID_POINTS
-    g_eval_calls[0] = 0
+    assert solve_calls[0] == slopes.GRID_POINTS + 1
+    g_eval_calls[0] = solve_calls[0] = branch_calls[0] = 0
     smp, report = invert(4, 5, 3)
-    assert abs(smp.g - 5 / 3) <= 1e-9
-    assert g_eval_calls[0] < 12
-    # the report still counts the grid samples it consulted
-    assert report.evaluations == slopes.GRID_POINTS + g_eval_calls[0]
+    assert abs(smp.g - 5 / 3) <= 1e-12
+    # the theta steps solve nothing; the one g_eval is the returned sample
+    assert g_eval_calls[0] == 1
+    assert solve_calls[0] == 1
+    # the report still counts the grid samples it consulted; each step makes
+    # one branch point and the result one more
+    assert 0 < branch_calls[0] - 1 < 30
+    assert report.evaluations == slopes.GRID_POINTS + branch_calls[0]
 
 
 @pytest.fixture
@@ -168,26 +177,24 @@ def cold_grid():
     slopes._grid_samples.cache_clear()
 
 
-def test_invert_refuses_a_jump(monkeypatch, cold_grid):
-    # g steps from 1 to 3 at s = 2: the grid brackets 2/1, but no s attains it
-    calls = []
+def test_invert_refuses_a_jump(monkeypatch, cold_grid, branch_calls):
+    # g steps from 1 to 3 at s = 2 on the grid, at every branch point and at
+    # the result: the grid brackets 2/1, but no s attains it
+    def jumping_slope(n, s, t):
+        return 0.5, 1.0 if s < 2.0 else 3.0
 
-    def jumping_g_eval(n, s):
-        calls.append(s)
-        return slopes.SlopeSample(s=s, T=s + 2.0, t=2.0, B=0.5, g=1.0 if s < 2.0 else 3.0)
-
-    monkeypatch.setattr(slopes, "g_eval", jumping_g_eval)
-    with pytest.raises(NonConvergence, match="g jumps across the target"):
+    monkeypatch.setattr(slopes, "_slope", jumping_slope)
+    with pytest.raises(NonConvergence, match="g jumps across the target") as exc:
         invert(2, 2, 1)
-    # ITP collapses the bracket in log s well inside the iteration cap
-    steps = len(calls) - slopes.GRID_POINTS
-    assert 0 < steps < solver.DEFAULT_MAX_ITER
-    assert min(calls[slopes.GRID_POINTS:]) < 2.0 <= max(calls[slopes.GRID_POINTS:])
+    # ITP collapses the bracket in theta onto the jump, well inside the cap
+    assert 0 < branch_calls[0] - 1 < solver.DEFAULT_MAX_ITER
+    where = float(str(exc.value).split("bracket around s = ")[1].split()[0])
+    assert where == pytest.approx(2.0, rel=1e-12)
 
 
 def test_invert_iteration_cap(monkeypatch, cold_grid):
     # n = 1 solves in closed form, so the cap binds only invert's own loop,
-    # which needs 6 steps for 3/2
+    # which needs 10 steps in theta for 3/2
     monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 3)
     with pytest.raises(NonConvergence, match="3-iteration cap"):
         invert(1, 3, 2)
