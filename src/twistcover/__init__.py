@@ -30,7 +30,6 @@ from .errors import (
     CertificateFailed,
     DomainError,
     LongitudeOmegaNonzero,
-    NoBracketFound,
     NonConvergence,
     NumericsError,
     OffDiagonalTooLarge,

@@ -131,7 +131,6 @@ def _cmd_slope(a) -> tuple[str, int]:
             "t": smp.t,
             "B": smp.B,
             "g": smp.g,
-            "brackets": [list(b) for b in report.brackets],
             "evaluations": report.evaluations,
         }
     if a.format == "json":

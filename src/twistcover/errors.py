@@ -23,10 +23,6 @@ class NonConvergence(NumericsError):
     """Iteration cap hit before the tolerance was reached."""
 
 
-class NoBracketFound(NumericsError):
-    """The scan grid produced no sign change for g(s) - p/q."""
-
-
 class OffDiagonalTooLarge(NumericsError):
     """Longitude matrix is not diagonal at the claimed solution."""
 

@@ -7,30 +7,23 @@ A = sqrt(t) (meridian) and B (longitude), and
 
 A Dehn filling along x^p L^q kills the lifted peripheral element exactly when
 A^p B^q = 1, i.e. g(s) = p/q.  g tends to 0 as s -> 0 and to 4 as s -> inf,
-so every rational slope strictly inside (0, 4) is attained; invert() finds
-the leftmost attaining s on a log scan grid and runs ITP along the root
-branch between the two grid samples, in the eigenangle theta of W, where
-solver.branch_point gives each step's (s, T, t) in closed form without a
-solve.  The grid does not depend on the slope, so it is scanned once per n
-and its samples, with their theta, are reused for every p/q at that n.
+so every rational slope strictly inside (0, 4) is attained.  invert() runs
+ITP once along the whole root branch, in the eigenangle theta of W, with
+those two limits as the values at the branch's open ends; each step gets its
+(s, T, t) in closed form from solver.branch_point, without a solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import exp, gcd, log, ulp
 
 from . import kernels, solver
-from .errors import DomainError, NoBracketFound, NonConvergence, NumericsError, SlopeOutOfRange
+from .errors import DomainError, NonConvergence, NumericsError, SlopeOutOfRange
+from .exactpoly import check_n
 from .rep import longitude_holonomy
 
 DEFAULT_TOL_G = 1e-9
-GRID_S_MIN = 1e-6
-GRID_S_MAX = 1e8
-GRID_POINTS = 400
-# grids kept by _grid_samples; one grid of SlopeSamples holds about 100 KB
-GRID_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -46,13 +39,10 @@ class SlopeSample:
 
 @dataclass(frozen=True)
 class InvertReport:
-    """Diagnostics from invert(): every sign-change interval the scan found
-    (leftmost one is used), and the number of slope samples the search
-    consulted: the grid points, cached or not, plus one branch point per ITP
-    step, plus the one g_eval at the result.  So `evaluations` is the same on
-    every call with the same arguments."""
+    """Diagnostics from invert(): the number of slope samples the search
+    consulted, one branch point per ITP step plus the one g_eval at the
+    result."""
 
-    brackets: tuple
     evaluations: int
 
 
@@ -64,14 +54,11 @@ def _slope(n: int, s: float, t: float) -> tuple[float, float]:
     return b, -2.0 * log(b) / log(t)
 
 
-def _sample(n: int, sol: solver.RepSolution) -> SlopeSample:
-    b, g = _slope(n, sol.s, sol.t)
-    return SlopeSample(s=sol.s, T=sol.T, t=sol.t, B=b, g=g)
-
-
 def g_eval(n: int, s: float) -> SlopeSample:
     """Solve at (n, s) and evaluate the slope map there."""
-    return _sample(n, solver.solve(n, s))
+    sol = solver.solve(n, s)
+    b, g = _slope(n, sol.s, sol.t)
+    return SlopeSample(s=sol.s, T=sol.T, t=sol.t, B=b, g=g)
 
 
 def _log_grid(s_min: float, s_max: float, samples: int) -> list[float]:
@@ -82,19 +69,6 @@ def _log_grid(s_min: float, s_max: float, samples: int) -> list[float]:
     xs[0] = s_min
     xs[-1] = s_max
     return xs
-
-
-# typed, so that n = 2.0 is not served the grid of n = 2: solve() rejects it
-@lru_cache(maxsize=GRID_CACHE_SIZE, typed=True)
-def _grid_samples(n: int) -> tuple[tuple[SlopeSample, ...], tuple[float, ...]]:
-    """invert()'s scan grid at n, evaluated once and then reused: the
-    g_eval samples and, index for index, the theta of each one's root.
-
-    lru_cache keeps no result for a call that raises, so an n whose grid
-    fails raises again on every call.
-    """
-    sols = [solver.solve(n, s) for s in _log_grid(GRID_S_MIN, GRID_S_MAX, GRID_POINTS)]
-    return tuple(_sample(n, sol) for sol in sols), tuple(sol.theta for sol in sols)
 
 
 def scan(n: int, s_min: float, s_max: float, samples: int) -> list[SlopeSample]:
@@ -120,16 +94,17 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     """Find s with |g(s) - p/q| <= DEFAULT_TOL_G; p/q must be reduced and in
     (0, 4).
 
-    Scans a log grid over [1e-6, 1e8] for sign changes of g - p/q and takes
-    the leftmost.  Between its two grid samples, kernels.itp runs in theta
-    from their g values to float resolution; each step evaluates g at
-    solver.branch_point, with no solve.  The returned sample is g_eval at the
-    s of the final theta, so it is exactly what a fresh g_eval at s* gives,
-    and it must meet DEFAULT_TOL_G.  The grid comes from a per-n cache, so
-    `evaluations` is the grid points plus the ITP steps plus one either way.
+    kernels.itp runs once over n's whole branch interval in theta, to float
+    resolution.  Its end values are g's limits minus p/q: -p/q where s -> 0
+    and 4 - p/q where s -> inf, which bracket every p/q in (0, 4).  ITP never
+    evaluates an end, so the open ends, where s is 0 or inf, are never
+    touched; each step evaluates g at solver.branch_point, with no solve.
+    The returned sample is g_eval at the s of the final theta, so it is
+    exactly what a fresh g_eval at s* gives, and it must meet DEFAULT_TOL_G.
     A bracket that collapses without meeting the bound is a jump, not a
     crossing: NonConvergence reports it, as it does solver.DEFAULT_MAX_ITER.
     """
+    check_n(n)
     if not isinstance(p, int) or not isinstance(q, int):
         raise DomainError(f"p and q must be integers, got {p!r}, {q!r}")
     if q < 1:
@@ -142,26 +117,9 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
             f"slope {p}/{q} is outside the certified open interval (0, 4)"
         )
 
-    samples, thetas = _grid_samples(n)
-    for smp in samples:
-        if abs(smp.g - r) <= DEFAULT_TOL_G:
-            return smp, InvertReport(brackets=((smp.s, smp.s),), evaluations=len(samples))
-
-    crossings = [
-        i for i in range(len(samples) - 1)
-        if (samples[i].g - r > 0) != (samples[i + 1].g - r > 0)
-    ]
-    if not crossings:
-        gs = [smp.g for smp in samples]
-        raise NoBracketFound(
-            f"g - {p}/{q} never changes sign on the scan grid for n={n}; "
-            f"observed g in [{min(gs):.6g}, {max(gs):.6g}]"
-        )
-    brackets = tuple((samples[i].s, samples[i + 1].s) for i in crossings)
-
-    i = crossings[0]
-    ends = sorted(((thetas[i], samples[i].g - r), (thetas[i + 1], samples[i + 1].g - r)))
-    (lo, f_lo), (hi, f_hi) = ends  # s falls as theta rises for n < -1
+    lo, hi = solver.branch_interval(n)
+    # s falls as theta rises for n < -1
+    f_lo, f_hi = (-r, 4.0 - r) if n > 0 else (4.0 - r, -r)
 
     def g_minus_r(theta):
         s, _, t = solver.branch_point(n, theta)
@@ -173,12 +131,12 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     )
     smp = g_eval(n, solver.branch_point(n, theta)[0])
     if abs(smp.g - r) <= DEFAULT_TOL_G:
-        return smp, InvertReport(brackets=brackets, evaluations=len(samples) + iters + 1)
+        return smp, InvertReport(evaluations=iters + 1)
     if status == kernels.ITER_CAP:
         cap = solver.DEFAULT_MAX_ITER
         raise NonConvergence(f"slope root finding hit the {cap}-iteration cap for n={n}, {p}/{q}")
     raise NonConvergence(
-        f"bracket around s = {smp.s} collapsed with |g - {p}/{q}| = "
+        f"bracket around s = {smp.s} collapsed at n={n} with |g - {p}/{q}| = "
         f"{abs(smp.g - r):.3e} > tol = {DEFAULT_TOL_G}; g jumps across the target "
         f"(branch discontinuity) or tol is below attainable resolution"
     )

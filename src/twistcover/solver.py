@@ -19,19 +19,15 @@ large (see Bracket.delta_lo).
 The same branch has a closed form in the eigenangle theta of W, with
 trace W = 2 - d = 2 cos(theta): phi_n = 0 reads
 s = 2 sin(theta/2) sin(n theta) / cos((n + 1/2) theta), and s runs strictly
-monotonically between 0 and inf as theta crosses the branch interval
-
-    n > 1:   (pi/n, 3pi/(2n+1)),         s increasing
-    n = 1:   (0, pi/3),                  s increasing
-    n < -1:  (pi/(2|n|-1), pi/|n|),      s decreasing.
-
-branch_point evaluates it; slopes.invert walks the branch in theta with it.
+monotonically between 0 and inf as theta crosses the open interval
+branch_interval(n).  branch_point evaluates it; slopes.invert walks the
+whole branch in theta with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, cos, inf, isfinite, pi, sin, sqrt
+from math import asin, cos, inf, isfinite, pi, sin, sqrt
 
 from . import kernels
 from .errors import DomainError, NonConvergence, NumericsError
@@ -159,14 +155,31 @@ def t_from_T(T: float) -> float:
     return 0.5 * (T + sqrt(T * T - 4.0))
 
 
+def branch_interval(n: int) -> tuple[float, float]:
+    """Open theta interval of n's root branch; n must pass check_n.
+
+        n > 1:   (pi/n, 3pi/(2n+1)),         s increasing
+        n = 1:   (0, pi/3),                  s increasing
+        n < -1:  (pi/(2|n|-1), pi/|n|),      s decreasing
+
+    s runs from 0 to inf across it, so it tends to 0 at the low end and to
+    inf at the high end for n >= 1, and the other way round for n < -1.
+    """
+    if n == 1:
+        return 0.0, pi / 3
+    if n > 1:
+        return pi / n, 3 * pi / (2 * n + 1)
+    return pi / (2 * abs(n) - 1), pi / abs(n)
+
+
 def branch_point(n: int, theta: float) -> tuple[float, float, float]:
     """(s, T, t) of the root branch at eigenangle theta of W, in closed form.
 
-    theta must lie inside n's branch interval (module docstring), where s is
-    positive and finite; no check is made, since invert calls this once per
-    root-finding step.  T = s + 2 + d/s with d = 4 sin^2(theta/2) is the form
-    solve uses, and t comes from t_from_T as in solve, so a branch point
-    differs from solve(n, s) only by solve's own tolerance.
+    theta must lie inside branch_interval(n), where s is positive and finite;
+    no check is made, since invert calls this once per root-finding step.
+    T = s + 2 + d/s with d = 4 sin^2(theta/2) is the form solve uses, and t
+    comes from t_from_T as in solve, so a branch point differs from
+    solve(n, s) only by solve's tolerance and phi_delta's rounding.
     """
     h = sin(0.5 * theta)
     s = 2.0 * h * sin(n * theta) / cos((n + 0.5) * theta)
@@ -216,7 +229,9 @@ def solve(n: int, s: float) -> RepSolution:
         T=T,
         t=t,
         trace_W=trace,
-        theta=acos(0.5 * trace),
+        # 2 - trace = delta = 4 sin^2(theta/2), read from delta itself: acos
+        # of the rounded trace loses theta's low digits as theta -> 0
+        theta=2.0 * asin(0.5 * sqrt(delta)),
         phi_residual=residual,
         iterations=iters,
     )

@@ -1,4 +1,4 @@
-"""Slope map g and its inversion over the certified grid."""
+"""Slope map g and its inversion along the root branch."""
 
 import math
 
@@ -8,7 +8,6 @@ import twistcover.slopes as slopes
 import twistcover.solver as solver
 from twistcover import (
     DomainError,
-    NoBracketFound,
     NonConvergence,
     SlopeOutOfRange,
     g_eval,
@@ -105,10 +104,8 @@ def test_invert_hits_requested_slope():
 def test_invert_report():
     smp, report = invert(2, 3, 2)
     assert abs(smp.g - 1.5) <= 1e-9
-    assert len(report.brackets) >= 1
-    lo, hi = report.brackets[0]
-    assert lo < smp.s < hi
-    assert report.evaluations > 0
+    # at least one theta step, plus the g_eval at s*
+    assert report.evaluations > 1
 
 
 def test_invert_is_deterministic():
@@ -142,77 +139,71 @@ def test_slope_limits():
     assert g_eval(1, 1e6).g > 3.995
 
 
-@pytest.mark.parametrize("n, p, q", [(2, 3, 2), (-3, 7, 2), (1, 1, 1)])
-def test_invert_cold_and_warm_agree(n, p, q):
-    slopes._grid_samples.cache_clear()
-    cold = invert(n, p, q)
-    warm = invert(n, p, q)
-    assert warm == cold
-    if (n, p, q) == (2, 3, 2):
-        assert warm[1].evaluations == 417
+@pytest.mark.parametrize("n, p, q", [(2, 3, 2), (-3, 7, 2), (1, 1, 1), (4, 5, 3)])
+def test_invert_cold_and_warm_agree(n, p, q, g_eval_calls, solve_calls, branch_calls):
+    # invert keeps no state, so a repeated call repeats the first one exactly
+    results = []
+    for _ in range(2):
+        g_eval_calls[0] = solve_calls[0] = branch_calls[0] = 0
+        smp, report = invert(n, p, q)
+        assert abs(smp.g - p / q) <= 1e-12
+        # the theta steps solve nothing; the one g_eval is the returned sample
+        assert g_eval_calls[0] == 1
+        assert solve_calls[0] == 1
+        # each step makes one branch point and the result one more
+        assert 0 < branch_calls[0] - 1 < 30
+        assert report.evaluations == branch_calls[0]
+        results.append((smp, report))
+    assert results[1] == results[0]
 
 
-def test_invert_scans_the_grid_once_per_n(g_eval_calls, solve_calls, branch_calls):
-    slopes._grid_samples.cache_clear()
-    invert(4, 3, 2)
-    assert solve_calls[0] == slopes.GRID_POINTS + 1
-    g_eval_calls[0] = solve_calls[0] = branch_calls[0] = 0
-    smp, report = invert(4, 5, 3)
-    assert abs(smp.g - 5 / 3) <= 1e-12
-    # the theta steps solve nothing; the one g_eval is the returned sample
-    assert g_eval_calls[0] == 1
-    assert solve_calls[0] == 1
-    # the report still counts the grid samples it consulted; each step makes
-    # one branch point and the result one more
-    assert 0 < branch_calls[0] - 1 < 30
-    assert report.evaluations == slopes.GRID_POINTS + branch_calls[0]
-
-
-@pytest.fixture
-def cold_grid():
-    """Empty the grid cache before and after, so a grid built from a patched
-    g_eval never reaches another test."""
-    slopes._grid_samples.cache_clear()
-    yield
-    slopes._grid_samples.cache_clear()
-
-
-def test_invert_refuses_a_jump(monkeypatch, cold_grid, branch_calls):
-    # g steps from 1 to 3 at s = 2 on the grid, at every branch point and at
-    # the result: the grid brackets 2/1, but no s attains it
+def test_invert_refuses_a_jump(monkeypatch, branch_calls):
+    # g steps from 1 to 3 at s = 2, at every branch point and at the result:
+    # the limits 0 and 4 bracket 2/1, but no s attains it
     def jumping_slope(n, s, t):
         return 0.5, 1.0 if s < 2.0 else 3.0
 
     monkeypatch.setattr(slopes, "_slope", jumping_slope)
     with pytest.raises(NonConvergence, match="g jumps across the target") as exc:
         invert(2, 2, 1)
+    assert " at n=2 " in str(exc.value)
     # ITP collapses the bracket in theta onto the jump, well inside the cap
     assert 0 < branch_calls[0] - 1 < solver.DEFAULT_MAX_ITER
     where = float(str(exc.value).split("bracket around s = ")[1].split()[0])
     assert where == pytest.approx(2.0, rel=1e-12)
 
 
-def test_invert_iteration_cap(monkeypatch, cold_grid):
+def test_invert_iteration_cap(monkeypatch):
     # n = 1 solves in closed form, so the cap binds only invert's own loop,
-    # which needs 10 steps in theta for 3/2
+    # which needs 9 steps in theta for 3/2
     monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 3)
     with pytest.raises(NonConvergence, match="3-iteration cap"):
         invert(1, 3, 2)
 
 
-@pytest.mark.parametrize(
-    "n, p, q, err", [(2, 1, 100000000, NoBracketFound), (0, 1, 1, DomainError)]
-)
+@pytest.mark.parametrize("n, p, q, err", [(0, 1, 1, DomainError), (2.0, 1, 1, DomainError)])
 def test_invert_errors_are_not_cached(n, p, q, err):
     for _ in range(2):
         with pytest.raises(err):
             invert(n, p, q)
 
 
-def test_grid_cache():
-    # perfbench's verify workload clears every cache_clear in the package
-    assert callable(slopes._grid_samples.cache_clear)
-    # with the grid of n = 2 cached, n = 2.0 is still refused
-    slopes._grid_samples(2)
-    with pytest.raises(DomainError):
-        slopes._grid_samples(2.0)
+EXTREME_SLOPES = (
+    [(1, 10**k) for k in range(1, 9)]
+    + [(4 * 10**k - 1, 10**k) for k in range(1, 9)]
+    + [(355, 113)]
+)
+
+
+@pytest.mark.parametrize("n", [2, -3, 6, -6])
+def test_invert_extreme_slopes(n, branch_calls):
+    # g's limits 0 and 4 bracket slopes as close to either end as 1e-8; the
+    # measured worst |g - p/q| is 2.3e-10 and the most theta steps 34
+    lo, hi = solver.branch_interval(n)
+    # ITP takes at most one step more than bisection to float resolution
+    steps = math.ceil(math.log2((hi - lo) / (4.0 * math.ulp(hi)))) + 2
+    for p, q in EXTREME_SLOPES:
+        branch_calls[0] = 0
+        smp, report = invert(n, p, q)
+        assert abs(smp.g - p / q) <= slopes.DEFAULT_TOL_G, (n, p, q)
+        assert report.evaluations == branch_calls[0] <= steps + 1, (n, p, q)

@@ -164,8 +164,9 @@ def test_solve_large_s_finds_the_root(s):
 def test_solve_iterations_on_the_inversion_grid():
     # ITP converges superlinearly, yet never exceeds the bisection bound of
     # the bisection_iteration_bound suite, with the window taken from delta:
-    # at s = 1e8 the T window is below ulp(T)
-    xs = slopes._log_grid(slopes.GRID_S_MIN, slopes.GRID_S_MAX, slopes.GRID_POINTS)
+    # at s = 1e8 the T window is below ulp(T).  The grid is the scan
+    # workload's 400-point log window over [1e-6, 1e8].
+    xs = slopes._log_grid(1e-6, 1e8, 400)
     iterations = []
     for n in GRID_N:
         for s in xs:
@@ -186,15 +187,6 @@ def test_solve_iteration_cap(monkeypatch):
         solve(2, 1.0)
 
 
-def branch_interval(n):
-    """Open theta interval of n's root branch, and whether s rises with theta."""
-    if n == 1:
-        return 0.0, math.pi / 3, True
-    if n > 1:
-        return math.pi / n, 3 * math.pi / (2 * n + 1), True
-    return math.pi / (2 * abs(n) - 1), math.pi / abs(n), False
-
-
 BRANCH_N = [n for n in range(-60, 61) if n not in (0, -1)] + [1000, -1000]
 
 
@@ -204,23 +196,27 @@ def test_branch_is_strictly_monotone():
     fracs |= {10.0**-j for j in range(4, 13)} | {1 - 10.0**-j for j in range(4, 13)}
     fracs = sorted(fracs)
     for n in BRANCH_N:
-        lo, hi, rising = branch_interval(n)
+        lo, hi = solver.branch_interval(n)
         ss = [solver.branch_point(n, lo + (hi - lo) * u)[0] for u in fracs]
-        if not rising:
+        if n < -1:
             ss.reverse()
         assert 0.0 < ss[0], n
         assert ss[-1] < math.inf, n
+        # branch_interval's ends are where s -> 0 and s -> inf, the ends at
+        # which invert puts g's limits 0 and 4: measured s <= 2.1e-12 and
+        # s >= 1.0e9 at 1e-12 of the width from them
+        assert ss[0] < 1e-9 and ss[-1] > 1e8, n
         assert all(a < b for a, b in zip(ss, ss[1:])), n
 
 
 def test_solve_recovers_the_branch():
     # solve at s(theta) lands on delta(theta) = 4 sin^2(theta/2); measured
-    # worst 2.4e-14 over invert's window [1e-6, 1e8]
+    # worst 2.4e-14 over s in [1e-6, 1e8]
     rng = random.Random(314159)
     checked = 0
     for _ in range(2000):
         n = rng.choice(BRANCH_N)
-        lo, hi, _ = branch_interval(n)
+        lo, hi = solver.branch_interval(n)
         theta = lo + (hi - lo) * rng.uniform(0.001, 0.999)
         s, T, t = solver.branch_point(n, theta)
         if not 1e-6 <= s <= 1e8:
@@ -230,6 +226,18 @@ def test_solve_recovers_the_branch():
         assert t == t_from_T(T)
         checked += 1
     assert checked >= 1000
+
+
+@pytest.mark.parametrize("n", [1000, -1000])
+def test_solve_theta_at_full_precision(n):
+    # solve reads theta from its own delta, not from acos of the rounded
+    # trace, which loses theta's low digits as theta -> 0; measured relative
+    # error 5.9e-13 (n = 1000) and 2.8e-13 (n = -1000), against 3.8e-12 and
+    # 6.0e-12 through acos
+    lo, hi = solver.branch_interval(n)
+    theta = lo + 0.37 * (hi - lo)
+    sol = solve(n, solver.branch_point(n, theta)[0])
+    assert abs(sol.theta - theta) <= 1e-12 * theta
 
 
 def test_branch_matches_the_linear_case():
