@@ -48,5 +48,5 @@ from .rep import (
     w_power,
 )
 from .slopes import SlopeSample, g_eval, invert, scan, scan_to_csv
-from .solver import Bracket, RepSolution, bracket, phi_num, solve, t_from_T, tau_num
+from .solver import RepSolution, phi_num, solve, t_from_T, tau_num
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, cos, inf, isnan, log2, pi, sin, sqrt, tau
+from math import ceil, cos, inf, isnan, log2, pi, sin, sqrt, tau, ulp
 
 from . import cover, exactpoly, rep, slopes, solver
-from .errors import DomainError
 
 GRID_N = (-6, -5, -4, -3, -2, 1, 2, 3, 4, 5, 6)
 GRID_S = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
@@ -134,32 +133,18 @@ def check_plateau_tau_signs() -> CheckResult:
     return w.result("plateau_tau_signs", 1e-12)
 
 
-def check_bracket_signs() -> CheckResult:
-    w = _Worst()
-    for n in GRID_N:
-        if n == 1:
-            try:
-                solver.bracket(n, 1.0)
-                w.fail("n=1 should defer to the closed form")
-            except DomainError:
-                w.push(0.0, "n=1")
-            continue
-        for s in GRID_S:
-            br = solver.bracket(n, s)
-            ok = (br.phi_lo > 0.0) != (br.phi_hi > 0.0) and br.lo < br.hi
-            w.push(0.0 if ok else 1.0, f"n={n}, s={s}")
-    return w.result("bracket_signs", 0.0)
-
-
 def check_solve_grid_soundness() -> CheckResult:
-    """Window containment, trace range, t reconstruction, and the exact
-    polynomial residual at every grid solution."""
+    """Window containment, branch angle, trace range, t reconstruction, and
+    the exact polynomial residual at every grid solution."""
     w = _Worst()
     for n, sol in grid_solutions():
         s = sol.s
         where = f"n={n}, s={s}"
         if not (s + 2.0 < sol.T < s + 2.0 + 4.0 / s):
             w.fail(where + " window")
+        lo, hi = solver.branch_interval(n)
+        if not lo < sol.theta < hi:
+            w.fail(where + " theta")
         if not (-2.0 < sol.trace_W < 2.0):
             w.fail(where + " trace")
         if not abs(sol.t + 1.0 / sol.t - sol.T) <= 1e-12 * (1.0 + abs(sol.T)):
@@ -170,13 +155,14 @@ def check_solve_grid_soundness() -> CheckResult:
 
 
 def check_bisection_iteration_bound() -> CheckResult:
-    """iterations <= ceil(log2(window/tol)) + 2."""
+    """iterations <= ceil(log2(window/tol)) + 2, the theta window against
+    solve's tol = 4 ulp(hi)."""
     w = _Worst()
     for n, sol in grid_solutions():
         if n == 1:
             continue
-        br = solver.bracket(n, sol.s)
-        allowed = ceil(log2((br.hi - br.lo) / solver.DEFAULT_TOL_T)) + 2
+        lo, hi = solver.branch_interval(n)
+        allowed = ceil(log2((hi - lo) / (4.0 * ulp(hi)))) + 2
         w.push(float(max(0, sol.iterations - allowed)), f"n={n}, s={sol.s}")
     return w.result("bisection_iteration_bound", 0.0)
 
@@ -449,7 +435,6 @@ ALL_CHECKS = (
     check_riley_T_degree,
     check_phi_exact_vs_float,
     check_plateau_tau_signs,
-    check_bracket_signs,
     check_solve_grid_soundness,
     check_bisection_iteration_bound,
     check_determinant_one,

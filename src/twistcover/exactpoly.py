@@ -12,6 +12,8 @@ numeric solver are roots of phi_n in T; this module is the exact-arithmetic
 ground truth against which the floating evaluation is checked.  tau_poly and
 riley_poly expand the recursion into coefficients; tau_exact and phi_exact run
 it on the exact value of the trace at one point, in O(|n|) rational steps.
+riley_poly, tau_exact and phi_exact share one walk with two live terms;
+tau_poly keeps a memo, since the identity suites ask for the same tau_m often.
 
 Representation: sparse dict {(s_degree, T_degree): int} with no explicit zero
 coefficients; the zero polynomial is the empty dict.  Coefficients are plain
@@ -159,10 +161,12 @@ def tau_poly(m: int) -> BivarPoly:
     return p if m >= 0 else -p
 
 
-def _tau_pair(m: int, K: Fraction) -> tuple[Fraction, Fraction]:
-    """(tau_m, tau_{m+1}) at the exact trace value K, in one walk of the
-    recursion with two live terms; negative m comes from tau_{-m} = -tau_m."""
-    lo, hi = Fraction(0), Fraction(1)
+def _tau_pair(m: int, K, zero, one):
+    """(tau_m, tau_{m+1}) at the trace K, in one walk of the recursion with
+    two live terms, over the ring whose zero and one are given (Fractions at
+    a point, or BivarPolys with K = TRACE_POLY); negative m comes from
+    tau_{-m} = -tau_m."""
+    lo, hi = zero, one
     for _ in range(m if m >= 0 else -m - 1):
         lo, hi = hi, K * hi - lo
     # for m < 0 the walk stopped at (tau_{-m-1}, tau_{-m})
@@ -171,7 +175,7 @@ def _tau_pair(m: int, K: Fraction) -> tuple[Fraction, Fraction]:
 
 def tau_exact(m: int, K) -> Fraction:
     """tau_m at the exact trace value K, by the recursion."""
-    return _tau_pair(m, Fraction(K))[0]
+    return _tau_pair(m, Fraction(K), Fraction(0), Fraction(1))[0]
 
 
 def check_n(n: int) -> None:
@@ -187,9 +191,15 @@ def check_n(n: int) -> None:
 
 
 def riley_poly(n: int) -> BivarPoly:
-    """Defining polynomial phi_n = tau_{n+1} - (T-1-s)*tau_n."""
+    """Defining polynomial phi_n = tau_{n+1} - (T-1-s)*tau_n.
+
+    It walks the recursion with two live terms, as phi_exact does, and not
+    through tau_poly's memo, which would keep every tau_j with j <= |n|:
+    O(n^2) terms in memory instead of O(n^3).
+    """
     check_n(n)
-    return tau_poly(n + 1) - _SHIFT * tau_poly(n)
+    tn, tnp = _tau_pair(n, TRACE_POLY, BivarPoly.zero(), _ONE)
+    return tnp - _SHIFT * tn
 
 
 def phi_exact(n: int, s, T) -> Fraction:
@@ -202,7 +212,7 @@ def phi_exact(n: int, s, T) -> Fraction:
     s = Fraction(s)
     T = Fraction(T)
     K = s * s - (T - 2) * s + 2
-    tn, tnp = _tau_pair(n, K)
+    tn, tnp = _tau_pair(n, K, Fraction(0), Fraction(1))
     return tnp - (T - 1 - s) * tn
 
 

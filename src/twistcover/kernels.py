@@ -3,10 +3,12 @@
 These four functions are the inner loops of the solver and the cover
 arithmetic: cheb_pair, the one float evaluation of the trace recursion (two
 consecutive Chebyshev ratios, which rep.w_power, solver.tau_num and phi_delta
-all read); phi_delta, the defining function in the solver's offset
-coordinate; itp, the root finder of solve (in that coordinate) and of invert
-(in the branch angle theta, where each step is a closed-form branch point,
-not a solve); and cover_compose, the cover group law.
+all read); phi_delta, the defining function in the offset coordinate
+d = (T - s - 2)*s, which gives solve its residual; itp, the root finder of
+solve and of invert, both in the branch angle theta (through
+solver.branch_root), where solve's steps evaluate the branch equation and
+invert's evaluate g at a closed-form branch point; and cover_compose, the
+cover group law.
 """
 
 from math import acos, acosh, atan2, cos, pi, sin, sinh

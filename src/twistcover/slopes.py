@@ -16,7 +16,7 @@ those two limits as the values at the branch's open ends; each step gets its
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, gcd, log, ulp
+from math import exp, gcd, log
 
 from . import kernels, solver
 from .errors import DomainError, NonConvergence, NumericsError, SlopeOutOfRange
@@ -95,10 +95,11 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     (0, 4).
 
     kernels.itp runs once over n's whole branch interval in theta, to float
-    resolution.  Its end values are g's limits minus p/q: -p/q where s -> 0
-    and 4 - p/q where s -> inf, which bracket every p/q in (0, 4).  ITP never
-    evaluates an end, so the open ends, where s is 0 or inf, are never
-    touched; each step evaluates g at solver.branch_point, with no solve.
+    resolution, through solver.branch_root.  Its end values are g's limits
+    minus p/q: -p/q where s -> 0 and 4 - p/q where s -> inf, which bracket
+    every p/q in (0, 4).  ITP never evaluates an end, so the open ends, where
+    s is 0 or inf, are never touched; each step evaluates g at
+    solver.branch_point, with no solve.
     The returned sample is g_eval at the s of the final theta, so it is
     exactly what a fresh g_eval at s* gives, and it must meet DEFAULT_TOL_G.
     A bracket that collapses without meeting the bound is a jump, not a
@@ -117,18 +118,11 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
             f"slope {p}/{q} is outside the certified open interval (0, 4)"
         )
 
-    lo, hi = solver.branch_interval(n)
-    # s falls as theta rises for n < -1
-    f_lo, f_hi = (-r, 4.0 - r) if n > 0 else (4.0 - r, -r)
-
     def g_minus_r(theta):
         s, _, t = solver.branch_point(n, theta)
         return _slope(n, s, t)[1] - r
 
-    # ftol = 0, tol = 4 ulp(hi): ITP stops at hi - lo < 2 ulp(hi), float resolution
-    theta, iters, status = kernels.itp(
-        g_minus_r, lo, hi, f_lo, f_hi, 4.0 * ulp(hi), solver.DEFAULT_MAX_ITER, 0.0,
-    )
+    theta, iters, status = solver.branch_root(n, g_minus_r, -r, 4.0 - r)
     smp = g_eval(n, solver.branch_point(n, theta)[0])
     if abs(smp.g - r) <= DEFAULT_TOL_G:
         return smp, InvertReport(evaluations=iters + 1)

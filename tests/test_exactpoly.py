@@ -5,12 +5,16 @@ coefficient for coefficient; everything else is checked against the recursion
 itself in exact rational arithmetic.
 """
 
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import twistcover
 from twistcover import BivarPoly, DomainError, TRACE_POLY, riley_poly, tau_poly
 from twistcover.exactpoly import clear_cache, phi_exact, tau_exact
 
@@ -140,6 +144,36 @@ def test_tau_memo_builds_without_deep_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert got_tau == want_tau and got_phi == want_phi
+
+
+def test_riley_poly_is_the_memo_free_walk():
+    # riley_poly walks two live terms; its coefficients are tau_poly's
+    shift = BivarPoly({(0, 1): 1, (0, 0): -1, (1, 0): -1})
+    for n in range(-20, 21):
+        if n in (0, -1):
+            continue
+        assert riley_poly(n) == tau_poly(n + 1) - shift * tau_poly(n), n
+
+
+def test_riley_poly_memory():
+    # through tau_poly's memo, which keeps every tau_j with j <= |n| (O(n^3)
+    # terms), riley_poly(100) grew a fresh interpreter's peak RSS by 54 MB;
+    # the two-live-term walk grows it by about 6 MB
+    code = (
+        "import resource, sys\n"
+        "from twistcover import riley_poly\n"
+        "unit = 1 if sys.platform == 'darwin' else 1024\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "riley_poly(100)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) * unit)\n"
+    )
+    path = [str(Path(twistcover.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    grown = int(out.stdout)
+    assert grown < 20 * 2**20, f"riley_poly(100) grew the peak RSS by {grown / 2**20:.1f} MB"
 
 
 def test_terms_serialization_order_and_roundtrip():

@@ -12,7 +12,6 @@ from twistcover import kernels
 from twistcover.checks import GRID_N
 from twistcover.exactpoly import tau_exact
 from twistcover.kernels import CONVERGED, FLOAT_LIMIT, ITER_CAP
-from twistcover.solver import bracket
 
 
 def test_cheb_ratio_against_exact_recursion():
@@ -44,24 +43,33 @@ def test_cheb_pair_sign_rule_at_the_removable_singularities():
         assert kernels.cheb_pair(m, -2.0) == ((-1) ** m * (m + 1), (-1) ** (m - 1) * m), m
 
 
+# delta windows with phi's sign fixed at each end: (2 - 2cos(pi/k),
+# 2 - 2cos(3pi/k)) with k = |2n + 1|, and (1, 2) for n = -2
+DELTA_WINDOWS = {
+    (2, 1.0): (2 - 2 * math.cos(math.pi / 5), 2 - 2 * math.cos(3 * math.pi / 5), -1, 1),
+    (-2, 1.0): (1.0, 2.0, 1, -1),
+    (3, 0.5): (2 - 2 * math.cos(math.pi / 7), 2 - 2 * math.cos(3 * math.pi / 7), -1, 1),
+    (-4, 2.0): (2 - 2 * math.cos(math.pi / 7), 2 - 2 * math.cos(3 * math.pi / 7), 1, -1),
+}
+
+
 def test_phi_delta_matches_solver_values():
     # phi in the delta chart vanishes exactly where the T-chart phi does
     from twistcover.solver import phi_num
 
-    for n, s in ((2, 1.0), (-2, 1.0), (3, 0.5), (-4, 2.0)):
-        br = bracket(n, s)
-        assert math.copysign(1, kernels.phi_delta(n, s, br.delta_lo)) == math.copysign(1, br.phi_lo)
-        assert math.copysign(1, kernels.phi_delta(n, s, br.delta_hi)) == math.copysign(1, br.phi_hi)
-        mid = 0.5 * (br.delta_lo + br.delta_hi)
+    for (n, s), (d_lo, d_hi, sign_lo, sign_hi) in DELTA_WINDOWS.items():
+        assert math.copysign(1, kernels.phi_delta(n, s, d_lo)) == sign_lo
+        assert math.copysign(1, kernels.phi_delta(n, s, d_hi)) == sign_hi
+        mid = 0.5 * (d_lo + d_hi)
         assert kernels.phi_delta(n, s, mid) == pytest.approx(
             phi_num(n, s, s + 2 + mid / s), rel=1e-9, abs=1e-12
         )
 
 
 def test_bisect_statuses():
-    br = bracket(2, 1.0)
+    d_lo, d_hi, _, _ = DELTA_WINDOWS[2, 1.0]
     phi = partial(kernels.phi_delta, 2, 1.0)
-    window = (br.delta_lo, br.delta_hi, br.phi_lo, br.phi_hi)
+    window = (d_lo, d_hi, phi(d_lo), phi(d_hi))
     root, iters, status = kernels.itp(phi, *window, 1e-13, 200, 0.0)
     assert status == CONVERGED
     assert 0 < iters <= 60
