@@ -123,17 +123,24 @@ def sigma_factor(s: float, t: float) -> float:
 def word_eval(word: str, gen_x: Mat2, gen_y: Mat2) -> Mat2:
     """Left-to-right product of a word in x, y; uppercase means inverse."""
     table = {
-        "x": gen_x,
-        "X": gen_x.inverse(),
-        "y": gen_y,
-        "Y": gen_y.inverse(),
+        ch: (g.m11, g.m12, g.m21, g.m22)
+        for ch, g in (("x", gen_x), ("X", gen_x.inverse()), ("y", gen_y), ("Y", gen_y.inverse()))
     }
-    acc = IDENTITY2
+    # the product accumulates in four locals, each step in Mat2.__matmul__'s
+    # operation order, so the result is bit-identical to folding with @
+    a11, a12, a21, a22 = 1.0, 0.0, 0.0, 1.0
     for ch in word:
-        if ch not in table:
+        g = table.get(ch)
+        if g is None:
             raise DomainError(f"unknown generator letter {ch!r}")
-        acc = acc @ table[ch]
-    return acc
+        g11, g12, g21, g22 = g
+        a11, a12, a21, a22 = (
+            a11 * g11 + a12 * g21,
+            a11 * g12 + a12 * g22,
+            a21 * g11 + a22 * g21,
+            a21 * g12 + a22 * g22,
+        )
+    return Mat2(a11, a12, a21, a22)
 
 
 def w_word(n: int) -> str:

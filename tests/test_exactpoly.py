@@ -5,18 +5,22 @@ coefficient for coefficient; everything else is checked against the recursion
 itself in exact rational arithmetic.
 """
 
+import hashlib
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import twistcover
-from twistcover import BivarPoly, DomainError, TRACE_POLY, riley_poly, tau_poly
-from twistcover.exactpoly import clear_cache, phi_exact, tau_exact
+from twistcover import BivarPoly, DomainError, TRACE_POLY, riley_poly, solve, tau_poly
+from twistcover.checks import SEED, grid_solutions
+from twistcover.exactpoly import _tau_nonneg, clear_cache, phi_exact, tau_exact
 
 # phi_1 = T^2 ... in (s_deg, T_deg) form: s^2 + 3s + 3 - (s+1)T
 PHI_1 = {(1, 1): -1, (0, 1): -1, (2, 0): 1, (1, 0): 3, (0, 0): 3}
@@ -192,6 +196,8 @@ def test_poly_arithmetic_basics():
     assert not BivarPoly.zero()
     assert (a * 0) == BivarPoly.zero()
     assert (3 * a).coeffs == {(1, 0): 6, (0, 1): -3}
+    with pytest.raises(ValueError, match="negative degree"):
+        BivarPoly({(-1, 0): 1})
 
 
 def test_product_degrees_add():
@@ -202,3 +208,209 @@ def test_product_degrees_add():
         ab = a * b
         assert ab.degree_s == a.degree_s + b.degree_s
         assert ab.degree_T == a.degree_T + b.degree_T
+
+
+def test_repr_format():
+    assert repr(riley_poly(1)) == "BivarPoly(3 + 3*s + 1*s^2 + -1*T + -1*s*T)"
+    assert repr(BivarPoly()) == "BivarPoly(0)"
+    p = BivarPoly({(3, 0): -(2**70), (0, 2): 5})
+    assert repr(p) == "BivarPoly(-1180591620717411303424*s^3 + 5*T^2)"
+
+
+# sha256 of repr(sorted(p.coeffs.items())), taken from the sparse-dict
+# implementation that the packed rows replaced
+DIGESTS = {
+    ("riley", -40): "16971e87ba59eb876b7818a43b066b2736665321de8bbad7769f98a0c6133ace",
+    ("riley", -7): "7c4a8e380a1ee05a17e807a9cec8bb769f1819d5a927ba135f85bf524f942b80",
+    ("riley", 2): "29e20416bb8653c0718d45b86826a58b6f119bc63109fb02743618e9eb3d47b3",
+    ("riley", 9): "1b3f7d986fc61d03c0d4d196d9dbd6fe699c4263c8623a505f728837798ad5ed",
+    ("riley", 40): "ab11c2276fa7a41cc46dabd1f7b389dfe6c38c784ca2eb42018d2335c4848a36",
+    ("tau", 60): "07a87e7780d0272b2f54b8dbd5b0670a84db7ab9454a2cfb0680c5d7241f9490",
+}
+TAU_200_DIGEST = "9ba8f98c8c41201434edc09ae97f64502bb4b1fffeeb7ee8915160d2f0695402"
+
+
+def _digest(p: BivarPoly) -> str:
+    return hashlib.sha256(repr(sorted(p.coeffs.items())).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("which, n", sorted(DIGESTS))
+def test_pinned_coefficient_digests(which, n):
+    build = riley_poly if which == "riley" else tau_poly
+    assert _digest(build(n)) == DIGESTS[which, n]
+
+
+def test_tau_memo_is_bounded():
+    # past |m| = 64 tau_poly walks two live terms instead of filling the memo
+    clear_cache()
+    p = tau_poly(200)
+    assert _tau_nonneg.cache_info().currsize <= 65
+    assert _digest(p) == TAU_200_DIGEST
+
+
+# the sparse-dict arithmetic that the packed rows replaced, kept as the
+# oracle: {(s_degree, T_degree): int} with no zero coefficients
+
+
+def _ref_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for k, c in q.items():
+        v = out.get(k, 0) + c
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _ref_neg(p: dict) -> dict:
+    return {k: -c for k, c in p.items()}
+
+
+def _ref_scale(p: dict, k: int) -> dict:
+    return {key: c * k for key, c in p.items()} if k else {}
+
+
+def _ref_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            k = (a1 + a2, b1 + b2)
+            v = out.get(k, 0) + c1 * c2
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+    return out
+
+
+def _random_terms(rng: random.Random) -> dict:
+    """Up to 7 terms of mixed sign, each coefficient 1 to 300 bits long."""
+    terms = {}
+    for _ in range(rng.randrange(8)):
+        bits = rng.randrange(1, 301)
+        c = rng.getrandbits(bits) | (1 << (bits - 1))
+        terms[(rng.randrange(6), rng.randrange(5))] = c if rng.random() < 0.5 else -c
+    return terms
+
+
+def _assert_matches(p: BivarPoly, ref: dict, what):
+    assert p.coeffs == ref, what
+    assert bool(p) == bool(ref), what
+    assert p.degree_T == max((b for _, b in ref), default=-1), what
+    assert p.degree_s == max((a for a, _ in ref), default=-1), what
+    assert p == BivarPoly(ref), what
+
+
+def test_packed_arithmetic_matches_the_dict_oracle():
+    rng = random.Random(20161)
+    for chain in range(300):
+        ref = _random_terms(rng)
+        p = BivarPoly(ref)
+        _assert_matches(p, ref, (chain, "start"))
+        for step in range(6):
+            op = rng.choice(("+", "-", "*", "neg", "scale"))
+            if op == "neg":
+                p, ref = -p, _ref_neg(ref)
+            elif op == "scale":
+                k = rng.choice((0, -3, 2**100, rng.randrange(-(2**40), 2**40)))
+                p, ref = (p * k, _ref_scale(ref, k)) if rng.random() < 0.5 else (k * p, _ref_scale(ref, k))
+            else:
+                other = _random_terms(rng)
+                q = BivarPoly(other)
+                if op == "+":
+                    p, ref = p + q, _ref_add(ref, other)
+                elif op == "-":
+                    p, ref = p - q, _ref_add(ref, _ref_neg(other))
+                elif rng.random() < 0.5:
+                    p, ref = p * q, _ref_mul(ref, other)
+                else:
+                    p, ref = q * p, _ref_mul(other, ref)
+            _assert_matches(p, ref, (chain, step, op))
+
+
+def test_equality_across_slot_widths():
+    rng = random.Random(1618)
+    for _ in range(50):
+        terms = _random_terms(rng)
+        p = BivarPoly(terms)
+        # the same polynomial, reached through coefficients 700 bits longer,
+        # which no slot of p holds
+        q = p * 2**700 - p * (2**700 - 1)
+        assert q._w > p._w or not terms
+        assert q == p and p == q
+        assert q.coeffs == p.coeffs == terms
+        assert (q + BivarPoly.const(1)) != p
+        assert not (q - p)
+
+
+def test_repeated_sums_outgrow_their_slots():
+    # each sum doubles the coefficients, so 200 of them outgrow the 64-bit
+    # slots that these small coefficients start in
+    terms = {(0, 0): 3, (1, 2): -5, (4, 1): 7, (2, 0): -1}
+    p = BivarPoly(terms)
+    for i in range(200):
+        p = p + p if i % 2 else p - (-p)
+    assert p.coeffs == _ref_scale(terms, 2**200)
+    assert p == BivarPoly(terms) * 2**200
+
+
+def test_product_that_forces_a_repack():
+    rng = random.Random(2718)
+    # 63-bit coefficients fill 128-bit slots to within one bit of half, and
+    # a product of 12 terms needs 130 bits
+    terms = {(a, b): rng.choice((-1, 1)) * (rng.getrandbits(63) | 1 << 62) for a in range(4) for b in range(3)}
+    p = BivarPoly(terms)
+    pp = p * p
+    assert pp._w > p._w
+    assert pp.coeffs == _ref_mul(terms, terms)
+    assert pp * p == p * pp
+    assert (pp * p).coeffs == _ref_mul(_ref_mul(terms, terms), terms)
+
+
+# the Fraction walk that the integer walk replaced, kept as the oracle
+
+
+def _fraction_tau_pair(m: int, K: Fraction):
+    lo, hi = Fraction(0), Fraction(1)
+    for _ in range(m if m >= 0 else -m - 1):
+        lo, hi = hi, K * hi - lo
+    return (lo, hi) if m >= 0 else (-hi, -lo)
+
+
+def _fraction_phi(n: int, s, T) -> Fraction:
+    s, T = Fraction(s), Fraction(T)
+    tn, tnp = _fraction_tau_pair(n, s * s - (T - 2) * s + 2)
+    return tnp - (T - 1 - s) * tn
+
+
+def _exact_suite_points():
+    """Every (n, s, T) at which the phi_exact_vs_float and
+    solve_grid_soundness suites evaluate phi_exact."""
+    rng = random.Random(SEED)
+    ns = [n for n in range(-8, 9) if n not in (0, -1)]
+    for _ in range(100):
+        n = rng.choice(ns)
+        s = 10.0 ** rng.uniform(-3.0, 2.0)
+        yield n, s, s + 2.0 + 4.0 * rng.random() / s
+    for n, sol in grid_solutions():
+        yield n, sol.s, sol.T
+
+
+def test_integer_walk_equals_the_fraction_walk():
+    for n, s, T in _exact_suite_points():
+        assert phi_exact(n, s, T) == _fraction_phi(n, s, T), (n, s, T)
+        K = Fraction(s) ** 2 - (Fraction(T) - 2) * Fraction(s) + 2
+        for m in (-9, -2, -1, 0, 1, 2, 9):
+            assert tau_exact(m, K) == _fraction_tau_pair(m, K)[0], (m, s, T)
+
+
+def test_exact_sign_proof_at_large_n():
+    # the Fraction walk paid a gcd per step: 3.4 s for these two signs
+    sol = solve(1000, 2.5)
+    below, above = math.nextafter(sol.T, 0.0), math.nextafter(sol.T, math.inf)
+    start = time.perf_counter()
+    signs = (phi_exact(1000, 2.5, below) > 0, phi_exact(1000, 2.5, above) > 0)
+    elapsed = time.perf_counter() - start
+    assert signs[0] != signs[1]
+    assert elapsed < 0.5, f"two exact evaluations at n = 1000 took {elapsed:.2f} s"

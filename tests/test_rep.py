@@ -29,6 +29,7 @@ from twistcover.rep import (
     w_word,
     word_eval,
 )
+from twistcover.checks import grid_solutions
 from twistcover.solver import RepSolution
 
 
@@ -90,6 +91,21 @@ def test_word_eval_inverse_letters():
     assert max_abs_diff(word_eval("", X, Y), IDENTITY2) == 0.0
     with pytest.raises(DomainError):
         word_eval("xz", X, Y)
+
+
+def test_word_eval_is_the_left_fold_of_matmul():
+    # word_eval accumulates in four floats in Mat2.__matmul__'s operation
+    # order, so it must equal the fold of @ exactly, not within a tolerance
+    rng = random.Random(4040)
+    for _, sol in grid_solutions():
+        X, Y = gen_matrices(sol.s, sol.t)
+        table = {"x": X, "X": X.inverse(), "y": Y, "Y": Y.inverse()}
+        for _ in range(4):
+            word = "".join(rng.choice("xXyY") for _ in range(rng.randrange(41)))
+            folded = IDENTITY2
+            for ch in word:
+                folded = folded @ table[ch]
+            assert word_eval(word, X, Y) == folded, (sol.s, word)
 
 
 def test_w_power_matches_iterated_product():
