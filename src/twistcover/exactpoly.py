@@ -317,13 +317,19 @@ def tau_exact(m: int, K) -> Fraction:
     return Fraction(x, d)
 
 
+def is_int(value) -> bool:
+    """True for an int that is not a bool: bool subclasses int, but True and
+    False are no integer parameters."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_n(n: int) -> None:
     """DomainError unless n is an integer twist parameter other than 0 and -1.
 
     n = 0 and n = -1 give the unknot and the trefoil, which are outside this
     machinery.
     """
-    if not isinstance(n, int):
+    if not is_int(n):
         raise DomainError(f"n must be an integer, got {n!r}")
     if n in (0, -1):
         raise DomainError(f"n must not be 0 or -1, got {n}")

@@ -8,7 +8,10 @@ d = (T - s - 2)*s, which gives solve its residual; itp, the root finder of
 solve and of invert, both in the branch angle theta (through
 solver.branch_root), where solve's steps evaluate the branch equation and
 invert's evaluate g at a closed-form branch point; and cover_compose, the
-cover group law.
+cover group law.  A step of itp that would land on an end of its bracket
+moves tol/4 inside that end, not to the midpoint, so a root pinned to an
+end within rounding ends the search in a step instead of twenty or so
+halvings; the worst case stays one step beyond bisection's count.
 """
 
 from math import acos, acosh, atan2, cos, pi, sin, sinh
@@ -86,9 +89,19 @@ def itp(f, lo, hi, f_lo, f_hi, tol, max_iter, ftol):
     ceil(log2((hi-lo)/tol)) + 2 unless the ratio is a power of two.  tol = 0
     has no finite step budget, so it leaves no slack and bisects.  A midpoint
     that is no longer strictly interior means float resolution was reached;
-    that counts as converged (status FLOAT_LIMIT).  A step point that is not
-    strictly interior is replaced by the midpoint.  Only the iteration cap is
+    that counts as converged (status FLOAT_LIMIT).  Only the iteration cap is
     a failure.
+
+    A step point that is not strictly interior has reached an end: the
+    regula falsi point rounds onto the end whose f is nearest 0 once the
+    root sits within rounding of it.  It moves tol/4 inside that end (Brent's
+    minimum step, 1973), so the next bracket is either the tol/4 sliver
+    beside the end, which stops the loop, or the rest less tol/4.  Bisecting
+    instead would spend a step per halving on a root already pinned to the
+    end.  The point stays within the slack r: it reached an end, so r was at
+    least half the width, and the bound above holds.  The midpoint is kept
+    only when the inset point is not strictly interior either (tol = 0, or
+    tol/4 below float resolution at the end).
     """
     target = 0.5 * tol
     k1 = ITP_K1 / (hi - lo)
@@ -103,20 +116,25 @@ def itp(f, lo, hi, f_lo, f_hi, tol, max_iter, ftol):
         if mid <= lo or mid >= hi:
             return mid, iters, FLOAT_LIMIT
         # interpolate (regula falsi), truncate toward the midpoint, project
-        # into the slack r around it
+        # into the slack r around it; sigma is the sign of mid - x_f, so
+        # sigma * (mid - x) is |mid - x| for each x on x_f's side of mid
         x_f = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         sigma = 1.0 if x_f < mid else -1.0
         trunc = k1 * width**ITP_K2
-        x = x_f + sigma * trunc if trunc <= abs(mid - x_f) else mid
+        x = x_f + sigma * trunc if trunc <= sigma * (mid - x_f) else mid
         slack_width *= 0.5
-        r = max(slack_width - 0.5 * width, 0.0)
-        if abs(x - mid) > r:
+        r = slack_width - 0.5 * width
+        if r < 0.0:
+            r = 0.0
+        if sigma * (mid - x) > r:
             x = mid - sigma * r
         if x <= lo or x >= hi:
-            x = mid
+            x = lo + 0.25 * tol if x <= lo else hi - 0.25 * tol
+            if not lo < x < hi:
+                x = mid
         fx = f(x)
         iters += 1
-        if abs(fx) <= ftol:
+        if -ftol <= fx <= ftol:
             return x, iters, CONVERGED
         if (fx > 0.0) == (f_lo > 0.0):
             lo, f_lo = x, fx

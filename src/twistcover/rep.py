@@ -24,6 +24,7 @@ from math import sqrt
 
 from . import kernels
 from .errors import DomainError, NumericsError, OffDiagonalTooLarge
+from .exactpoly import is_int
 from .solver import RepSolution, check_positive
 
 OFFDIAG_TOL = 1e-6
@@ -164,7 +165,7 @@ def relator_word(n: int) -> str:
 
 def w_power(n: int, s: float, t: float) -> Mat2:
     """W^n through the trace recursion; valid for every integer n."""
-    if not isinstance(n, int):
+    if not is_int(n):
         raise DomainError(f"n must be an integer, got {n!r}")
     if n == 0:
         return IDENTITY2

@@ -20,7 +20,7 @@ from math import exp, gcd, log
 
 from . import kernels, solver
 from .errors import DomainError, NonConvergence, NumericsError, SlopeOutOfRange
-from .exactpoly import check_n
+from .exactpoly import check_n, is_int
 from .rep import longitude_holonomy
 
 DEFAULT_TOL_G = 1e-9
@@ -106,7 +106,7 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     crossing: NonConvergence reports it, as it does solver.DEFAULT_MAX_ITER.
     """
     check_n(n)
-    if not isinstance(p, int) or not isinstance(q, int):
+    if not (is_int(p) and is_int(q)):
         raise DomainError(f"p and q must be integers, got {p!r}, {q!r}")
     if q < 1:
         raise DomainError(f"q must be a positive integer, got {q}")

@@ -21,6 +21,7 @@ s -> 0, where theta's absolute resolution would cost T its digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import asin, cos, inf, isfinite, pi, sin, sqrt, ulp
 
 from . import kernels
@@ -123,6 +124,21 @@ def _branch_terms(n: int, theta: float) -> tuple[float, float, float]:
     return h, 2.0 * h * sin(n * theta), cos((n + 0.5) * theta)
 
 
+def _branch_equation(n: int, s: float):
+    """theta -> s cos((n + 1/2) theta) - 2 sin(theta/2) sin(n theta).
+
+    _branch_terms's equation with its denominator cleared, written out in
+    one expression, bit for bit s * den - num of its terms, so that each ITP
+    step of solve costs one Python call.
+    """
+    a = n + 0.5
+
+    def branch_eq(theta):
+        return s * cos(a * theta) - 2.0 * sin(0.5 * theta) * sin(n * theta)
+
+    return branch_eq
+
+
 def branch_point(n: int, theta: float) -> tuple[float, float, float]:
     """(s, T, t) of the root branch at eigenangle theta of W, in closed form.
 
@@ -138,19 +154,36 @@ def branch_point(n: int, theta: float) -> tuple[float, float, float]:
     return s, T, t_from_T(T)
 
 
+@lru_cache(maxsize=64)
+def _branch_constants(n: int) -> tuple[bool, float, float, float, float, float]:
+    """(zero_is_lo, lo, hi, tol, den_zero, num_inf): branch_root's constants
+    for n, which must pass check_n.
+
+    lo < hi is branch_interval(n), zero_is_lo says whether lo is the end
+    where s -> 0, tol = 4 ulp(hi) is ITP's tolerance, and den_zero =
+    cos((n + 1/2) theta) at the s -> 0 end and num_inf = 2 sin(theta/2)
+    sin(n theta) at the s -> inf end are the factors of solve's end values.
+    """
+    zero, inf_end = branch_ends(n)
+    lo, hi = branch_interval(n)
+    den_zero = _branch_terms(n, zero)[2]
+    num_inf = _branch_terms(n, inf_end)[1]
+    return zero == lo, lo, hi, 4.0 * ulp(hi), den_zero, num_inf
+
+
 def branch_root(n: int, f, f_zero: float, f_inf: float) -> tuple[float, int, int]:
     """kernels.itp on f across branch_interval(n): (theta, iterations, status).
 
     f_zero and f_inf are f's values at the ends where s -> 0 and s -> inf,
     nonzero with opposite signs; ITP never evaluates an end.  With ftol = 0
     and tol = 4 ulp(hi) it stops at hi - lo < 2 ulp(hi), float resolution.
+    The interval, its orientation and tol depend on n alone, so
+    _branch_constants computes them once per n (a small functools cache,
+    cleared with the package's other caches), not once per root.
     """
-    zero, inf_end = branch_ends(n)
-    if zero < inf_end:
-        lo, hi, f_lo, f_hi = zero, inf_end, f_zero, f_inf
-    else:
-        lo, hi, f_lo, f_hi = inf_end, zero, f_inf, f_zero
-    return kernels.itp(f, lo, hi, f_lo, f_hi, 4.0 * ulp(hi), DEFAULT_MAX_ITER, 0.0)
+    zero_is_lo, lo, hi, tol, _, _ = _branch_constants(n)
+    f_lo, f_hi = (f_zero, f_inf) if zero_is_lo else (f_inf, f_zero)
+    return kernels.itp(f, lo, hi, f_lo, f_hi, tol, DEFAULT_MAX_ITER, 0.0)
 
 
 def solve(n: int, s: float) -> RepSolution:
@@ -173,14 +206,9 @@ def solve(n: int, s: float) -> RepSolution:
         T = s + 2.0 + 1.0 / (s + 1.0)
         iters = 0
     else:
-
-        def branch_eq(theta):
-            _, num, den = _branch_terms(n, theta)
-            return s * den - num
-
-        zero, inf_end = branch_ends(n)
+        den_zero, num_inf = _branch_constants(n)[4:]
         theta, iters, status = branch_root(
-            n, branch_eq, s * _branch_terms(n, zero)[2], -_branch_terms(n, inf_end)[1]
+            n, _branch_equation(n, s), s * den_zero, -num_inf
         )
         if status == kernels.ITER_CAP:
             raise NonConvergence(

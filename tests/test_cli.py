@@ -199,7 +199,7 @@ GOLDEN_STDOUT = {
   "trace_W": -0.28077640640441537,
   "theta": 1.7116498168299654,
   "phi_residual": 8.881784197001252e-16,
-  "iterations": 12
+  "iterations": 10
 }
 """,
     "slope --n 2 --r 3/2": """\
@@ -213,7 +213,7 @@ GOLDEN_STDOUT = {
   "t": 4.974433133060254,
   "B": 0.30022185356063963,
   "g": 1.4999999999999947,
-  "evaluations": 14
+  "evaluations": 11
 }
 """,
     "certify --n -3 --r 7/2": """\
@@ -222,15 +222,15 @@ GOLDEN_STDOUT = {
   "n": -3,
   "p": 7,
   "q": 2,
-  "s_star": 2.15055225321013,
-  "t": 4.151062037865561,
-  "B": 0.08283642698345964,
-  "gamma_x": 0.611730554728722,
-  "gamma_L": -0.9863697815657465,
-  "relator_residual": 2.1414556042597855e-14,
-  "longitude_omega": 1.5265566588595902e-14,
-  "final_gamma_abs": 1.5598082048888075e-11,
-  "final_omega": -1.5581138179494322e-11,
+  "s_star": 2.150552253210136,
+  "t": 4.151062037865568,
+  "B": 0.08283642698345939,
+  "gamma_x": 0.6117305547287225,
+  "gamma_L": -0.9863697815657464,
+  "relator_residual": 1.8595008309373874e-15,
+  "longitude_omega": 6.661338147750939e-16,
+  "final_gamma_abs": 2.9628280541674194e-12,
+  "final_omega": -2.9618737807141075e-12,
   "tol_slope": 1e-09,
   "tol_certificate": 1e-06
 }

@@ -87,10 +87,12 @@ def test_rejected_twist_parameters():
 
 
 def test_non_integer_twist_parameter():
-    # a float n would recurse without end in the tau recursion
+    # a float n would recurse without end in the tau recursion; a bool is an
+    # int subclass, yet True is no twist parameter
     for build in BUILDERS:
-        with pytest.raises(DomainError, match="n must be an integer"):
-            build(2.5)
+        for n in (2.5, True, False):
+            with pytest.raises(DomainError, match="n must be an integer"):
+                build(n)
 
 
 def _summed(p: BivarPoly, s: Fraction, T: Fraction) -> Fraction:

@@ -8,7 +8,7 @@ from math import acos, acosh, pi, sin, sinh
 
 import pytest
 
-from twistcover import kernels
+from twistcover import kernels, solver
 from twistcover.checks import GRID_N
 from twistcover.exactpoly import tau_exact
 from twistcover.kernels import CONVERGED, FLOAT_LIMIT, ITER_CAP
@@ -98,6 +98,42 @@ def test_itp_returns_the_first_step_within_ftol():
     assert iters == len(seen) and root == seen[-1]
     assert abs(root**3 - 2.0) <= 1e-6
     assert all(abs(x**3 - 2.0) > 1e-6 for x in seen[:-1])
+
+
+@pytest.mark.parametrize(
+    "n, s", [(3, 0.020691380811147925), (-3, 0.05032159359259993), (3, 2532.2627816987933)]
+)
+def test_itp_steps_inside_an_end_it_reaches(n, s):
+    # solve's branch equation at points where the regula falsi point rounds
+    # onto the end whose f is ~0 once |f| is near 1e-16: the step moves tol/4
+    # inside that end, not to the midpoint, and the next bracket is the tol/4
+    # sliver beside it (bisecting toward the end took 31, 32 and 31 steps)
+    zero_is_lo, lo, hi, tol, den_zero, num_inf = solver._branch_constants(n)
+    f_zero, f_inf = s * den_zero, -num_inf
+    f_lo, f_hi = (f_zero, f_inf) if zero_is_lo else (f_inf, f_zero)
+    branch_eq = solver._branch_equation(n, s)
+    seen = []
+
+    def f(x):
+        seen.append((x, branch_eq(x)))
+        return seen[-1][1]
+
+    _, iters, status = kernels.itp(f, lo, hi, f_lo, f_hi, tol, 200, 0.0)
+    assert status == CONVERGED and iters == len(seen) <= 10
+    # replay itp's bracket to find the steps whose regula falsi point was on
+    # an end
+    insets = 0
+    for x, fx in seen:
+        x_f = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if x_f <= lo or x_f >= hi:
+            assert x == (lo + 0.25 * tol if x_f <= lo else hi - 0.25 * tol), (x, lo, hi)
+            assert x != 0.5 * (lo + hi)
+            insets += 1
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo, f_lo = x, fx
+        else:
+            hi, f_hi = x, fx
+    assert insets >= 1
 
 
 def test_cover_compose_rejects_nonprincipal_branch():

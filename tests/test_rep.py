@@ -211,3 +211,6 @@ def test_nonfinite_t_is_a_domain_error(fn, t):
 def test_non_integer_n_is_a_domain_error(fn):
     with pytest.raises(DomainError, match="n must be an integer"):
         fn(2.5, 1.0, 4.0)
+    # bool subclasses int, and W^True would pass for W^1
+    with pytest.raises(DomainError, match="n must be an integer"):
+        fn(True, 1.0, 4.0)
