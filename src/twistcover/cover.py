@@ -8,6 +8,11 @@ by cover_mul, which tracks om along the continuous branch: the correction
 atan2 term is safe because its argument 1 + g1 conj(g2) e^{-2i om2} always
 has positive real part.
 
+Products, inverses and powers run on plain (gamma, omega) pairs in the
+private helpers _compose, _inv, _pow and _word, each product and inverse
+checked as a CoverElem is, so saturation is caught at the step where it
+happens; cover_mul, cover_inv, cover_pow and cover_word box the result once.
+
 The point of the chart: the kernel of the covering map is {(0, 2 m pi)}, so
 proving that a lifted word equals (0, 0) on the nose, and not just up to a
 deck transformation, is a statement about a real number omega, not about a
@@ -54,11 +59,16 @@ class CoverElem:
     omega: float
 
     def __post_init__(self) -> None:
-        # a non-finite coordinate is a numerical breakdown, not a bad input
-        if not (isfinite(self.gamma) and isfinite(self.omega)):
-            raise NumericsError(f"cover element ({self.gamma}, {self.omega}) is not finite")
-        if not abs(self.gamma) < 1.0:
-            raise DomainError(f"|gamma| = {abs(self.gamma)} is not < 1")
+        _check(self.gamma, self.omega)
+
+
+def _check(gamma: complex, omega: float) -> None:
+    """CoverElem's checks on a (gamma, omega) pair."""
+    # a non-finite coordinate is a numerical breakdown, not a bad input
+    if not (isfinite(gamma) and isfinite(omega)):
+        raise NumericsError(f"cover element ({gamma}, {omega}) is not finite")
+    if not abs(gamma) < 1.0:
+        raise DomainError(f"|gamma| = {abs(gamma)} is not < 1")
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,11 @@ class SU11Elem:
 
 
 IDENTITY_COVER = CoverElem(0j, 0.0)
+
+# (gamma, omega): the group law's working form, boxed into a CoverElem only
+# where a public function returns one
+Pair = tuple[complex, float]
+_IDENTITY: Pair = (0j, 0.0)
 
 
 def to_su11(m: Mat2) -> SU11Elem:
@@ -120,21 +135,69 @@ def unchart(e: CoverElem) -> SU11Elem:
     return SU11Elem(alpha, g * alpha)
 
 
+def _compose(a: Pair, b: Pair) -> Pair:
+    """cover_mul on (gamma, omega) pairs, checked as a CoverElem is."""
+    g1, w1 = a
+    g2, w2 = b
+    try:
+        g, w = kernels.cover_compose(g1, w1, g2, w2)
+        _check(g, w)
+    except ValueError as exc:  # DomainError from _check included
+        raise NumericsError(f"cover composition left the chart: {exc}") from exc
+    return g, w
+
+
+def _inv(a: Pair) -> Pair:
+    """cover_inv on a (gamma, omega) pair, checked as a CoverElem is."""
+    g, w = a
+    ph = complex(cos(2.0 * w), sin(2.0 * w))
+    g, w = -g * ph, -w
+    _check(g, w)
+    return g, w
+
+
+def _pow(a: Pair, k: int) -> Pair:
+    """cover_pow on a (gamma, omega) pair."""
+    if k < 0:
+        a = _inv(a)
+        k = -k
+    acc = None
+    while True:
+        if k & 1:
+            acc = a if acc is None else _compose(acc, a)
+        k >>= 1
+        if not k:
+            return _IDENTITY if acc is None else acc
+        a = _compose(a, a)
+
+
+def _word(word: str, x: Pair, y: Pair) -> Pair:
+    """cover_word on (gamma, omega) pairs."""
+    table = {"x": x, "y": y, "X": _inv(x), "Y": _inv(y)}
+    acc = None
+    for ch in word:
+        try:
+            letter = table[ch]
+        except KeyError:
+            raise DomainError(f"unknown letter {ch!r} in word") from None
+        acc = letter if acc is None else _compose(acc, letter)
+    return _IDENTITY if acc is None else acc
+
+
+def _pair(e: CoverElem) -> Pair:
+    return e.gamma, e.omega
+
+
 def cover_mul(a: CoverElem, b: CoverElem) -> CoverElem:
     """Product in the cover; projects to the SU(1,1) product of a then b.
 
     A branch violation and a |gamma| rounded onto the unit circle (chart
     saturation) are numerical failures: the exact product is in the disk."""
-    try:
-        g, w = kernels.cover_compose(a.gamma, a.omega, b.gamma, b.omega)
-        return CoverElem(g, w)
-    except ValueError as exc:  # DomainError from CoverElem included
-        raise NumericsError(f"cover composition left the chart: {exc}") from exc
+    return CoverElem(*_compose(_pair(a), _pair(b)))
 
 
 def cover_inv(a: CoverElem) -> CoverElem:
-    ph = complex(cos(2.0 * a.omega), sin(2.0 * a.omega))
-    return CoverElem(-a.gamma * ph, -a.omega)
+    return CoverElem(*_inv(_pair(a)))
 
 
 def cover_pow(a: CoverElem, k: int) -> CoverElem:
@@ -144,40 +207,27 @@ def cover_pow(a: CoverElem, k: int) -> CoverElem:
     The product is reassociated, so it matches the left fold, its test
     oracle, only to rounding.
     """
-    if k < 0:
-        a = cover_inv(a)
-        k = -k
-    acc = None
-    while True:
-        if k & 1:
-            acc = a if acc is None else cover_mul(acc, a)
-        k >>= 1
-        if not k:
-            return IDENTITY_COVER if acc is None else acc
-        a = cover_mul(a, a)
+    return CoverElem(*_pow(_pair(a), k))
 
 
 def cover_word(word: str, xt: CoverElem, yt: CoverElem) -> CoverElem:
-    """Evaluate a word in x, y (X, Y for inverses) left to right."""
-    table = {"x": xt, "y": yt, "X": cover_inv(xt), "Y": cover_inv(yt)}
-    acc = IDENTITY_COVER
-    for ch in word:
-        try:
-            acc = cover_mul(acc, table[ch])
-        except KeyError:
-            raise DomainError(f"unknown letter {ch!r} in word") from None
-    return acc
+    """Evaluate a word in x, y (X, Y for inverses) left to right.
+
+    The fold starts from the first letter, not from the identity: that
+    saves a composition and no bit, since the identity's product with an
+    element is exact up to the sign of a zero."""
+    return CoverElem(*_word(word, _pair(xt), _pair(yt)))
 
 
 @lru_cache(maxsize=1)
-def _lifted_w_power(n: int, xt: CoverElem, yt: CoverElem) -> CoverElem:
+def _lifted_w_power(n: int, x: Pair, y: Pair) -> Pair:
     """Lift of w^n, w = x y^-1 x^-1 y, by squaring: O(log |n|) compositions.
 
     The relator and the longitude both contain w^n; one entry is enough for
     lifted_longitude to reuse the power that lift_generators formed at the
     same lifts.
     """
-    return cover_pow(cover_word("xYXy", xt, yt), n)
+    return _pow(_word("xYXy", x, y), n)
 
 
 def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, float]:
@@ -202,12 +252,13 @@ def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, flo
     gen_x, gen_y = gen_matrices(sol.s, sol.t)
     xt = chart(to_su11(gen_x))
     yt = chart(to_su11(gen_y))
-    wn = _lifted_w_power(n, xt, yt)
-    rel = cover_mul(cover_mul(cover_mul(wn, xt), cover_inv(wn)), cover_inv(yt))
-    residual = max(abs(rel.gamma), abs(rel.omega))
+    x, y = _pair(xt), _pair(yt)
+    wn = _lifted_w_power(n, x, y)
+    g, w = _compose(_compose(_compose(wn, x), _inv(wn)), _inv(y))
+    residual = max(abs(g), abs(w))
     if not residual <= DEFAULT_LIFT_TOL:
         raise RelatorNotCentral(
-            f"lifted relator at n={n}, s={sol.s} is ({rel.gamma}, {rel.omega}), "
+            f"lifted relator at n={n}, s={sol.s} is ({g}, {w}), "
             f"residual {residual:.3e} > {DEFAULT_LIFT_TOL}; the parameters do "
             f"not satisfy the group relation"
         )
@@ -224,20 +275,21 @@ def lifted_longitude(
     Optionally cross-checks gamma against the holonomy's value
     (rep.HolonomyData.lifted_gamma), to LONGITUDE_GAMMA_TOL.
     """
-    lt = cover_mul(cover_pow(cover_word("yXYx", xt, yt), n), _lifted_w_power(n, xt, yt))
-    if not abs(lt.omega) <= DEFAULT_TOL_CERT:
+    x, y = _pair(xt), _pair(yt)
+    g, w = _compose(_pow(_word("yXYx", x, y), n), _lifted_w_power(n, x, y))
+    if not abs(w) <= DEFAULT_TOL_CERT:
         raise LongitudeOmegaNonzero(
-            f"lifted longitude has omega = {lt.omega}, "
+            f"lifted longitude has omega = {w}, "
             f"|omega| > {DEFAULT_TOL_CERT} at n={n}"
         )
     if expected_gamma is not None:
-        err = abs(lt.gamma - expected_gamma)
+        err = abs(g - expected_gamma)
         if not err <= LONGITUDE_GAMMA_TOL:
             raise NumericsError(
-                f"lifted longitude gamma = {lt.gamma} differs from holonomy "
+                f"lifted longitude gamma = {g} differs from holonomy "
                 f"value {expected_gamma} by {err:.3e} > {LONGITUDE_GAMMA_TOL}"
             )
-    return lt
+    return CoverElem(g, w)
 
 
 @dataclass(frozen=True)

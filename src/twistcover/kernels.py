@@ -12,6 +12,11 @@ cover group law.  A step of itp that would land on an end of its bracket
 moves tol/4 inside that end, not to the midpoint, so a root pinned to an
 end within rounding ends the search in a step instead of twenty or so
 halvings; the worst case stays one step beyond bisection's count.
+
+The kernels take and return plain floats and complexes.  Their callers keep
+to that on the hot paths: solver._root returns a tuple, and the cover module
+composes (gamma, omega) pairs; a record (RepSolution, SlopeSample,
+CoverElem) is built once, where a public function returns it.
 """
 
 from math import acos, acosh, atan2, cos, pi, sin, sinh

@@ -55,10 +55,16 @@ def _slope(n: int, s: float, t: float) -> tuple[float, float]:
 
 
 def g_eval(n: int, s: float) -> SlopeSample:
-    """Solve at (n, s) and evaluate the slope map there."""
-    sol = solver.solve(n, s)
-    b, g = _slope(n, sol.s, sol.t)
-    return SlopeSample(s=sol.s, T=sol.T, t=sol.t, B=b, g=g)
+    """Solve at (n, s) and evaluate the slope map there.
+
+    The root comes from solver._root, solve's core on plain floats, so the
+    one record built is the returned sample.
+    """
+    check_n(n)
+    s = solver.check_positive("s", s)
+    T, t = solver._root(n, s)[:2]
+    b, g = _slope(n, s, t)
+    return SlopeSample(s=s, T=T, t=t, B=b, g=g)
 
 
 def _log_grid(s_min: float, s_max: float, samples: int) -> list[float]:

@@ -16,6 +16,8 @@ slopes.invert walks the whole branch in theta with it.  Both reach ITP
 through branch_root, which knows which end of the interval is s -> 0.
 n = 1 keeps its closed form T = s + 2 + 1/(s+1): its branch has d -> 0 as
 s -> 0, where theta's absolute resolution would cost T its digits.
+solve's body runs in _root on plain floats, which slopes.g_eval calls too,
+so a RepSolution is built only where solve returns one.
 """
 
 from __future__ import annotations
@@ -186,19 +188,19 @@ def branch_root(n: int, f, f_zero: float, f_inf: float) -> tuple[float, int, int
     return kernels.itp(f, lo, hi, f_lo, f_hi, tol, DEFAULT_MAX_ITER, 0.0)
 
 
-def solve(n: int, s: float) -> RepSolution:
-    """Locate the root of phi_n(s, .) on the branch, to float resolution in theta.
+def _root(n: int, s: float) -> tuple[float, float, float, float, float, int]:
+    """(T, t, delta, theta, phi_residual, iterations) of the root at (n, s).
 
+    solve's body on plain floats, for solve and slopes.g_eval, which
+    validate n and s and build the one record their caller receives.
     branch_root runs ITP on f = s cos((n + 1/2) theta) - 2 sin(theta/2)
     sin(n theta), the branch equation with its denominator cleared.  Its end
     values are closed form, s cos((n + 1/2) theta) < 0 where s -> 0 and
     -2 sin(theta/2) sin(n theta) > 0 where s -> inf, so no end is evaluated.
-    d = 4 sin^2(theta/2) then gives T = s + 2 + d/s and trace W = 2 - d.  A
-    solve makes one phi_delta call, the residual.  n = 1 has the exact
-    closed form T = s + 2 + 1/(s+1) and takes no step.
+    delta = 4 sin^2(theta/2) then gives T = s + 2 + delta/s and trace W =
+    2 - delta.  A root makes one phi_delta call, the residual.  n = 1 has the
+    exact closed form T = s + 2 + 1/(s+1) and takes no step.
     """
-    check_n(n)
-    s = check_positive("s", s)
     if n == 1:
         delta = s / (s + 1.0)
         # delta = 4 sin^2(theta/2)
@@ -224,6 +226,15 @@ def solve(n: int, s: float) -> RepSolution:
             f"solve left the floating range at n={n}, s={s}: T = {T}, "
             f"t = {t}, phi_residual = {residual}"
         )
+    return T, t, delta, theta, residual, iters
+
+
+def solve(n: int, s: float) -> RepSolution:
+    """Locate the root of phi_n(s, .) on the branch, to float resolution in
+    theta (see _root), as a RepSolution."""
+    check_n(n)
+    s = check_positive("s", s)
+    T, t, delta, theta, residual, iters = _root(n, s)
     return RepSolution(
         n=n,
         s=s,

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import twistcover.cover as cover
 import twistcover.kernels as kernels
 import twistcover.slopes as slopes
 import twistcover.solver as solver
@@ -25,6 +26,20 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_records(monkeypatch, cls):
+    """Route cls.__init__ through a counter; returns the one-cell tally of
+    records built."""
+    built = [0]
+    real = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
 @pytest.fixture
 def g_eval_calls(monkeypatch):
     return _count_calls(monkeypatch, slopes, "g_eval")
@@ -36,8 +51,10 @@ def branch_calls(monkeypatch):
 
 
 @pytest.fixture
-def solve_calls(monkeypatch):
-    return _count_calls(monkeypatch, solver, "solve")
+def root_calls(monkeypatch):
+    # solver._root is the core that solve and g_eval share, so this counts
+    # every root, whether or not a RepSolution is built from it
+    return _count_calls(monkeypatch, solver, "_root")
 
 
 @pytest.fixture
@@ -48,3 +65,13 @@ def phi_delta_calls(monkeypatch):
 @pytest.fixture
 def cover_compose_calls(monkeypatch):
     return _count_calls(monkeypatch, kernels, "cover_compose")
+
+
+@pytest.fixture
+def rep_solutions_built(monkeypatch):
+    return _count_records(monkeypatch, solver.RepSolution)
+
+
+@pytest.fixture
+def cover_elems_built(monkeypatch):
+    return _count_records(monkeypatch, cover.CoverElem)

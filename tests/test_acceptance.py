@@ -168,13 +168,14 @@ def test_suite_fails_closed_on_nan():
     assert res.worst == math.inf and res.where == "b"
 
 
-def test_batch_certify_budget(g_eval_calls, solve_calls, phi_delta_calls):
+def test_batch_certify_budget(g_eval_calls, root_calls, phi_delta_calls):
     # the bound is a count of slope evaluations, not a time: one per slope.
     # invert's ITP steps in theta evaluate the branch in closed form, so the
-    # one solve per slope is the g_eval at s*, and a certificate lifts at
-    # that sample, so it solves nowhere else.  Each solve searches the branch
+    # one root per slope is the g_eval at s*, and a certificate lifts at
+    # that sample, so it solves nowhere else.  Each root searches the branch
     # equation in theta and calls phi_delta once, for its residual: the 20
-    # solves take 20 phi_delta calls.
+    # roots take 20 phi_delta calls.  Both counts are exact, so a path that
+    # stopped counting (or stopped solving) fails as surely as an extra one.
     fracs = [(p, q) for q in range(1, 6) for p in range(1, 4 * q) if math.gcd(p, q) == 1][:20]
     refused = 0
     for p, q in fracs:
@@ -183,15 +184,15 @@ def test_batch_certify_budget(g_eval_calls, solve_calls, phi_delta_calls):
         except CertificateFailed:
             refused += 1
     budget = len(fracs)
-    calls = solve_calls[0]
-    assert calls <= budget, f"{calls} slope evaluations for {len(fracs)} certificates"
+    calls = root_calls[0]
+    assert calls == budget, f"{calls} slope evaluations for {len(fracs)} certificates"
     assert g_eval_calls[0] <= len(fracs), f"{g_eval_calls[0]} g_evals for {len(fracs)} certificates"
     evals = phi_delta_calls[0]
-    assert evals <= 20, f"{evals} phi_delta calls for {len(fracs)} certificates"
+    assert evals == budget, f"{evals} phi_delta calls for {len(fracs)} certificates"
     report(
         "batch certify budget",
         f"n=2, {len(fracs)} slopes ({refused} refused), {calls} slope evaluations vs {budget}, "
-        f"{evals} phi_delta calls vs 20",
+        f"{evals} phi_delta calls vs {budget}",
     )
 
 

@@ -240,6 +240,83 @@ def test_cover_word_folds_left_to_right():
         cover_word("xq", xt, yt)
 
 
+def boxed_pow(a: CoverElem, k: int) -> CoverElem:
+    """cover_pow's squaring loop with every step a CoverElem: the bit-for-bit
+    oracle for the pair path."""
+    if k < 0:
+        a = cover_inv(a)
+        k = -k
+    acc = None
+    while True:
+        if k & 1:
+            acc = a if acc is None else cover_mul(acc, a)
+        k >>= 1
+        if not k:
+            return IDENTITY_COVER if acc is None else acc
+        a = cover_mul(a, a)
+
+
+def boxed_word(word: str, xt: CoverElem, yt: CoverElem) -> CoverElem:
+    """A word folded from the identity with every step a CoverElem: the
+    bit-for-bit oracle for cover_word, which starts from the first letter."""
+    table = {"x": xt, "y": yt, "X": cover_inv(xt), "Y": cover_inv(yt)}
+    acc = IDENTITY_COVER
+    for ch in word:
+        acc = cover_mul(acc, table[ch])
+    return acc
+
+
+def test_pair_paths_match_boxed_loops():
+    # the conjugates of test_cover_pow_matches_left_fold, whose powers stay
+    # off the unit circle, and words of up to 8 letters in random elements
+    rng = random.Random(47)
+    for i in range(200):
+        c = rand_elem(rng)
+        if i % 2:
+            core = CoverElem(0j, rng.uniform(-math.pi, math.pi))
+        else:
+            core = CoverElem(complex(math.tanh(rng.uniform(-0.15, 0.15)), 0.0), 0.0)
+        a = cover_mul(cover_mul(c, core), cover_inv(c))
+        k = rng.randint(-64, 64)
+        assert cover_pow(a, k) == boxed_pow(a, k), (i, k)
+        xt, yt = rand_elem(rng), rand_elem(rng)
+        word = "".join(rng.choice("xyXY") for _ in range(rng.randint(0, 8)))
+        assert cover_word(word, xt, yt) == boxed_word(word, xt, yt), (i, word)
+
+
+@pytest.mark.parametrize("n", GRID_N)
+def test_pair_paths_match_boxed_loops_on_grid_lifts(n):
+    for s in GRID_S:
+        xt, yt, residual = lift_generators(n, solve(n, s))
+        w = boxed_word("xYXy", xt, yt)
+        w_rev = boxed_word("yXYx", xt, yt)
+        assert cover_word("xYXy", xt, yt) == w
+        assert cover_word("yXYx", xt, yt) == w_rev
+        wn = boxed_pow(w, n)
+        assert cover_pow(w, n) == wn
+        rel = cover_mul(cover_mul(cover_mul(wn, xt), cover_inv(wn)), cover_inv(yt))
+        assert residual == max(abs(rel.gamma), abs(rel.omega)), s
+        assert lifted_longitude(n, xt, yt) == cover_mul(boxed_pow(w_rev, n), wn), s
+
+
+def test_saturation_inside_a_power_or_word_is_caught():
+    # a^2 rounds onto the unit circle: every step is checked, not only the
+    # record a caller receives
+    a = CoverElem(complex(1.0 - 2.0**-52, 0.0), 0.0)
+    with pytest.raises(NumericsError, match="left the chart"):
+        cover_pow(a, 4)
+    with pytest.raises(NumericsError, match="left the chart"):
+        cover_word("xx", a, IDENTITY_COVER)
+
+
+@pytest.mark.parametrize("n, p, q", [(2, 3, 2), (-20, 41, 12)])
+def test_certificate_builds_few_records(n, p, q, cover_elems_built):
+    # the lifts of x and y, the longitude, x^p, L^q and their product: the
+    # group law's intermediate steps are pairs, not records
+    certificate(n, p, q)
+    assert 0 < cover_elems_built[0] <= 6
+
+
 def test_lift_generators_at_solution():
     sol = solve(1, 1.0)
     xt, yt, residual = lift_generators(1, sol)
@@ -274,13 +351,19 @@ def test_powered_lift_matches_letter_walk(n, s):
 @pytest.mark.parametrize("n", [2, -6, 20, -1000, 10**4])
 def test_lift_compositions_grow_with_log_n(n, cover_compose_calls):
     # the letter walk takes 16|n| + 2; squaring takes at most 2 log2|n|
-    # per power, and lifted_longitude reuses lift_generators' w^n
+    # per power, lifted_longitude reuses lift_generators' w^n, and each of
+    # the two four-letter words starts from its first letter
     sol = solve(n, 0.05)
     cover._lifted_w_power.cache_clear()
     cover_compose_calls[0] = 0
     xt, yt, _ = lift_generators(n, sol)
     lifted_longitude(n, xt, yt)
-    assert cover_compose_calls[0] <= 4 * math.ceil(math.log2(abs(n))) + 16
+    assert cover_compose_calls[0] <= 4 * math.ceil(math.log2(abs(n))) + 14
+    # exactly: 3 per word, 3 for the relator, 1 for the longitude, and per
+    # power one squaring per bit below the top and one product per further
+    # set bit
+    m = abs(n)
+    assert cover_compose_calls[0] == 10 + 2 * (m.bit_length() + bin(m).count("1") - 2)
 
 
 @pytest.mark.parametrize("n", [-100, 100])

@@ -36,6 +36,18 @@ def test_g_sample_is_consistent():
     assert 0.0 < smp.g < 4.0
 
 
+@pytest.mark.parametrize("n", GRID_N)
+def test_g_eval_root_matches_solve_bit_for_bit(n, rep_solutions_built):
+    # g_eval and solve share solver._root; only solve builds a RepSolution,
+    # and a scan builds none
+    rows = scan(n, 1e-6, 1e8, 400)
+    assert rep_solutions_built[0] == 0
+    for row in rows:
+        sol = solve(n, row.s)
+        assert (row.T, row.t) == (sol.T, sol.t), row.s
+    assert rep_solutions_built[0] == len(rows)
+
+
 def test_g_rejects_bad_inputs():
     with pytest.raises(DomainError):
         g_eval(0, 1.0)
@@ -166,16 +178,16 @@ def test_slope_limits():
 
 
 @pytest.mark.parametrize("n, p, q", [(2, 3, 2), (-3, 7, 2), (1, 1, 1), (4, 5, 3)])
-def test_invert_cold_and_warm_agree(n, p, q, g_eval_calls, solve_calls, branch_calls):
+def test_invert_cold_and_warm_agree(n, p, q, g_eval_calls, root_calls, branch_calls):
     # invert keeps no state, so a repeated call repeats the first one exactly
     results = []
     for _ in range(2):
-        g_eval_calls[0] = solve_calls[0] = branch_calls[0] = 0
+        g_eval_calls[0] = root_calls[0] = branch_calls[0] = 0
         smp, report = invert(n, p, q)
         assert abs(smp.g - p / q) <= 1e-12
         # the theta steps solve nothing; the one g_eval is the returned sample
         assert g_eval_calls[0] == 1
-        assert solve_calls[0] == 1
+        assert root_calls[0] == 1
         # each step makes one branch point and the result one more
         assert 0 < branch_calls[0] - 1 < 30
         assert report.evaluations == branch_calls[0]
