@@ -13,9 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, cos, inf, isnan, log2, pi, sin, sqrt, tau, ulp
+from math import ceil, cos, inf, isnan, log2, nan, pi, sin, sqrt, tau, ulp
 
 from . import cover, exactpoly, rep, slopes, solver
+from .errors import DomainError, NumericsError
 
 GRID_N = (-6, -5, -4, -3, -2, 1, 2, 3, 4, 5, 6)
 GRID_S = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
@@ -462,4 +463,15 @@ ALL_CHECKS = (
 
 
 def run_all() -> list[CheckResult]:
-    return [fn() for fn in ALL_CHECKS]
+    """Every suite in ALL_CHECKS.  A suite that a library refusal stops
+    fails with worst inf, bound nan (it was never compared) and the refusal
+    as its where; the suites after it still run."""
+    results = []
+    for fn in ALL_CHECKS:
+        try:
+            results.append(fn())
+        except (DomainError, NumericsError) as exc:
+            name = fn.__name__.removeprefix("check_")
+            where = f"{type(exc).__name__}: {exc}"
+            results.append(CheckResult(name, False, inf, nan, where))
+    return results

@@ -24,6 +24,11 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _finite_or_null(x: float) -> float | None:
+    # JSON has no inf or nan
+    return x if isfinite(x) else None
+
+
 def _text(pairs) -> str:
     return "".join(f"{k} = {v}\n" for k, v in pairs)
 
@@ -161,10 +166,10 @@ def _cmd_verify(a) -> tuple[str, int]:
     if a.format == "json":
         payload = {
             "version": __version__,
-            # a suite that fails closed records worst = inf, which JSON
-            # cannot hold; null stands for it
+            # a suite that fails closed records worst = inf, and one that
+            # raised also bound = nan; null stands for either
             "results": [
-                {**asdict(r), "worst": r.worst if isfinite(r.worst) else None}
+                {**asdict(r), "worst": _finite_or_null(r.worst), "bound": _finite_or_null(r.bound)}
                 for r in results
             ],
             "all_passed": ok,

@@ -8,10 +8,10 @@ by cover_mul, which tracks om along the continuous branch: the correction
 atan2 term is safe because its argument 1 + g1 conj(g2) e^{-2i om2} always
 has positive real part.
 
-Products, inverses and powers run on plain (gamma, omega) pairs in the
-private helpers _compose, _inv, _pow and _word, each product and inverse
-checked as a CoverElem is, so saturation is caught at the step where it
-happens; cover_mul, cover_inv, cover_pow and cover_word box the result once.
+A CoverElem is a (gamma, omega) tuple, checked once where it is built.  The
+group law's steps (_compose, _inv, _pow, _word) form plain pairs, each checked
+as it is formed, so saturation is caught where it happens; cover_mul,
+cover_inv, cover_pow and cover_word box the result with _box, unchecked.
 
 The point of the chart: the kernel of the covering map is {(0, 2 m pi)}, so
 proving that a lifted word equals (0, 0) on the nose, and not just up to a
@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import json
 from cmath import isfinite, phase
+from collections import namedtuple
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import cos, sin, sqrt
 
 from . import kernels
@@ -51,17 +52,6 @@ DEFAULT_LIFT_TOL = 1e-5
 LONGITUDE_GAMMA_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class CoverElem:
-    """Point of the universal cover: gamma in the open unit disk, omega real."""
-
-    gamma: complex
-    omega: float
-
-    def __post_init__(self) -> None:
-        _check(self.gamma, self.omega)
-
-
 def _check(gamma: complex, omega: float) -> None:
     """CoverElem's checks on a (gamma, omega) pair."""
     # a non-finite coordinate is a numerical breakdown, not a bad input
@@ -69,6 +59,21 @@ def _check(gamma: complex, omega: float) -> None:
         raise NumericsError(f"cover element ({gamma}, {omega}) is not finite")
     if not abs(gamma) < 1.0:
         raise DomainError(f"|gamma| = {abs(gamma)} is not < 1")
+
+
+class CoverElem(namedtuple("CoverElem", "gamma omega")):
+    """Point of the universal cover: gamma in the open unit disk, omega real.
+    The constructor checks it; the namedtuple's _make and _replace do not."""
+
+    __slots__ = ()
+
+    def __new__(cls, gamma: complex, omega: float) -> CoverElem:
+        _check(gamma, omega)
+        return _box((gamma, omega))
+
+
+# a checked pair into a CoverElem, without checking it again
+_box = partial(tuple.__new__, CoverElem)
 
 
 @dataclass(frozen=True)
@@ -84,11 +89,6 @@ class SU11Elem:
 
 
 IDENTITY_COVER = CoverElem(0j, 0.0)
-
-# (gamma, omega): the group law's working form, boxed into a CoverElem only
-# where a public function returns one
-Pair = tuple[complex, float]
-_IDENTITY: Pair = (0j, 0.0)
 
 
 def to_su11(m: Mat2) -> SU11Elem:
@@ -135,7 +135,7 @@ def unchart(e: CoverElem) -> SU11Elem:
     return SU11Elem(alpha, g * alpha)
 
 
-def _compose(a: Pair, b: Pair) -> Pair:
+def _compose(a: tuple, b: tuple) -> tuple:
     """cover_mul on (gamma, omega) pairs, checked as a CoverElem is."""
     g1, w1 = a
     g2, w2 = b
@@ -147,7 +147,7 @@ def _compose(a: Pair, b: Pair) -> Pair:
     return g, w
 
 
-def _inv(a: Pair) -> Pair:
+def _inv(a: tuple) -> tuple:
     """cover_inv on a (gamma, omega) pair, checked as a CoverElem is."""
     g, w = a
     ph = complex(cos(2.0 * w), sin(2.0 * w))
@@ -156,7 +156,7 @@ def _inv(a: Pair) -> Pair:
     return g, w
 
 
-def _pow(a: Pair, k: int) -> Pair:
+def _pow(a: tuple, k: int) -> tuple:
     """cover_pow on a (gamma, omega) pair."""
     if k < 0:
         a = _inv(a)
@@ -167,11 +167,11 @@ def _pow(a: Pair, k: int) -> Pair:
             acc = a if acc is None else _compose(acc, a)
         k >>= 1
         if not k:
-            return _IDENTITY if acc is None else acc
+            return IDENTITY_COVER if acc is None else acc
         a = _compose(a, a)
 
 
-def _word(word: str, x: Pair, y: Pair) -> Pair:
+def _word(word: str, x: tuple, y: tuple) -> tuple:
     """cover_word on (gamma, omega) pairs."""
     table = {"x": x, "y": y, "X": _inv(x), "Y": _inv(y)}
     acc = None
@@ -181,11 +181,7 @@ def _word(word: str, x: Pair, y: Pair) -> Pair:
         except KeyError:
             raise DomainError(f"unknown letter {ch!r} in word") from None
         acc = letter if acc is None else _compose(acc, letter)
-    return _IDENTITY if acc is None else acc
-
-
-def _pair(e: CoverElem) -> Pair:
-    return e.gamma, e.omega
+    return IDENTITY_COVER if acc is None else acc
 
 
 def cover_mul(a: CoverElem, b: CoverElem) -> CoverElem:
@@ -193,11 +189,11 @@ def cover_mul(a: CoverElem, b: CoverElem) -> CoverElem:
 
     A branch violation and a |gamma| rounded onto the unit circle (chart
     saturation) are numerical failures: the exact product is in the disk."""
-    return CoverElem(*_compose(_pair(a), _pair(b)))
+    return _box(_compose(a, b))
 
 
 def cover_inv(a: CoverElem) -> CoverElem:
-    return CoverElem(*_inv(_pair(a)))
+    return _box(_inv(a))
 
 
 def cover_pow(a: CoverElem, k: int) -> CoverElem:
@@ -207,7 +203,7 @@ def cover_pow(a: CoverElem, k: int) -> CoverElem:
     The product is reassociated, so it matches the left fold, its test
     oracle, only to rounding.
     """
-    return CoverElem(*_pow(_pair(a), k))
+    return _box(_pow(a, k))
 
 
 def cover_word(word: str, xt: CoverElem, yt: CoverElem) -> CoverElem:
@@ -216,11 +212,11 @@ def cover_word(word: str, xt: CoverElem, yt: CoverElem) -> CoverElem:
     The fold starts from the first letter, not from the identity: that
     saves a composition and no bit, since the identity's product with an
     element is exact up to the sign of a zero."""
-    return CoverElem(*_word(word, _pair(xt), _pair(yt)))
+    return _box(_word(word, xt, yt))
 
 
 @lru_cache(maxsize=1)
-def _lifted_w_power(n: int, x: Pair, y: Pair) -> Pair:
+def _lifted_w_power(n: int, x: tuple, y: tuple) -> tuple:
     """Lift of w^n, w = x y^-1 x^-1 y, by squaring: O(log |n|) compositions.
 
     The relator and the longitude both contain w^n; one entry is enough for
@@ -252,9 +248,8 @@ def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, flo
     gen_x, gen_y = gen_matrices(sol.s, sol.t)
     xt = chart(to_su11(gen_x))
     yt = chart(to_su11(gen_y))
-    x, y = _pair(xt), _pair(yt)
-    wn = _lifted_w_power(n, x, y)
-    g, w = _compose(_compose(_compose(wn, x), _inv(wn)), _inv(y))
+    wn = _lifted_w_power(n, xt, yt)
+    g, w = _compose(_compose(_compose(wn, xt), _inv(wn)), _inv(yt))
     residual = max(abs(g), abs(w))
     if not residual <= DEFAULT_LIFT_TOL:
         raise RelatorNotCentral(
@@ -275,8 +270,7 @@ def lifted_longitude(
     Optionally cross-checks gamma against the holonomy's value
     (rep.HolonomyData.lifted_gamma), to LONGITUDE_GAMMA_TOL.
     """
-    x, y = _pair(xt), _pair(yt)
-    g, w = _compose(_pow(_word("yXYx", x, y), n), _lifted_w_power(n, x, y))
+    g, w = _compose(_pow(_word("yXYx", xt, yt), n), _lifted_w_power(n, xt, yt))
     if not abs(w) <= DEFAULT_TOL_CERT:
         raise LongitudeOmegaNonzero(
             f"lifted longitude has omega = {w}, "
@@ -289,7 +283,7 @@ def lifted_longitude(
                 f"lifted longitude gamma = {g} differs from holonomy "
                 f"value {expected_gamma} by {err:.3e} > {LONGITUDE_GAMMA_TOL}"
             )
-    return CoverElem(g, w)
+    return _box((g, w))
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ end within rounding ends the search in a step instead of twenty or so
 halvings; the worst case stays one step beyond bisection's count.
 
 The kernels take and return plain floats and complexes.  Their callers keep
-to that on the hot paths: solver._root returns a tuple, and the cover module
-composes (gamma, omega) pairs; a record (RepSolution, SlopeSample,
-CoverElem) is built once, where a public function returns it.
+to that on the hot paths: solver._root returns a tuple, and a RepSolution or
+SlopeSample is built once, where a public function returns it.  In the cover
+module a CoverElem is itself a checked (gamma, omega) tuple, and the group
+law's steps compose plain pairs.
 """
 
 from math import acos, acosh, atan2, cos, pi, sin, sinh

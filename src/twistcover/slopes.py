@@ -48,6 +48,9 @@ class InvertReport:
 
 def _slope(n: int, s: float, t: float) -> tuple[float, float]:
     """(B, g) at a root (n, s, t): the one evaluation of the slope map."""
+    # at |n| >= 2^55 T can round to 2.0, where t = 1 and log(t) = 0
+    if not t > 1.0:
+        raise NumericsError(f"eigenvalue t = {t} is not > 1 at n={n}, s={s}")
     b = longitude_holonomy(s, t)
     if not b > 0:
         raise NumericsError(f"longitude entry B = {b} not positive at n={n}, s={s}")
@@ -118,10 +121,15 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
         raise DomainError(f"q must be a positive integer, got {q}")
     if gcd(p, q) != 1:
         raise DomainError(f"p/q must be in lowest terms, got {p}/{q}")
-    r = p / q
-    if not 0.0 < r < 4.0:
+    # decided on the integers: p / q may overflow or round onto an end
+    if not 0 < p < 4 * q:
         raise SlopeOutOfRange(
             f"slope {p}/{q} is outside the certified open interval (0, 4)"
+        )
+    r = p / q
+    if not 0.0 < r < 4.0:
+        raise NumericsError(
+            f"slope {p}/{q} lies in (0, 4) but rounds to {r} in double precision"
         )
 
     def g_minus_r(theta):

@@ -74,4 +74,11 @@ def rep_solutions_built(monkeypatch):
 
 @pytest.fixture
 def cover_elems_built(monkeypatch):
-    return _count_records(monkeypatch, cover.CoverElem)
+    # CoverElem.__new__ boxes through cover._box too, so this counts every
+    # CoverElem, checked or not
+    return _count_calls(monkeypatch, cover, "_box")
+
+
+@pytest.fixture
+def cover_checks(monkeypatch):
+    return _count_calls(monkeypatch, cover, "_check")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import twistcover
-from twistcover import __version__, checks
+from twistcover import __version__, checks, cover
 from twistcover.cli import main
 
 
@@ -124,6 +124,24 @@ def test_nonfinite_solutions_are_numerics_errors(capsys, argv):
     assert f"n={argv[2]}" in data["message"] and f"s={float(argv[4])}" in data["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # a slope inside (0, 4) whose p / q rounds onto an end
+        (("slope", "--n", "2", "--r", "1/1" + "0" * 400), "rounds to 0.0"),
+        (("slope", "--n", "2", "--r", "399999999999999999999/100000000000000000000"), "rounds to 4.0"),
+        # T rounds to 2, so t = 1
+        (("certify", "--n", str(2**55), "--r", "1/2"), "t = 1.0 is not > 1"),
+        (("slope", "--n", str(2**62), "--s", "1e-18"), "t = 1.0 is not > 1"),
+    ],
+)
+def test_float_resolution_limits_are_numerics_errors(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "NumericsError" and text in data["message"]
+
+
 def test_slope_requires_exactly_one_target(capsys):
     code, _, err = run(capsys, "slope", "--n", "2")
     assert code == 1
@@ -170,9 +188,11 @@ def test_slope_rejects_nonnumeric_fraction(capsys):
 
 
 def test_certify_out_of_range_slope(capsys):
-    code, _, err = run(capsys, "certify", "--n", "1", "--r", "4/1")
-    assert code == 1
-    assert json.loads(err)["error"] == "SlopeOutOfRange"
+    # 10^400 / 1 overflows a float; the interval is decided on the integers
+    for r in ("4/1", "1" + "0" * 400):
+        code, out, err = run(capsys, "certify", "--n", "1", "--r", r)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "SlopeOutOfRange"
 
 
 def test_certify_json(capsys):
@@ -335,6 +355,27 @@ def test_verify_json_fail_closed_writes_null(capsys, monkeypatch):
     assert data["all_passed"] is False
     code, out, _ = run(capsys, "verify")
     assert code == 2 and out.startswith("FAIL  fails_closed: worst inf vs bound")
+
+
+def test_verify_reports_every_suite_when_one_raises(capsys, monkeypatch):
+    # a lift tolerance no residual meets makes lift_generators raise inside
+    # several suites; each of them fails and the rest still run
+    monkeypatch.setattr(cover, "DEFAULT_LIFT_TOL", 1e-30)
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 2
+    data = json.loads(out, parse_constant=_reject_constant)
+    results = {r["name"]: r for r in data["results"]}
+    assert len(data["results"]) == len(results) == len(checks.ALL_CHECKS) == 28
+    lift = results["lift_relator_residual"]
+    assert not lift["passed"] and lift["worst"] is None and lift["bound"] is None
+    assert lift["where"].startswith("RelatorNotCentral: lifted relator at n=")
+    assert results["tau_three_term"]["passed"]
+    assert data["all_passed"] is False
+    code, out, _ = run(capsys, "verify")
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 29
+    assert "FAIL  lift_relator_residual: worst inf vs bound nan  [RelatorNotCentral" in out
+    assert lines[0].startswith("PASS  tau_three_term")
 
 
 def run_child(*argv):

@@ -309,6 +309,46 @@ def test_saturation_inside_a_power_or_word_is_caught():
         cover_word("xx", a, IDENTITY_COVER)
 
 
+def test_cover_elem_is_the_pair():
+    e = CoverElem(0.5 + 0j, 1.0)
+    assert e == (0.5 + 0j, 1.0) and hash(e) == hash((0.5 + 0j, 1.0))
+    g, w = e
+    assert (g, w) == (e.gamma, e.omega) == (0.5 + 0j, 1.0)
+    assert repr(e) == "CoverElem(gamma=(0.5+0j), omega=1.0)"
+    xt, yt, _ = lift_generators(2, solve(2, 1.0))
+    results = [
+        chart(to_su11(IDENTITY2)),
+        xt,
+        yt,
+        lifted_longitude(2, xt, yt),
+        cover_mul(e, xt),
+        cover_inv(e),
+        cover_pow(e, 0),
+        cover_pow(e, 1),
+        cover_pow(e, -3),
+        cover_word("", xt, yt),
+        cover_word("x", xt, yt),
+        cover_word("xYXy", xt, yt),
+    ]
+    for i, r in enumerate(results):
+        assert type(r) is CoverElem, i
+
+
+def test_each_element_is_checked_once(cover_checks):
+    rng = random.Random(53)
+    a, b = rand_elem(rng), rand_elem(rng)
+    cover_checks[0] = 0
+    cover_mul(a, b)
+    assert cover_checks[0] == 1
+    cover_checks[0] = 0
+    cover_inv(a)
+    assert cover_checks[0] == 1
+    # a power checks each of its compositions, and its result no more
+    cover_checks[0] = 0
+    cover_pow(a, 5)  # a^2, a^4, a * a^4
+    assert cover_checks[0] == 3
+
+
 @pytest.mark.parametrize("n, p, q", [(2, 3, 2), (-20, 41, 12)])
 def test_certificate_builds_few_records(n, p, q, cover_elems_built):
     # the lifts of x and y, the longitude, x^p, L^q and their product: the

@@ -9,6 +9,7 @@ import twistcover.solver as solver
 from twistcover import (
     DomainError,
     NonConvergence,
+    NumericsError,
     SlopeOutOfRange,
     g_eval,
     invert,
@@ -167,8 +168,29 @@ def test_invert_validation():
         invert(2, 4, 1)
     with pytest.raises(SlopeOutOfRange):
         invert(2, 9, 2)
+    # p / q would overflow a float; the interval needs no division
+    with pytest.raises(SlopeOutOfRange):
+        invert(2, 10**400, 1)
+    with pytest.raises(SlopeOutOfRange):
+        invert(2, -(10**400), 3)
     with pytest.raises(DomainError):
         invert(0, 1, 1)
+
+
+def test_invert_slope_rounding_onto_an_end_is_numerics():
+    # inside (0, 4), but p / q rounds onto an end: a float-resolution limit
+    with pytest.raises(NumericsError, match="rounds to 0.0"):
+        invert(2, 1, 10**400)
+    with pytest.raises(NumericsError, match="rounds to 4.0"):
+        invert(2, 4 * 10**20 - 1, 10**20)
+
+
+def test_branch_point_with_t_one_is_numerics():
+    # at |n| >= 2^55 T rounds to 2.0 near s = 0, so t = 1 and log(t) = 0
+    with pytest.raises(NumericsError, match=r"t = 1.0 is not > 1 at n=4611686018427387904"):
+        g_eval(2**62, 1e-18)
+    with pytest.raises(NumericsError, match=r"t = 1.0 is not > 1 at n=36028797018963968"):
+        invert(2**55, 1, 2)
 
 
 def test_slope_limits():
