@@ -111,7 +111,7 @@ def _cmd_riley(a) -> tuple[str, int]:
 
 def _cmd_solve(a) -> tuple[str, int]:
     sol = solver.solve(a.n, a.s)
-    payload = {"version": __version__, **asdict(sol)}
+    payload = {"version": __version__, **sol._asdict()}
     if a.format == "json":
         return _json(payload), 0
     return _text(payload.items()), 0
@@ -122,7 +122,7 @@ def _cmd_slope(a) -> tuple[str, int]:
         raise DomainError("slope takes exactly one of --s or --r")
     if a.s is not None:
         smp = slopes.g_eval(a.n, a.s)
-        payload = {"version": __version__, "n": a.n, **asdict(smp)}
+        payload = {"version": __version__, "n": a.n, **smp._asdict()}
     else:
         p, q = a.r
         smp, report = slopes.invert(a.n, p, q)
@@ -147,7 +147,7 @@ def _cmd_scan(a) -> tuple[str, int]:
     rows = slopes.scan(a.n, a.s_min, a.s_max, a.samples)
     if a.format == "csv":
         return slopes.scan_to_csv(rows), 0
-    payload = {"version": __version__, "n": a.n, "rows": [asdict(r) for r in rows]}
+    payload = {"version": __version__, "n": a.n, "rows": [r._asdict() for r in rows]}
     return _json(payload), 0
 
 

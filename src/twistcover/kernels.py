@@ -15,9 +15,11 @@ halvings; the worst case stays one step beyond bisection's count.
 
 The kernels take and return plain floats and complexes.  Their callers keep
 to that on the hot paths: solver._root returns a tuple, and a RepSolution or
-SlopeSample is built once, where a public function returns it.  In the cover
-module a CoverElem is itself a checked (gamma, omega) tuple, and the group
-law's steps compose plain pairs.
+SlopeSample (each a namedtuple) is built once, where a public function
+returns it.  Only solve calls phi_delta, for the residual it reports; a root
+for g_eval, and so for scan and invert, makes none.  In the cover module a
+CoverElem is itself a checked (gamma, omega) tuple, and the group law's
+steps compose plain pairs.
 """
 
 from math import acos, acosh, atan2, cos, pi, sin, sinh

@@ -15,7 +15,7 @@ those two limits as the values at the branch's open ends; each step gets its
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import exp, gcd, log
 
 from . import kernels, solver
@@ -26,24 +26,18 @@ from .rep import longitude_holonomy
 DEFAULT_TOL_G = 1e-9
 
 
-@dataclass(frozen=True)
-class SlopeSample:
+class SlopeSample(namedtuple("SlopeSample", "s T t B g")):
     """One evaluated point of the slope map."""
 
-    s: float
-    T: float
-    t: float
-    B: float
-    g: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InvertReport:
+class InvertReport(namedtuple("InvertReport", "evaluations")):
     """Diagnostics from invert(): the number of slope samples the search
     consulted, one branch point per ITP step plus the one g_eval at the
     result."""
 
-    evaluations: int
+    __slots__ = ()
 
 
 def _slope(n: int, s: float, t: float) -> tuple[float, float]:
@@ -60,14 +54,15 @@ def _slope(n: int, s: float, t: float) -> tuple[float, float]:
 def g_eval(n: int, s: float) -> SlopeSample:
     """Solve at (n, s) and evaluate the slope map there.
 
-    The root comes from solver._root, solve's core on plain floats, so the
-    one record built is the returned sample.
+    The root comes from solver._root, the core solve shares, on plain
+    floats: the one record built is the returned sample, and no phi_n
+    residual is evaluated, since only solve reports one.
     """
     check_n(n)
     s = solver.check_positive("s", s)
     T, t = solver._root(n, s)[:2]
     b, g = _slope(n, s, t)
-    return SlopeSample(s=s, T=T, t=t, B=b, g=g)
+    return SlopeSample(s, T, t, b, g)
 
 
 def _log_grid(s_min: float, s_max: float, samples: int) -> list[float]:
@@ -111,6 +106,9 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     solver.branch_point, with no solve.
     The returned sample is g_eval at the s of the final theta, so it is
     exactly what a fresh g_eval at s* gives, and it must meet DEFAULT_TOL_G.
+    A final theta that rounds onto an end of the branch, where the closed
+    form gives no positive s (1/10^17 at n = 2), is a NumericsError naming
+    p/q, n and the end.
     A bracket that collapses without meeting the bound is a jump, not a
     crossing: NonConvergence reports it, as it does solver.DEFAULT_MAX_ITER.
     """
@@ -137,9 +135,13 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
         return _slope(n, s, t)[1] - r
 
     theta, iters, status = solver.branch_root(n, g_minus_r, -r, 4.0 - r)
-    smp = g_eval(n, solver.branch_point(n, theta)[0])
+    try:
+        s = solver.branch_point(n, theta)[0]
+    except NumericsError as exc:
+        raise NumericsError(f"slope {p}/{q}: {exc}") from exc
+    smp = g_eval(n, s)
     if abs(smp.g - r) <= DEFAULT_TOL_G:
-        return smp, InvertReport(evaluations=iters + 1)
+        return smp, InvertReport(iters + 1)
     if status == kernels.ITER_CAP:
         cap = solver.DEFAULT_MAX_ITER
         raise NonConvergence(f"slope root finding hit the {cap}-iteration cap for n={n}, {p}/{q}")

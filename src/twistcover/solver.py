@@ -16,13 +16,14 @@ slopes.invert walks the whole branch in theta with it.  Both reach ITP
 through branch_root, which knows which end of the interval is s -> 0.
 n = 1 keeps its closed form T = s + 2 + 1/(s+1): its branch has d -> 0 as
 s -> 0, where theta's absolute resolution would cost T its digits.
-solve's body runs in _root on plain floats, which slopes.g_eval calls too,
-so a RepSolution is built only where solve returns one.
+solve's root runs in _root on plain floats, which slopes.g_eval calls too,
+so a RepSolution is built only where solve returns one, and only solve
+evaluates phi_n at the root for its residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import asin, cos, inf, isfinite, pi, sin, sqrt, ulp
 
@@ -41,8 +42,9 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class RepSolution:
+class RepSolution(
+    namedtuple("RepSolution", "n s T t trace_W theta phi_residual iterations")
+):
     """A root (n, s, T) with the derived scalars downstream modules need.
 
     trace_W and theta are carried at full precision from the branch angle;
@@ -51,14 +53,7 @@ class RepSolution:
     the branch equation solve zeroes.
     """
 
-    n: int
-    s: float
-    T: float
-    t: float
-    trace_W: float
-    theta: float
-    phi_residual: float
-    iterations: int
+    __slots__ = ()
 
 
 def tau_num(m: int, trace: float) -> float:
@@ -144,14 +139,22 @@ def _branch_equation(n: int, s: float):
 def branch_point(n: int, theta: float) -> tuple[float, float, float]:
     """(s, T, t) of the root branch at eigenangle theta of W, in closed form.
 
-    theta must lie inside branch_interval(n), where s is positive and finite;
-    no check is made, since invert calls this once per root-finding step.
-    T = s + 2 + d/s with d = 4 sin^2(theta/2) and t = t_from_T(T), as in
-    solve, so a branch point differs from solve(n, s) only in where theta's
-    rounding falls.
+    theta must lie inside branch_interval(n), where s is positive and finite.
+    Within rounding of an end the closed form can still give s <= 0 (at
+    n = 2, float(pi/2) lies just below the true s -> 0 end); that is a
+    NumericsError naming the end.  T = s + 2 + d/s with d = 4 sin^2(theta/2)
+    and t = t_from_T(T), as in solve, so a branch point differs from
+    solve(n, s) only in where theta's rounding falls.
     """
     h, num, den = _branch_terms(n, theta)
     s = num / den
+    if not s > 0.0:
+        zero, inf_end = branch_ends(n)
+        end, name = (zero, "0") if abs(theta - zero) <= abs(theta - inf_end) else (inf_end, "inf")
+        raise NumericsError(
+            f"branch point at theta = {theta} rounds onto the s -> {name} end "
+            f"{end} of n={n}'s branch: s = {s} is not positive"
+        )
     T = s + 2.0 + 4.0 * h * h / s
     return s, T, t_from_T(T)
 
@@ -188,18 +191,18 @@ def branch_root(n: int, f, f_zero: float, f_inf: float) -> tuple[float, int, int
     return kernels.itp(f, lo, hi, f_lo, f_hi, tol, DEFAULT_MAX_ITER, 0.0)
 
 
-def _root(n: int, s: float) -> tuple[float, float, float, float, float, int]:
-    """(T, t, delta, theta, phi_residual, iterations) of the root at (n, s).
+def _root(n: int, s: float) -> tuple[float, float, float, float, int]:
+    """(T, t, delta, theta, iterations) of the root at (n, s).
 
-    solve's body on plain floats, for solve and slopes.g_eval, which
+    The root core on plain floats, for solve and slopes.g_eval, which
     validate n and s and build the one record their caller receives.
     branch_root runs ITP on f = s cos((n + 1/2) theta) - 2 sin(theta/2)
     sin(n theta), the branch equation with its denominator cleared.  Its end
     values are closed form, s cos((n + 1/2) theta) < 0 where s -> 0 and
     -2 sin(theta/2) sin(n theta) > 0 where s -> inf, so no end is evaluated.
     delta = 4 sin^2(theta/2) then gives T = s + 2 + delta/s and trace W =
-    2 - delta.  A root makes one phi_delta call, the residual.  n = 1 has the
-    exact closed form T = s + 2 + 1/(s+1) and takes no step.
+    2 - delta.  A root makes no phi_delta call; solve evaluates the residual.
+    n = 1 has the exact closed form T = s + 2 + 1/(s+1) and takes no step.
     """
     if n == 1:
         delta = s / (s + 1.0)
@@ -220,28 +223,22 @@ def _root(n: int, s: float) -> tuple[float, float, float, float, float, int]:
         delta = 4.0 * h * h
         T = s + 2.0 + delta / s
     t = t_from_T(T)
-    residual = kernels.phi_delta(n, s, delta)
-    if not (isfinite(T) and isfinite(t) and isfinite(residual)):
+    if not (isfinite(T) and isfinite(t)):
         raise NumericsError(
-            f"solve left the floating range at n={n}, s={s}: T = {T}, "
-            f"t = {t}, phi_residual = {residual}"
+            f"solve left the floating range at n={n}, s={s}: T = {T}, t = {t}"
         )
-    return T, t, delta, theta, residual, iters
+    return T, t, delta, theta, iters
 
 
 def solve(n: int, s: float) -> RepSolution:
     """Locate the root of phi_n(s, .) on the branch, to float resolution in
-    theta (see _root), as a RepSolution."""
+    theta (see _root), as a RepSolution with phi_n's residual there."""
     check_n(n)
     s = check_positive("s", s)
-    T, t, delta, theta, residual, iters = _root(n, s)
-    return RepSolution(
-        n=n,
-        s=s,
-        T=T,
-        t=t,
-        trace_W=2.0 - delta,
-        theta=theta,
-        phi_residual=residual,
-        iterations=iters,
-    )
+    T, t, delta, theta, iters = _root(n, s)
+    residual = kernels.phi_delta(n, s, delta)
+    if not isfinite(residual):
+        raise NumericsError(
+            f"solve left the floating range at n={n}, s={s}: phi_residual = {residual}"
+        )
+    return RepSolution(n, s, T, t, 2.0 - delta, theta, residual, iters)

@@ -27,16 +27,21 @@ def _count_calls(monkeypatch, module, name):
 
 
 def _count_records(monkeypatch, cls):
-    """Route cls.__init__ through a counter; returns the one-cell tally of
-    records built."""
+    """Route cls.__new__ through a counter; returns the one-cell tally of
+    records built.
+
+    The records are namedtuples, built by __new__ alone (tuple.__new__ never
+    calls __init__), so the count is taken there.  The namedtuple's _make
+    bypasses __new__ and is not counted; the library does not call it.
+    """
     built = [0]
-    real = cls.__init__
+    real = cls.__new__
 
-    def counted(self, *args, **kwargs):
+    def counted(cls_, *args, **kwargs):
         built[0] += 1
-        real(self, *args, **kwargs)
+        return real(cls_, *args, **kwargs)
 
-    monkeypatch.setattr(cls, "__init__", counted)
+    monkeypatch.setattr(cls, "__new__", counted)
     return built
 
 

@@ -173,9 +173,10 @@ def test_batch_certify_budget(g_eval_calls, root_calls, phi_delta_calls):
     # invert's ITP steps in theta evaluate the branch in closed form, so the
     # one root per slope is the g_eval at s*, and a certificate lifts at
     # that sample, so it solves nowhere else.  Each root searches the branch
-    # equation in theta and calls phi_delta once, for its residual: the 20
-    # roots take 20 phi_delta calls.  Both counts are exact, so a path that
-    # stopped counting (or stopped solving) fails as surely as an extra one.
+    # equation in theta and evaluates no phi_n residual (only solve reports
+    # one), so the 20 roots take no phi_delta call.  Both counts are exact,
+    # so a path that stopped counting (or stopped solving) fails as surely
+    # as an extra root or residual.
     fracs = [(p, q) for q in range(1, 6) for p in range(1, 4 * q) if math.gcd(p, q) == 1][:20]
     refused = 0
     for p, q in fracs:
@@ -188,11 +189,11 @@ def test_batch_certify_budget(g_eval_calls, root_calls, phi_delta_calls):
     assert calls == budget, f"{calls} slope evaluations for {len(fracs)} certificates"
     assert g_eval_calls[0] <= len(fracs), f"{g_eval_calls[0]} g_evals for {len(fracs)} certificates"
     evals = phi_delta_calls[0]
-    assert evals == budget, f"{evals} phi_delta calls for {len(fracs)} certificates"
+    assert evals == 0, f"{evals} phi_delta calls for {len(fracs)} certificates"
     report(
         "batch certify budget",
         f"n=2, {len(fracs)} slopes ({refused} refused), {calls} slope evaluations vs {budget}, "
-        f"{evals} phi_delta calls vs {budget}",
+        f"{evals} phi_delta calls vs 0",
     )
 
 

@@ -114,6 +114,10 @@ def test_nonfinite_inputs_are_domain_errors(capsys, argv):
         ("solve", "--n", "2", "--s", "5e-324"),  # delta/s overflows T
         ("solve", "--n", "2", "--s", "1e300"),  # T*T overflows t
         ("solve", "--n", "1", "--s", "1e300"),
+        # g_eval shares solve's root, so it fails the same way
+        ("slope", "--n", "2", "--s", "5e-324"),
+        ("slope", "--n", "2", "--s", "1e300"),
+        ("slope", "--n", "1", "--s", "1e300"),
     ],
 )
 def test_nonfinite_solutions_are_numerics_errors(capsys, argv):
@@ -133,6 +137,12 @@ def test_nonfinite_solutions_are_numerics_errors(capsys, argv):
         # T rounds to 2, so t = 1
         (("certify", "--n", str(2**55), "--r", "1/2"), "t = 1.0 is not > 1"),
         (("slope", "--n", str(2**62), "--s", "1e-18"), "t = 1.0 is not > 1"),
+        # invert's root in theta rounds onto an end of the branch, where the
+        # closed form gives s <= 0
+        (("slope", "--n", "2", "--r", "1/" + "1" + "0" * 17), "rounds onto the s -> 0 end"),
+        (("slope", "--n", "2", "--r", "1/" + "1" + "0" * 21), "rounds onto the s -> 0 end"),
+        (("certify", "--n", "2", "--r", "1/" + "1" + "0" * 17), "rounds onto the s -> 0 end"),
+        (("slope", "--n", "-100", "--r", "3999999999999999/1" + "0" * 15), "rounds onto the s -> inf end"),
     ],
 )
 def test_float_resolution_limits_are_numerics_errors(capsys, argv, text):
@@ -206,8 +216,10 @@ def test_certify_json(capsys):
     assert out2 == out  # byte-identical rerun
 
 
-# Full stdout of three commands, captured once; the CLI promises byte-identical
+# Full stdout of six commands, captured once; the CLI promises byte-identical
 # output for identical inputs, so any drift in a digit or a field is a change.
+# The solve, slope --s and scan payloads are the records' _asdict(), so these
+# also pin the records' field order.
 GOLDEN_STDOUT = {
     "solve --n 2 --s 1": """\
 {
@@ -254,6 +266,57 @@ GOLDEN_STDOUT = {
   "tol_slope": 1e-09,
   "tol_certificate": 1e-06
 }
+""",
+    "slope --n 2 --s 1": """\
+{
+  "version": "0.1.0",
+  "n": 2,
+  "s": 1.0,
+  "T": 5.280776406404415,
+  "t": 5.08408414656533,
+  "B": 0.33639043786708306,
+  "g": 1.3399825230072273
+}
+""",
+    "scan --n 2 --s-min 0.5 --s-max 2 --samples 3 --format json": """\
+{
+  "version": "0.1.0",
+  "n": 2,
+  "rows": [
+    {
+      "s": 0.5,
+      "T": 6.860920843432739,
+      "t": 6.71193245496036,
+      "B": 0.5747673896106675,
+      "g": 0.5817465923598477
+    },
+    {
+      "s": 1.0,
+      "T": 5.280776406404415,
+      "t": 5.08408414656533,
+      "B": 0.33639043786708306,
+      "g": 1.3399825230072273
+    },
+    {
+      "s": 2.0,
+      "T": 5.193712943361397,
+      "t": 4.993450624746654,
+      "B": 0.14258944572201815,
+      "g": 2.4224275451000246
+    }
+  ]
+}
+""",
+    "solve --n 2 --s 1 --format text": """\
+version = 0.1.0
+n = 2
+s = 1.0
+T = 5.280776406404415
+t = 5.08408414656533
+trace_W = -0.28077640640441537
+theta = 1.7116498168299654
+phi_residual = 8.881784197001252e-16
+iterations = 10
 """,
 }
 

@@ -38,15 +38,56 @@ def test_g_sample_is_consistent():
 
 
 @pytest.mark.parametrize("n", GRID_N)
-def test_g_eval_root_matches_solve_bit_for_bit(n, rep_solutions_built):
-    # g_eval and solve share solver._root; only solve builds a RepSolution,
-    # and a scan builds none
+def test_g_eval_root_matches_solve_bit_for_bit(n, rep_solutions_built, root_calls, phi_delta_calls):
+    # g_eval and solve share solver._root; only solve builds a RepSolution
+    # and evaluates phi_n's residual, so a scan makes one root per sample,
+    # no RepSolution and no phi_delta call
     rows = scan(n, 1e-6, 1e8, 400)
-    assert rep_solutions_built[0] == 0
+    assert (root_calls[0], phi_delta_calls[0], rep_solutions_built[0]) == (400, 0, 0)
     for row in rows:
         sol = solve(n, row.s)
         assert (row.T, row.t) == (sol.T, sol.t), row.s
-    assert rep_solutions_built[0] == len(rows)
+    assert (root_calls[0], phi_delta_calls[0], rep_solutions_built[0]) == (800, 400, 400)
+
+
+@pytest.mark.parametrize(
+    "cls, fields, text",
+    [
+        (
+            slopes.SlopeSample,
+            {"s": 1.0, "T": 5.25, "t": 5.0, "B": 0.5, "g": 1.5},
+            "SlopeSample(s=1.0, T=5.25, t=5.0, B=0.5, g=1.5)",
+        ),
+        (slopes.InvertReport, {"evaluations": 11}, "InvertReport(evaluations=11)"),
+        (
+            solver.RepSolution,
+            {"n": 2, "s": 1.0, "T": 5.25, "t": 5.0, "trace_W": -0.25, "theta": 1.75,
+             "phi_residual": 0.0, "iterations": 10},
+            "RepSolution(n=2, s=1.0, T=5.25, t=5.0, trace_W=-0.25, theta=1.75, "
+            "phi_residual=0.0, iterations=10)",
+        ),
+    ],
+)
+def test_records_are_frozen_tuples(cls, fields, text):
+    # the records solver and slopes return are slotted namedtuples: the repr
+    # and field order a frozen dataclass had, and no assignment
+    rec = cls(**fields)
+    assert repr(rec) == text
+    assert rec._asdict() == fields and list(rec._asdict()) == list(fields)
+    assert rec == cls(*fields.values())
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+    with pytest.raises(AttributeError):
+        rec.extra = 0
+
+
+def test_public_functions_return_the_records():
+    assert type(g_eval(2, 1.0)) is slopes.SlopeSample
+    assert {type(r) for r in scan(2, 0.5, 2.0, 3)} == {slopes.SlopeSample}
+    smp, report = invert(2, 3, 2)
+    assert (type(smp), type(report)) == (slopes.SlopeSample, slopes.InvertReport)
+    assert type(solve(2, 1.0)) is solver.RepSolution
 
 
 def test_g_rejects_bad_inputs():
@@ -183,6 +224,23 @@ def test_invert_slope_rounding_onto_an_end_is_numerics():
         invert(2, 1, 10**400)
     with pytest.raises(NumericsError, match="rounds to 4.0"):
         invert(2, 4 * 10**20 - 1, 10**20)
+
+
+def test_invert_root_on_a_branch_end_is_numerics():
+    # at n = 2 the s -> 0 end is float(pi/2), just below the true pi/2, where
+    # the closed form gives s < 0; ITP's root for 1/10^17 rounds onto it
+    with pytest.raises(NumericsError) as exc:
+        invert(2, 1, 10**17)
+    msg = str(exc.value)
+    assert msg.startswith("slope 1/100000000000000000: ")
+    assert f"s -> 0 end {math.pi / 2} of n=2's branch" in msg
+    # the s -> inf end: 4 - 1/10^15 at n = -100
+    with pytest.raises(NumericsError, match=r"s -> inf end .* of n=-100's branch"):
+        invert(-100, 4 * 10**15 - 1, 10**15)
+    # other n keep a positive s that close to the s -> 0 end
+    for n in (-3, 6):
+        smp, _ = invert(n, 1, 10**17)
+        assert smp.s > 0.0 and abs(smp.g - 1e-17) <= slopes.DEFAULT_TOL_G
 
 
 def test_branch_point_with_t_one_is_numerics():
