@@ -4,14 +4,15 @@ Every check sweeps a documented family of cases, records the worst residual
 it saw and where, and compares against its bound.  The CLI `verify`
 subcommand runs all of them, and the acceptance tests run each one as a
 gate.  GRID_N, GRID_S and grid_solutions are the one definition of the
-standard grid that tests and benchmarks import.  Checks are independent
-and reseed their own RNG, so they can run in any order or subset.
+standard grid that tests and benchmarks import; grid_longitudes and
+grid_lifts do rep.longitude and cover.lift_generators on it once.  Checks
+are independent and reseed their own RNG, so they run in any order or subset.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import ceil, cos, inf, isnan, log2, nan, pi, sin, sqrt, tau, ulp
 
@@ -23,13 +24,8 @@ GRID_S = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 SEED = 1729
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    worst: float
-    bound: float
-    where: str
+class CheckResult(namedtuple("CheckResult", "name passed worst bound where")):
+    __slots__ = ()
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -62,6 +58,18 @@ class _Worst:
 @lru_cache(maxsize=None)
 def grid_solutions() -> tuple:
     return tuple((n, solver.solve(n, s)) for n in GRID_N for s in GRID_S)
+
+
+@lru_cache(maxsize=None)
+def grid_longitudes() -> tuple:
+    """rep.longitude at each grid solution, in grid_solutions() order."""
+    return tuple(rep.longitude(n, sol) for n, sol in grid_solutions())
+
+
+@lru_cache(maxsize=None)
+def grid_lifts() -> tuple:
+    """cover.lift_generators at each grid solution, in grid_solutions() order."""
+    return tuple(cover.lift_generators(n, sol) for n, sol in grid_solutions())
 
 
 def _random_cover_elem(rng: random.Random, omega_span: float = 10.0) -> cover.CoverElem:
@@ -175,11 +183,10 @@ def _det_residual(m: rep.Mat2) -> float:
 
 def check_determinant_one() -> CheckResult:
     w = _Worst()
-    for n, sol in grid_solutions():
+    for (n, sol), (ell, _) in zip(grid_solutions(), grid_longitudes()):
         s, t = sol.s, sol.t
         gx, gy = rep.gen_matrices(s, t)
-        mats = [gx, gy, rep.w_matrix(s, t), rep.w_power(n, s, t), rep.w_rev_power(n, s, t)]
-        mats.append(rep.longitude(n, sol)[0])
+        mats = [gx, gy, rep.w_matrix(s, t), rep.w_power(n, s, t), rep.w_rev_power(n, s, t), ell]
         for i, m in enumerate(mats):
             w.push(_det_residual(m), f"n={n}, s={s}, matrix {i}")
     return w.result("determinant_one", 1e-10)
@@ -212,14 +219,29 @@ def check_w_power_vs_iterated() -> CheckResult:
     return w.result("w_power_vs_iterated", 1e-8)
 
 
+def w_rev_fold(gx: rep.Mat2, gy: rep.Mat2, k_max: int) -> dict:
+    """rho(w_rev^m) for |m| <= k_max, keyed by m: one left fold with @ per
+    sign, extending w_rev^(k-1) by the letters of rep.w_rev_word(+-1).  So it
+    is rep.word_eval(rep.w_rev_word(m), gx, gy), the same fold, bit for bit."""
+    table = {"x": gx, "X": gx.inverse(), "y": gy, "Y": gy.inverse()}
+    out = {0: rep.IDENTITY2}
+    for sign in (1, -1):
+        acc = rep.IDENTITY2
+        for k in range(1, k_max + 1):
+            for ch in rep.w_rev_word(sign):
+                acc = acc @ table[ch]
+            out[sign * k] = acc
+    return out
+
+
 def check_reversed_word_transform() -> CheckResult:
     """rho(w_rev^n) from the sigma transform against direct word evaluation."""
     w = _Worst()
     for _, sol in grid_solutions():
         s, t = sol.s, sol.t
-        gx, gy = rep.gen_matrices(s, t)
+        powers = w_rev_fold(*rep.gen_matrices(s, t), 6)
         for m in range(-6, 7):
-            direct = rep.word_eval(rep.w_rev_word(m), gx, gy)
+            direct = powers[m]
             d = rep.max_abs_diff(rep.w_rev_power(m, s, t), direct)
             w.push(d / (1.0 + direct.maxabs()), f"s={s}, n={m}")
     return w.result("reversed_word_transform", 1e-8)
@@ -227,8 +249,7 @@ def check_reversed_word_transform() -> CheckResult:
 
 def check_longitude_diagonal() -> CheckResult:
     w = _Worst()
-    for n, sol in grid_solutions():
-        ell, hol = rep.longitude(n, sol)
+    for (n, sol), (ell, hol) in zip(grid_solutions(), grid_longitudes()):
         if not ell.m11 > 0.0:
             w.fail(f"n={n}, s={sol.s} sign")
         w.push(hol.offdiag_residual, f"n={n}, s={sol.s}")
@@ -237,8 +258,7 @@ def check_longitude_diagonal() -> CheckResult:
 
 def check_longitude_entry_product() -> CheckResult:
     w = _Worst()
-    for n, sol in grid_solutions():
-        ell, _ = rep.longitude(n, sol)
+    for (n, sol), (ell, _) in zip(grid_solutions(), grid_longitudes()):
         w.push(abs(ell.m11 * ell.m22 - 1.0), f"n={n}, s={sol.s}")
     return w.result("longitude_entry_product", 1e-10)
 
@@ -246,8 +266,7 @@ def check_longitude_entry_product() -> CheckResult:
 def check_holonomy_matrix_cross_check() -> CheckResult:
     """Longitude (1,1) entry against the closed form for B."""
     w = _Worst()
-    for n, sol in grid_solutions():
-        ell, hol = rep.longitude(n, sol)
+    for (n, sol), (ell, hol) in zip(grid_solutions(), grid_longitudes()):
         w.push(abs(ell.m11 - hol.B) / (1.0 + ell.maxabs()), f"n={n}, s={sol.s}")
     return w.result("holonomy_matrix_cross_check", 1e-10)
 
@@ -259,8 +278,7 @@ def check_offdiag_vanishing_identity() -> CheckResult:
     the residual lives in; the unscaled sum is pinned to the T granularity
     near the sigma pole and cannot reach this bound at large s."""
     w = _Worst()
-    for n, sol in grid_solutions():
-        ell, _ = rep.longitude(n, sol)
+    for (n, sol), (ell, _) in zip(grid_solutions(), grid_longitudes()):
         w.push(abs(ell.m21) / (1.0 + ell.maxabs()), f"n={n}, s={sol.s}")
     return w.result("offdiag_vanishing_identity", 1e-9)
 
@@ -372,8 +390,7 @@ def check_chart_roundtrip() -> CheckResult:
 
 def check_lift_relator_residual() -> CheckResult:
     w = _Worst()
-    for n, sol in grid_solutions():
-        _, _, res = cover.lift_generators(n, sol)
+    for (n, sol), (_, _, res) in zip(grid_solutions(), grid_lifts()):
         w.push(res, f"n={n}, s={sol.s}")
     return w.result("lift_relator_residual", cover.DEFAULT_LIFT_TOL)
 
@@ -384,9 +401,7 @@ def check_longitude_lift_level() -> CheckResult:
     the grid reaches B ~ 1e-4, where gamma sits within ulps of the unit
     circle)."""
     w = _Worst()
-    for n, sol in grid_solutions():
-        _, hol = rep.longitude(n, sol)
-        xt, yt, _ = cover.lift_generators(n, sol)
+    for (n, sol), (_, hol), (xt, yt, _) in zip(grid_solutions(), grid_longitudes(), grid_lifts()):
         lt = cover.lifted_longitude(n, xt, yt)
         where = f"n={n}, s={sol.s}"
         if not abs(lt.gamma - hol.lifted_gamma) <= 1e-7:
@@ -465,7 +480,10 @@ ALL_CHECKS = (
 def run_all() -> list[CheckResult]:
     """Every suite in ALL_CHECKS.  A suite that a library refusal stops
     fails with worst inf, bound nan (it was never compared) and the refusal
-    as its where; the suites after it still run."""
+    as its where; the suites after it still run.  The grid's longitudes and
+    lifts are rebuilt once per call, against the tolerances of that time."""
+    grid_longitudes.cache_clear()
+    grid_lifts.cache_clear()
     results = []
     for fn in ALL_CHECKS:
         try:

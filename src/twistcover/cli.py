@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from math import isfinite
 
 from . import checks, cover, exactpoly, slopes, solver
@@ -155,7 +154,7 @@ def _cmd_certify(a) -> tuple[str, int]:
     cert = cover.certificate(a.n, *a.r)
     if a.format == "json":
         return cover.certificate_json(cert), 0
-    pairs = [("version", __version__)] + list(asdict(cert).items())
+    pairs = [("version", __version__)] + list(cert._asdict().items())
     return _text(pairs), 0
 
 
@@ -169,7 +168,7 @@ def _cmd_verify(a) -> tuple[str, int]:
             # a suite that fails closed records worst = inf, and one that
             # raised also bound = nan; null stands for either
             "results": [
-                {**asdict(r), "worst": _finite_or_null(r.worst), "bound": _finite_or_null(r.bound)}
+                {**r._asdict(), "worst": _finite_or_null(r.worst), "bound": _finite_or_null(r.bound)}
                 for r in results
             ],
             "all_passed": ok,

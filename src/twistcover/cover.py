@@ -12,6 +12,8 @@ A CoverElem is a (gamma, omega) tuple, checked once where it is built.  The
 group law's steps (_compose, _inv, _pow, _word) form plain pairs, each checked
 as it is formed, so saturation is caught where it happens; cover_mul,
 cover_inv, cover_pow and cover_word box the result with _box, unchecked.
+SU11Elem (boxed by _su11 the same way) and SurgeryCertificate are slotted
+namedtuples too; certificate_json serializes a certificate's _asdict().
 
 The point of the chart: the kernel of the covering map is {(0, 2 m pi)}, so
 proving that a lifted word equals (0, 0) on the nose, and not just up to a
@@ -25,9 +27,8 @@ from __future__ import annotations
 import json
 from cmath import isfinite, phase
 from collections import namedtuple
-from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from math import cos, sin, sqrt
+from math import cos, inf, sin, sqrt
 
 from . import kernels
 from ._version import __version__
@@ -54,6 +55,10 @@ LONGITUDE_GAMMA_TOL = 1e-8
 
 def _check(gamma: complex, omega: float) -> None:
     """CoverElem's checks on a (gamma, omega) pair."""
+    # abs() of a NaN or infinite gamma is never below 1, so this accepts
+    # only a finite pair inside the disk
+    if abs(gamma) < 1.0 and -inf < omega < inf:
+        return
     # a non-finite coordinate is a numerical breakdown, not a bad input
     if not (isfinite(gamma) and isfinite(omega)):
         raise NumericsError(f"cover element ({gamma}, {omega}) is not finite")
@@ -76,16 +81,18 @@ class CoverElem(namedtuple("CoverElem", "gamma omega")):
 _box = partial(tuple.__new__, CoverElem)
 
 
-@dataclass(frozen=True)
-class SU11Elem:
+class SU11Elem(namedtuple("SU11Elem", "alpha beta")):
     """Matrix [[alpha, beta], [conj(beta), conj(alpha)]] with |alpha|^2 - |beta|^2 = 1."""
 
-    alpha: complex
-    beta: complex
+    __slots__ = ()
 
     def defect(self) -> float:
         """Deviation of |alpha|^2 - |beta|^2 from 1."""
-        return abs(self.alpha) ** 2 - abs(self.beta) ** 2 - 1.0
+        alpha, beta = self
+        return abs(alpha) ** 2 - abs(beta) ** 2 - 1.0
+
+
+_su11 = partial(tuple.__new__, SU11Elem)
 
 
 IDENTITY_COVER = CoverElem(0j, 0.0)
@@ -94,45 +101,47 @@ IDENTITY_COVER = CoverElem(0j, 0.0)
 def to_su11(m: Mat2) -> SU11Elem:
     """Conjugate a real matrix of determinant 1 into SU(1,1)."""
     det = m.det()
-    scale = 1.0 + abs(m.m11 * m.m22) + abs(m.m12 * m.m21)
+    m11, m12, m21, m22 = m
+    scale = 1.0 + abs(m11 * m22) + abs(m12 * m21)
     if not abs(det - 1.0) <= 1e-9 * scale:
         raise DomainError(f"matrix determinant {det} is not 1")
-    alpha = complex(0.5 * (m.m11 + m.m22), 0.5 * (m.m12 - m.m21))
-    beta = complex(0.5 * (m.m11 - m.m22), -0.5 * (m.m12 + m.m21))
-    return SU11Elem(alpha, beta)
+    alpha = complex(0.5 * (m11 + m22), 0.5 * (m12 - m21))
+    beta = complex(0.5 * (m11 - m22), -0.5 * (m12 + m21))
+    return _su11((alpha, beta))
 
 
 def from_su11(u: SU11Elem) -> Mat2:
+    alpha, beta = u
     return Mat2(
-        m11=u.alpha.real + u.beta.real,
-        m12=u.alpha.imag - u.beta.imag,
-        m21=-u.alpha.imag - u.beta.imag,
-        m22=u.alpha.real - u.beta.real,
+        alpha.real + beta.real,
+        alpha.imag - beta.imag,
+        -alpha.imag - beta.imag,
+        alpha.real - beta.real,
     )
 
 
 def su11_mul(u: SU11Elem, v: SU11Elem) -> SU11Elem:
     """Matrix product downstairs; cover_mul must project onto this."""
-    return SU11Elem(
-        u.alpha * v.alpha + u.beta * v.beta.conjugate(),
-        u.alpha * v.beta + u.beta * v.alpha.conjugate(),
-    )
+    (ua, ub), (va, vb) = u, v
+    return _su11((ua * va + ub * vb.conjugate(), ua * vb + ub * va.conjugate()))
 
 
 def su11_dist(u: SU11Elem, v: SU11Elem) -> float:
-    return max(abs(u.alpha - v.alpha), abs(u.beta - v.beta))
+    (ua, ub), (va, vb) = u, v
+    return max(abs(ua - va), abs(ub - vb))
 
 
 def chart(u: SU11Elem) -> CoverElem:
     """Principal chart value: omega = arg(alpha) in (-pi, pi]."""
-    return CoverElem(u.beta / u.alpha, phase(u.alpha))
+    alpha, beta = u
+    return CoverElem(beta / alpha, phase(alpha))
 
 
 def unchart(e: CoverElem) -> SU11Elem:
-    g = e.gamma
+    g, w = e
     norm = sqrt(1.0 - (g.real * g.real + g.imag * g.imag))
-    alpha = complex(cos(e.omega), sin(e.omega)) / norm
-    return SU11Elem(alpha, g * alpha)
+    alpha = complex(cos(w), sin(w)) / norm
+    return _su11((alpha, g * alpha))
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
@@ -286,8 +295,13 @@ def lifted_longitude(
     return _box((g, w))
 
 
-@dataclass(frozen=True)
-class SurgeryCertificate:
+class SurgeryCertificate(
+    namedtuple(
+        "SurgeryCertificate",
+        "n p q s_star t B gamma_x gamma_L relator_residual longitude_omega "
+        "final_gamma_abs final_omega tol_slope tol_certificate",
+    )
+):
     """Record that the lifted peripheral word x^p L^q equals (0, 0).
 
     gamma_x and gamma_L are the chart coordinates of the lifted meridian and
@@ -295,20 +309,7 @@ class SurgeryCertificate:
     lifted x^p L^q from the identity of the cover.
     """
 
-    n: int
-    p: int
-    q: int
-    s_star: float
-    t: float
-    B: float
-    gamma_x: float
-    gamma_L: float
-    relator_residual: float
-    longitude_omega: float
-    final_gamma_abs: float
-    final_omega: float
-    tol_slope: float
-    tol_certificate: float
+    __slots__ = ()
 
 
 def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
@@ -357,5 +358,5 @@ def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
 def certificate_json(cert: SurgeryCertificate) -> str:
     """Serialize with a fixed field order, version first."""
     payload = {"version": __version__}
-    payload.update(asdict(cert))
+    payload.update(cert._asdict())
     return json.dumps(payload, indent=2) + "\n"

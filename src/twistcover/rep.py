@@ -15,11 +15,15 @@ The longitude is rho(w_rev^n w^n).  rho(w_rev^n) is the sigma-conjugate
 transform of rho(w^n), with sigma = s u^2 / (u^2 - s); at a solution of the
 defining equation the longitude matrix is diagonal with positive (1,1) entry
 B = (t-s-1)/((1+s)t - 1).
+
+Mat2 and HolonomyData are slotted namedtuples; Mat2's methods unpack its
+entries, and matrices are boxed from a 4-tuple by _mat, without __new__.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import partial
 from math import sqrt
 
 from . import kernels
@@ -30,47 +34,44 @@ from .solver import RepSolution, check_positive
 OFFDIAG_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(namedtuple("Mat2", "m11 m12 m21 m22")):
     """Real 2x2 matrix; every matrix in this module has determinant 1."""
 
-    m11: float
-    m12: float
-    m21: float
-    m22: float
+    __slots__ = ()
 
-    def __matmul__(self, o: "Mat2") -> "Mat2":
-        return Mat2(
-            self.m11 * o.m11 + self.m12 * o.m21,
-            self.m11 * o.m12 + self.m12 * o.m22,
-            self.m21 * o.m11 + self.m22 * o.m21,
-            self.m21 * o.m12 + self.m22 * o.m22,
-        )
+    def __matmul__(self, o: Mat2) -> Mat2:
+        a11, a12, a21, a22 = self
+        b11, b12, b21, b22 = o
+        return _mat((a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                     a21 * b11 + a22 * b21, a21 * b12 + a22 * b22))
 
     def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
+        m11, m12, m21, m22 = self
+        return m11 * m22 - m12 * m21
 
     def trace(self) -> float:
-        return self.m11 + self.m22
+        return self[0] + self[3]
 
-    def inverse(self) -> "Mat2":
+    def inverse(self) -> Mat2:
         # adjugate; exact inverse only because det = 1
-        return Mat2(self.m22, -self.m12, -self.m21, self.m11)
+        m11, m12, m21, m22 = self
+        return _mat((m22, -m12, -m21, m11))
 
     def maxabs(self) -> float:
-        return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22))
+        m11, m12, m21, m22 = self
+        return max(abs(m11), abs(m12), abs(m21), abs(m22))
 
+
+# four entries into a Mat2 without the namedtuple's argument handling
+_mat = partial(tuple.__new__, Mat2)
 
 IDENTITY2 = Mat2(1.0, 0.0, 0.0, 1.0)
 
 
 def max_abs_diff(a: Mat2, b: Mat2) -> float:
-    return max(
-        abs(a.m11 - b.m11),
-        abs(a.m12 - b.m12),
-        abs(a.m21 - b.m21),
-        abs(a.m22 - b.m22),
-    )
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return max(abs(a11 - b11), abs(a12 - b12), abs(a21 - b21), abs(a22 - b22))
 
 
 def _check_params(s: float, t: float) -> tuple[float, float]:
@@ -88,13 +89,8 @@ def gen_matrices(s: float, t: float) -> tuple[Mat2, Mat2]:
     rt = sqrt(t)
     u = rt - 1.0 / rt
     u2 = u * u
-    gx = Mat2(rt, 0.0, 0.0, 1.0 / rt)
-    gy = Mat2(
-        (t - s - 1.0) / u,
-        s / u2 - 1.0,
-        -s,
-        (s + 1.0 - 1.0 / t) / u,
-    )
+    gx = _mat((rt, 0.0, 0.0, 1.0 / rt))
+    gy = _mat(((t - s - 1.0) / u, s / u2 - 1.0, -s, (s + 1.0 - 1.0 / t) / u))
     return gx, gy
 
 
@@ -108,7 +104,7 @@ def w_matrix(s: float, t: float) -> Mat2:
     w12 = (t - 1.0 + s * t) / rt * (u2 - s) / u2
     w21 = s * (1.0 + s - t) / rt
     w22 = 1.0 + s - s * s / (t - 1.0) - s / t
-    return Mat2(w11, w12, w21, w22)
+    return _mat((w11, w12, w21, w22))
 
 
 def sigma_factor(s: float, t: float) -> float:
@@ -123,25 +119,14 @@ def sigma_factor(s: float, t: float) -> float:
 
 def word_eval(word: str, gen_x: Mat2, gen_y: Mat2) -> Mat2:
     """Left-to-right product of a word in x, y; uppercase means inverse."""
-    table = {
-        ch: (g.m11, g.m12, g.m21, g.m22)
-        for ch, g in (("x", gen_x), ("X", gen_x.inverse()), ("y", gen_y), ("Y", gen_y.inverse()))
-    }
-    # the product accumulates in four locals, each step in Mat2.__matmul__'s
-    # operation order, so the result is bit-identical to folding with @
-    a11, a12, a21, a22 = 1.0, 0.0, 0.0, 1.0
+    table = {"x": gen_x, "X": gen_x.inverse(), "y": gen_y, "Y": gen_y.inverse()}
+    acc = IDENTITY2
     for ch in word:
         g = table.get(ch)
         if g is None:
             raise DomainError(f"unknown generator letter {ch!r}")
-        g11, g12, g21, g22 = g
-        a11, a12, a21, a22 = (
-            a11 * g11 + a12 * g21,
-            a11 * g12 + a12 * g22,
-            a21 * g11 + a22 * g21,
-            a21 * g12 + a22 * g22,
-        )
-    return Mat2(a11, a12, a21, a22)
+        acc = acc @ g
+    return acc
 
 
 def w_word(n: int) -> str:
@@ -169,23 +154,18 @@ def w_power(n: int, s: float, t: float) -> Mat2:
         raise DomainError(f"n must be an integer, got {n!r}")
     if n == 0:
         return IDENTITY2
-    w = w_matrix(s, t)
-    tr = w.m11 + w.m22
+    w11, w12, w21, w22 = w_matrix(s, t)
+    tr = w11 + w22
     tnp, tn = kernels.cheb_pair(n, tr)
     tnm = kernels.cheb_pair(n - 1, tr)[1]
-    return Mat2(
-        w.m11 * tn - tnm,
-        w.m12 * tn,
-        w.m21 * tn,
-        tnp - w.m11 * tn,
-    )
+    return _mat((w11 * tn - tnm, w12 * tn, w21 * tn, tnp - w11 * tn))
 
 
 def w_rev_power(n: int, s: float, t: float) -> Mat2:
     """rho(w_rev^n): the sigma-conjugate transform of W^n."""
-    u = w_power(n, s, t)
+    u11, u12, u21, u22 = w_power(n, s, t)
     sigma = sigma_factor(s, t)
-    return Mat2(u.m11, u.m21 / sigma, u.m12 * sigma, u.m22)
+    return _mat((u11, u21 / sigma, u12 * sigma, u22))
 
 
 def relation_residual(n: int, s: float, t: float) -> float:
@@ -202,19 +182,18 @@ def relation_residual(n: int, s: float, t: float) -> float:
     return max_abs_diff(lhs, rhs) / (1.0 + max(lhs.maxabs(), rhs.maxabs()))
 
 
-@dataclass(frozen=True)
-class HolonomyData:
+class HolonomyData(namedtuple("HolonomyData", "B offdiag_residual")):
     """Peripheral scalars at a solution: longitude entry B > 0 and the
     achieved off-diagonal residual of the longitude matrix (scaled by 1 + its
     entry norm)."""
 
-    B: float
-    offdiag_residual: float
+    __slots__ = ()
 
     @property
     def lifted_gamma(self) -> float:
         """Chart gamma of the lifted longitude, (B^2 - 1)/(B^2 + 1)."""
-        return (self.B * self.B - 1.0) / (self.B * self.B + 1.0)
+        b = self[0]
+        return (b * b - 1.0) / (b * b + 1.0)
 
 
 def longitude_holonomy(s: float, t: float) -> float:
@@ -232,15 +211,12 @@ def longitude(n: int, sol: RepSolution) -> tuple[Mat2, HolonomyData]:
     read, so a slopes.SlopeSample serves as well as a RepSolution.
     """
     s, t = sol.s, sol.t
-    u = w_power(n, s, t)
+    u11, u12, u21, u22 = w_power(n, s, t)
     sigma = sigma_factor(s, t)
-    ell = Mat2(
-        u.m11 * u.m11 + u.m21 * u.m21 / sigma,
-        u.m11 * u.m12 + u.m21 * u.m22 / sigma,
-        u.m11 * u.m12 * sigma + u.m21 * u.m22,
-        u.m12 * u.m12 * sigma + u.m22 * u.m22,
-    )
-    offdiag = max(abs(ell.m12), abs(ell.m21)) / (1.0 + ell.maxabs())
+    e12 = u11 * u12 + u21 * u22 / sigma
+    e21 = u11 * u12 * sigma + u21 * u22
+    ell = _mat((u11 * u11 + u21 * u21 / sigma, e12, e21, u12 * u12 * sigma + u22 * u22))
+    offdiag = max(abs(e12), abs(e21)) / (1.0 + ell.maxabs())
     if not offdiag <= OFFDIAG_TOL:
         raise OffDiagonalTooLarge(
             f"longitude off-diagonal residual {offdiag:.3e} > {OFFDIAG_TOL} at n={n}, "
@@ -249,4 +225,4 @@ def longitude(n: int, sol: RepSolution) -> tuple[Mat2, HolonomyData]:
     b = longitude_holonomy(s, t)
     if not b > 0:
         raise NumericsError(f"longitude entry B = {b} is not positive at s={s}, t={t}")
-    return ell, HolonomyData(B=b, offdiag_residual=offdiag)
+    return ell, HolonomyData(b, offdiag)

@@ -62,6 +62,10 @@ def g_eval(n: int, s: float) -> SlopeSample:
     s = solver.check_positive("s", s)
     T, t = solver._root(n, s)[:2]
     b, g = _slope(n, s, t)
+    # B < 1 at every s > 0, so B = 1 (g = -0.0) is s below float resolution;
+    # invert's steps call _slope instead, to which g = -0 is a valid sign
+    if not b < 1.0:
+        raise NumericsError(f"longitude entry B = {b} is not < 1 at n={n}, s={s}")
     return SlopeSample(s, T, t, b, g)
 
 

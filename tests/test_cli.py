@@ -143,6 +143,9 @@ def test_nonfinite_solutions_are_numerics_errors(capsys, argv):
         (("slope", "--n", "2", "--r", "1/" + "1" + "0" * 21), "rounds onto the s -> 0 end"),
         (("certify", "--n", "2", "--r", "1/" + "1" + "0" * 17), "rounds onto the s -> 0 end"),
         (("slope", "--n", "-100", "--r", "3999999999999999/1" + "0" * 15), "rounds onto the s -> inf end"),
+        # B rounds to 1, where g would read -0.0
+        (("slope", "--n", "1", "--s", "1e-17"), "B = 1.0 is not < 1 at n=1, s=1e-17"),
+        (("slope", "--n", "2", "--s", "1e-16"), "B = 1.0 is not < 1 at n=2, s=1e-16"),
     ],
 )
 def test_float_resolution_limits_are_numerics_errors(capsys, argv, text):
@@ -214,6 +217,17 @@ def test_certify_json(capsys):
     assert abs(data["final_omega"]) < 1e-6
     code2, out2, _ = run(capsys, "certify", "--n", "2", "--r", "1/1")
     assert out2 == out  # byte-identical rerun
+
+
+def test_certify_text_matches_json(capsys):
+    # both formats print the certificate's _asdict(), version first
+    code, out, _ = run(capsys, "certify", "--n", "-3", "--r", "7/2")
+    assert code == 0
+    code, text, _ = run(capsys, "certify", "--n", "-3", "--r", "7/2", "--format", "text")
+    assert code == 0
+    pairs = [tuple(line.split(" = ", 1)) for line in text.splitlines()]
+    assert pairs == [(k, str(v)) for k, v in json.loads(out).items()]
+    assert pairs[0] == ("version", __version__) and len(pairs) == 15
 
 
 # Full stdout of six commands, captured once; the CLI promises byte-identical
@@ -453,6 +467,14 @@ def test_entry_point_subprocess():
     out = run_child("-m", "twistcover.cli", "riley", "--n", "-2", "--format", "csv")
     assert out.returncode == 0
     assert out.stdout.splitlines()[0] == "s_deg,T_deg,coeff"
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # the records are namedtuples, so importing the CLI loads neither module
+    probe = "import sys, twistcover.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = run_child("-c", probe)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_runtime_dependencies():

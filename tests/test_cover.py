@@ -35,6 +35,7 @@ from twistcover.cover import (
     DEFAULT_TOL_CERT,
     IDENTITY_COVER,
     SU11Elem,
+    SurgeryCertificate,
     su11_dist,
     su11_mul,
 )
@@ -104,10 +105,14 @@ def test_to_su11_requires_unit_determinant():
 
 
 def test_cover_elem_stays_in_disk():
-    with pytest.raises(DomainError):
-        CoverElem(1.0 + 0j, 0.0)
-    with pytest.raises(DomainError):
-        CoverElem(0.8 + 0.7j, 0.0)
+    for gamma in (1.0 + 0j, -1.0 + 0j, 1j, -1j, 0.8 + 0.7j):
+        with pytest.raises(DomainError, match="is not < 1"):
+            CoverElem(gamma, 0.0)
+    # the open disk's edge and any finite omega pass
+    below = math.nextafter(1.0, 0.0)
+    for gamma in (complex(below, 0.0), complex(0.0, -below)):
+        for omega in (-1e300, 1e300):
+            assert CoverElem(gamma, omega) == (gamma, omega)
 
 
 def test_cover_mul_saturation_is_numerics():
@@ -118,11 +123,32 @@ def test_cover_mul_saturation_is_numerics():
 
 
 @pytest.mark.parametrize(
-    "gamma, omega", [(0j, math.nan), (0j, math.inf), (complex(math.nan, 0.0), 0.0)]
+    "gamma, omega",
+    [
+        (0j, math.nan),
+        (0j, math.inf),
+        (complex(math.nan, 0.0), 0.0),
+        (complex(0.0, math.nan), 0.0),
+        (complex(math.inf, 0.0), 0.0),
+        (complex(-math.inf, math.nan), 0.0),
+        (0j, -math.inf),
+        (0.5 + 0j, math.nan),
+    ],
 )
 def test_cover_elem_rejects_nonfinite_as_numerics(gamma, omega):
+    # a non-finite pair never takes _check's in-disk fast path, and the
+    # finiteness test classes it before the disk test can
     with pytest.raises(NumericsError, match="not finite"):
         CoverElem(gamma, omega)
+
+
+def test_public_functions_return_the_records():
+    X, Y = gen_matrices(1.0, 4.0)
+    u, v = to_su11(X), to_su11(Y)
+    assert {type(r) for r in (u, su11_mul(u, v), unchart(chart(v)))} == {SU11Elem}
+    assert type(from_su11(u)) is Mat2
+    assert u.defect() == abs(u.alpha) ** 2 - abs(u.beta) ** 2 - 1.0
+    assert type(certificate(2, 1, 1)) is SurgeryCertificate
 
 
 def test_chart_unchart_roundtrip():

@@ -7,6 +7,7 @@ import pytest
 
 from twistcover import (
     DomainError,
+    HolonomyData,
     Mat2,
     OffDiagonalTooLarge,
     gen_matrices,
@@ -29,7 +30,7 @@ from twistcover.rep import (
     w_word,
     word_eval,
 )
-from twistcover.checks import grid_solutions
+from twistcover.checks import grid_solutions, w_rev_fold
 from twistcover.solver import RepSolution
 
 
@@ -94,8 +95,8 @@ def test_word_eval_inverse_letters():
 
 
 def test_word_eval_is_the_left_fold_of_matmul():
-    # word_eval accumulates in four floats in Mat2.__matmul__'s operation
-    # order, so it must equal the fold of @ exactly, not within a tolerance
+    # word_eval folds @ from the identity letter by letter, so it must equal
+    # the fold of @ exactly, not within a tolerance
     rng = random.Random(4040)
     for _, sol in grid_solutions():
         X, Y = gen_matrices(sol.s, sol.t)
@@ -191,6 +192,28 @@ def test_mat2_operations():
     # inverse is the adjugate, exact for the det = 1 matrices used everywhere
     u = Mat2(2.0, 3.0, 1.0, 2.0)
     assert max_abs_diff(u @ u.inverse(), IDENTITY2) == 0.0
+
+
+def test_public_functions_return_the_records():
+    assert HolonomyData(0.5, 0.0).lifted_gamma == (0.25 - 1.0) / (0.25 + 1.0)
+    ell, hol = longitude(2, solve(2, 1.0))
+    assert type(ell) is Mat2 and type(hol) is HolonomyData
+    assert {type(m) for m in (*gen_matrices(1.0, 4.0), w_matrix(1.0, 4.0), IDENTITY2)} == {Mat2}
+    assert {type(m) for m in (w_power(3, 1.0, 4.0), w_rev_power(-2, 1.0, 4.0))} == {Mat2}
+    X, Y = gen_matrices(1.0, 4.0)
+    assert {type(m) for m in (X @ Y, X.inverse(), word_eval("xY", X, Y))} == {Mat2}
+
+
+@pytest.mark.parametrize("index", [0, 29, 65])
+def test_w_rev_fold_matches_word_eval(index):
+    # the prefix fold that check_reversed_word_transform reads is the word
+    # evaluation it replaced, exactly
+    _, sol = grid_solutions()[index]
+    X, Y = gen_matrices(sol.s, sol.t)
+    powers = w_rev_fold(X, Y, 6)
+    assert sorted(powers) == list(range(-6, 7))
+    for m in range(-6, 7):
+        assert powers[m] == word_eval(w_rev_word(m), X, Y), (sol.s, m)
 
 
 def test_gen_matrices_rejects_degenerate_params():

@@ -4,6 +4,9 @@ import math
 
 import pytest
 
+import twistcover.checks as checks
+import twistcover.cover as cover
+import twistcover.rep as rep
 import twistcover.slopes as slopes
 import twistcover.solver as solver
 from twistcover import (
@@ -66,11 +69,41 @@ def test_g_eval_root_matches_solve_bit_for_bit(n, rep_solutions_built, root_call
             "RepSolution(n=2, s=1.0, T=5.25, t=5.0, trace_W=-0.25, theta=1.75, "
             "phi_residual=0.0, iterations=10)",
         ),
+        (
+            rep.Mat2,
+            {"m11": 1.0, "m12": 2.0, "m21": -0.5, "m22": 4.0},
+            "Mat2(m11=1.0, m12=2.0, m21=-0.5, m22=4.0)",
+        ),
+        (
+            rep.HolonomyData,
+            {"B": 0.25, "offdiag_residual": 1e-12},
+            "HolonomyData(B=0.25, offdiag_residual=1e-12)",
+        ),
+        (
+            cover.SU11Elem,
+            {"alpha": 1.25 + 0j, "beta": 0.75 - 0.5j},
+            "SU11Elem(alpha=(1.25+0j), beta=(0.75-0.5j))",
+        ),
+        (
+            cover.SurgeryCertificate,
+            {"n": 2, "p": 3, "q": 2, "s_star": 0.5, "t": 4.0, "B": 0.125, "gamma_x": 0.6,
+             "gamma_L": -0.9, "relator_residual": 1e-15, "longitude_omega": 0.0,
+             "final_gamma_abs": 2e-16, "final_omega": -0.0, "tol_slope": 1e-9,
+             "tol_certificate": 1e-6},
+            "SurgeryCertificate(n=2, p=3, q=2, s_star=0.5, t=4.0, B=0.125, gamma_x=0.6, "
+            "gamma_L=-0.9, relator_residual=1e-15, longitude_omega=0.0, "
+            "final_gamma_abs=2e-16, final_omega=-0.0, tol_slope=1e-09, tol_certificate=1e-06)",
+        ),
+        (
+            checks.CheckResult,
+            {"name": "probe", "passed": True, "worst": 0.5, "bound": 1.0, "where": "n=2"},
+            "CheckResult(name='probe', passed=True, worst=0.5, bound=1.0, where='n=2')",
+        ),
     ],
 )
 def test_records_are_frozen_tuples(cls, fields, text):
-    # the records solver and slopes return are slotted namedtuples: the repr
-    # and field order a frozen dataclass had, and no assignment
+    # every record the package returns is a slotted namedtuple: the repr and
+    # field order a frozen dataclass had, and no assignment
     rec = cls(**fields)
     assert repr(rec) == text
     assert rec._asdict() == fields and list(rec._asdict()) == list(fields)
@@ -249,6 +282,17 @@ def test_branch_point_with_t_one_is_numerics():
         g_eval(2**62, 1e-18)
     with pytest.raises(NumericsError, match=r"t = 1.0 is not > 1 at n=36028797018963968"):
         invert(2**55, 1, 2)
+
+
+def test_longitude_entry_rounding_to_one_is_numerics():
+    # B < 1 for every s > 0; below the float resolution of the s -> 0 end
+    # it rounds to 1 and g reads -0.0, a breakdown, not a sample
+    for n, s in ((1, 1e-17), (2, 1e-16), (1, 5e-324)):
+        with pytest.raises(NumericsError, match=rf"B = 1.0 is not < 1 at n={n}, s={s}"):
+            g_eval(n, s)
+    # invert's final sample is a g_eval, so a root there is refused too
+    with pytest.raises(NumericsError, match=r"B = 1.0 is not < 1 at n=-1000"):
+        invert(-1000, 1, 10**17)
 
 
 def test_slope_limits():
