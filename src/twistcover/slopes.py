@@ -112,7 +112,8 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     exactly what a fresh g_eval at s* gives, and it must meet DEFAULT_TOL_G.
     A final theta that rounds onto an end of the branch, where the closed
     form gives no positive s (1/10^17 at n = 2), is a NumericsError naming
-    p/q, n and the end.
+    p/q, n and the end; a breakdown in the final g_eval (B rounds to 1 at
+    n = -1000, 1/10^17) names p/q too and keeps its class.
     A bracket that collapses without meeting the bound is a jump, not a
     crossing: NonConvergence reports it, as it does solver.DEFAULT_MAX_ITER.
     """
@@ -140,10 +141,9 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
 
     theta, iters, status = solver.branch_root(n, g_minus_r, -r, 4.0 - r)
     try:
-        s = solver.branch_point(n, theta)[0]
+        smp = g_eval(n, solver.branch_point(n, theta)[0])
     except NumericsError as exc:
-        raise NumericsError(f"slope {p}/{q}: {exc}") from exc
-    smp = g_eval(n, s)
+        raise type(exc)(f"slope {p}/{q}: {exc}") from exc
     if abs(smp.g - r) <= DEFAULT_TOL_G:
         return smp, InvertReport(iters + 1)
     if status == kernels.ITER_CAP:

@@ -7,13 +7,15 @@ tolerances and timing budgets are stated inline next to each assertion;
 suite bounds live with the suites.
 """
 
+import ast
+import inspect
 import math
 from time import perf_counter
 
 import pytest
 
 import twistcover.checks as checks
-from twistcover import CertificateFailed, certificate, g_eval, phi_num, riley_poly, solve
+from twistcover import CertificateFailed, certificate, cover, g_eval, phi_num, riley_poly, solve
 from twistcover.exactpoly import clear_cache
 
 CERT_PAIRS = [
@@ -159,13 +161,37 @@ def test_invariant_suite(suite):
 
 
 def test_suite_fails_closed_on_nan():
-    w = checks._Worst()
-    w.push(1e-12, "a")
-    w.push(float("nan"), "b")
-    w.push(1e-9, "c")
-    res = w.result("nan_probe", 1e-6)
+    res = checks._fold("nan_probe", 1e-6, [(1e-12, "a"), (float("nan"), "b"), (1e-9, "c")])
     assert not res.passed
     assert res.worst == math.inf and res.where == "b"
+
+
+def test_suite_fails_closed_on_a_refusal_when_called_directly(monkeypatch):
+    # no lifted relator meets this tolerance, so lift_generators refuses
+    # inside the suite; the suite itself records the FAIL, not only run_all
+    monkeypatch.setattr(cover, "DEFAULT_LIFT_TOL", 1e-30)
+    checks.grid_lifts.cache_clear()
+    try:
+        res = checks.check_lift_relator_residual()
+    finally:
+        checks.grid_lifts.cache_clear()
+    assert not res.passed
+    assert res.worst == math.inf and math.isnan(res.bound)
+    assert res.where.startswith("RelatorNotCentral:")
+
+
+def test_every_suite_is_declared_once_in_source_order():
+    source = inspect.getsource(checks)
+    defined = [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+    ]
+    assert len(defined) == 28
+    assert [fn.__name__ for fn in checks.ALL_CHECKS] == defined
+    assert [getattr(checks, name) for name in defined] == list(checks.ALL_CHECKS)
+    results = checks.run_all()
+    assert [r.name for r in results] == [name.removeprefix("check_") for name in defined]
 
 
 def test_batch_certify_budget(g_eval_calls, root_calls, phi_delta_calls):

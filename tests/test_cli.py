@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -146,6 +147,11 @@ def test_nonfinite_solutions_are_numerics_errors(capsys, argv):
         # B rounds to 1, where g would read -0.0
         (("slope", "--n", "1", "--s", "1e-17"), "B = 1.0 is not < 1 at n=1, s=1e-17"),
         (("slope", "--n", "2", "--s", "1e-16"), "B = 1.0 is not < 1 at n=2, s=1e-16"),
+        # at the s of invert's final sample, which names the slope
+        (
+            ("slope", "--n", "-1000", "--r", "1/" + "1" + "0" * 17),
+            "slope 1/100000000000000000: longitude entry B = 1.0 is not < 1 at n=-1000",
+        ),
     ],
 )
 def test_float_resolution_limits_are_numerics_errors(capsys, argv, text):
@@ -418,9 +424,7 @@ def test_verify_json_fail_closed_writes_null(capsys, monkeypatch):
     # a suite that fails closed records worst = inf; the JSON document must
     # stay valid and carry null for it
     def failing_suite():
-        w = checks._Worst()
-        w.fail("case 0")
-        return w.result("fails_closed", 1.0)
+        return checks._fold("fails_closed", 1.0, [(math.inf, "case 0")])
 
     monkeypatch.setattr(checks, "ALL_CHECKS", (failing_suite,))
     code, out, _ = run(capsys, "verify", "--format", "json")
