@@ -184,7 +184,7 @@ def check_solve_grid_soundness() -> Cases:
 @_suite(0.0)
 def check_bisection_iteration_bound() -> Cases:
     """iterations <= ceil(log2(window/tol)) + 2, the theta window against
-    solve's tol = 4 ulp(hi)."""
+    kernels.itp's own tol = 4 ulp(hi)."""
     for n, sol in grid_solutions():
         if n == 1:
             continue

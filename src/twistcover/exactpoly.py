@@ -48,10 +48,10 @@ def _width(bits: int) -> int:
     return max(64, (2 * bits + 9) & ~7)
 
 
-def _bias(n: int, k: int, stride: int = 0) -> int:
-    """sum_a 2^(8k-1) * 2^(8*stride*a) for a < n, stride = k by default: the
-    offset that makes n balanced k-byte digits nonnegative."""
-    return int.from_bytes((bytes(k - 1) + b"\x80" + bytes(max(stride - k, 0))) * n, "little")
+def _bias(n: int, k: int) -> int:
+    """sum_a 2^(8k-1) * 2^(8k*a) for a < n: the offset that makes n balanced
+    k-byte digits nonnegative."""
+    return int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
 
 
 def _unpack(row: int, w: int) -> list:
@@ -78,6 +78,12 @@ def _fit(w: int, mag: int) -> int:
     return w if bits < w else _width(bits)
 
 
+def is_int(value) -> bool:
+    """True for an int that is not a bool: bool subclasses int, but True and
+    False are no integer parameters."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _new(rows: tuple, w: int, mag: int) -> "BivarPoly":
     p = object.__new__(BivarPoly)
     p._rows, p._w, p._mag, p._coeffs = rows, w, mag, None
@@ -94,9 +100,12 @@ class BivarPoly:
         mag = 0
         if terms:
             for (sd, td), c in terms.items():
-                c, sd, td = int(c), int(sd), int(td)
+                if not (is_int(sd) and is_int(td) and is_int(c)):
+                    raise DomainError(
+                        f"degrees and coefficient must be integers, got {(sd, td)!r}: {c!r}"
+                    )
                 if sd < 0 or td < 0:
-                    raise ValueError(f"negative degree in term {(sd, td)}")
+                    raise DomainError(f"negative degree in term {(sd, td)}")
                 by_T.setdefault(td, {})[sd] = c
         rows = [0] * (max(by_T) + 1 if by_T else 0)
         for td, row in by_T.items():
@@ -135,17 +144,7 @@ class BivarPoly:
         """self repacked at slot width w >= self._w."""
         if w == self._w:
             return self
-        # biased digits are nonnegative, so widening them is zero padding
-        k, k2 = self._w >> 3, w >> 3
-        rows = []
-        for row in self._rows:
-            n = row.bit_length() // self._w + 1
-            buf = (row + _bias(n, k)).to_bytes(n * k, "little")
-            out = bytearray(n * k2)
-            for i in range(k):
-                out[i::k2] = buf[i::k]
-            rows.append(int.from_bytes(out, "little") - _bias(n, k, k2))
-        return _new(tuple(rows), w, self._mag)
+        return _new(tuple(_pack(_unpack(row, self._w), w) for row in self._rows), w, self._mag)
 
     def __eq__(self, other):
         if not isinstance(other, BivarPoly):
@@ -270,6 +269,8 @@ def _tau_nonneg(m: int) -> BivarPoly:
 
 def tau_poly(m: int) -> BivarPoly:
     """m-th trace recursion polynomial; tau_{-m} = -tau_m."""
+    if not is_int(m):
+        raise DomainError(f"m must be an integer, got {m!r}")
     k = abs(m)
     if k > 64:
         # a memo this far out would keep O(k^3) coefficients alive
@@ -313,14 +314,10 @@ def _scaled_pair(m: int, K: Fraction) -> tuple[int, int, int]:
 
 def tau_exact(m: int, K) -> Fraction:
     """tau_m at the exact trace value K, by the recursion."""
+    if not is_int(m):
+        raise DomainError(f"m must be an integer, got {m!r}")
     x, _, d = _scaled_pair(m, Fraction(K))
     return Fraction(x, d)
-
-
-def is_int(value) -> bool:
-    """True for an int that is not a bool: bool subclasses int, but True and
-    False are no integer parameters."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_n(n: int) -> None:

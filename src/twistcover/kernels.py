@@ -9,9 +9,10 @@ solve and of invert, both in the branch angle theta (through
 solver.branch_root), where solve's steps evaluate the branch equation and
 invert's evaluate g at a closed-form branch point; and cover_compose, the
 cover group law.  A step of itp that would land on an end of its bracket
-moves tol/4 inside that end, not to the midpoint, so a root pinned to an
-end within rounding ends the search in a step instead of twenty or so
-halvings; the worst case stays one step beyond bisection's count.
+moves tol/4 inside that end (tol = 4 ulp(hi), itp's own), not to the
+midpoint, so a root pinned to an end within rounding ends the search in a
+step instead of twenty or so halvings; the worst case stays one step beyond
+bisection's count.
 
 The kernels take and return plain floats and complexes.  Their callers keep
 to that on the hot paths: solver._root returns a tuple, and a RepSolution or
@@ -22,19 +23,15 @@ CoverElem is itself a checked (gamma, omega) tuple, and the group law's
 steps compose plain pairs.
 """
 
-from math import acos, acosh, atan2, cos, pi, sin, sinh
-
-# itp status codes
-CONVERGED = 0
-FLOAT_LIMIT = 1
-ITER_CAP = 2
+from math import acos, acosh, atan2, cos, pi, sin, sinh, ulp
 
 # ITP constants of Oliveira & Takahashi: the truncation is
 # ITP_K1 / (hi - lo) * width**ITP_K2, and ITP_N0 is the number of steps it
-# may take beyond bisection's count
+# may take beyond bisection's count; ITP_MAX_ITER caps the steps of one search
 ITP_K1 = 0.2
 ITP_K2 = 2
 ITP_N0 = 1
+ITP_MAX_ITER = 200
 
 
 def cheb_pair(m, x):
@@ -78,8 +75,8 @@ def phi_delta(n, s, delta):
     return hi - (1.0 + delta / s) * lo
 
 
-def itp(f, lo, hi, f_lo, f_hi, tol, max_iter, ftol):
-    """Locate f's sign change on [lo, hi] by ITP; returns (root, iterations, status).
+def itp(f, lo, hi, f_lo, f_hi):
+    """Locate f's sign change on [lo, hi] by ITP; returns (root, iterations, capped).
 
     ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS
     47(1), 2020) steps to the regula falsi point, nudged toward the midpoint
@@ -87,18 +84,18 @@ def itp(f, lo, hi, f_lo, f_hi, tol, max_iter, ftol):
     it converges superlinearly on a smooth root.  The caller supplies a
     certified bracket: f_lo and f_hi are f at lo and hi, nonzero with
     opposite signs, so f is called once per step and never at an end.  A
-    step point x with |f(x)| <= ftol is returned at once.
+    step point x with f(x) == 0.0 is returned at once.
 
-    The loop runs until the width drops below tol/2 and returns the midpoint,
-    as bisection does, so the midpoint sits within tol/4 of the bracketed
-    root.  Bisection needs floor(log2((hi-lo)/tol)) + 2 halvings for that.
-    The slack r keeps the width after j steps at most (hi-lo) * 2**(ITP_N0 -
-    j), so in exact arithmetic ITP stops within ITP_N0 = 1 step more:
-    ceil(log2((hi-lo)/tol)) + 2 unless the ratio is a power of two.  tol = 0
-    has no finite step budget, so it leaves no slack and bisects.  A midpoint
-    that is no longer strictly interior means float resolution was reached;
-    that counts as converged (status FLOAT_LIMIT).  Only the iteration cap is
-    a failure.
+    The tolerance is tol = 4 ulp(hi).  The loop runs until the width drops
+    below tol/2 = 2 ulp(hi), float resolution, and returns the midpoint, as
+    bisection does, so the midpoint sits within tol/4 of the bracketed root.
+    Bisection needs floor(log2((hi-lo)/tol)) + 2 halvings for that.  The
+    slack r keeps the width after j steps at most (hi-lo) * 2**(ITP_N0 - j),
+    so in exact arithmetic ITP stops within ITP_N0 = 1 step more:
+    ceil(log2((hi-lo)/tol)) + 2 unless the ratio is a power of two.  A
+    midpoint that is no longer strictly interior means float resolution was
+    reached first (the root lies where floats are coarser than at hi); that
+    too ends the search.  Only reaching ITP_MAX_ITER steps sets capped.
 
     A step point that is not strictly interior has reached an end: the
     regula falsi point rounds onto the end whose f is nearest 0 once the
@@ -108,21 +105,22 @@ def itp(f, lo, hi, f_lo, f_hi, tol, max_iter, ftol):
     instead would spend a step per halving on a root already pinned to the
     end.  The point stays within the slack r: it reached an end, so r was at
     least half the width, and the bound above holds.  The midpoint is kept
-    only when the inset point is not strictly interior either (tol = 0, or
-    tol/4 below float resolution at the end).
+    only when the inset point is not strictly interior either (tol/4 below
+    float resolution at the end).
     """
+    tol = 4.0 * ulp(hi)
     target = 0.5 * tol
     k1 = ITP_K1 / (hi - lo)
     # halved before each step, it is the width that step may leave
-    slack_width = (hi - lo) * 2.0**ITP_N0 if tol > 0.0 else 0.0
+    slack_width = (hi - lo) * 2.0**ITP_N0
     iters = 0
     while hi - lo >= target:
-        if iters >= max_iter:
-            return 0.5 * (lo + hi), iters, ITER_CAP
+        if iters >= ITP_MAX_ITER:
+            return 0.5 * (lo + hi), iters, True
         width = hi - lo
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            return mid, iters, FLOAT_LIMIT
+            return mid, iters, False
         # interpolate (regula falsi), truncate toward the midpoint, project
         # into the slack r around it; sigma is the sign of mid - x_f, so
         # sigma * (mid - x) is |mid - x| for each x on x_f's side of mid
@@ -142,13 +140,13 @@ def itp(f, lo, hi, f_lo, f_hi, tol, max_iter, ftol):
                 x = mid
         fx = f(x)
         iters += 1
-        if -ftol <= fx <= ftol:
-            return x, iters, CONVERGED
+        if fx == 0.0:
+            return x, iters, False
         if (fx > 0.0) == (f_lo > 0.0):
             lo, f_lo = x, fx
         else:
             hi, f_hi = x, fx
-    return 0.5 * (lo + hi), iters, CONVERGED
+    return 0.5 * (lo + hi), iters, False
 
 
 def cover_compose(g1, w1, g2, w2):

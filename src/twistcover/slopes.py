@@ -115,7 +115,7 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     p/q, n and the end; a breakdown in the final g_eval (B rounds to 1 at
     n = -1000, 1/10^17) names p/q too and keeps its class.
     A bracket that collapses without meeting the bound is a jump, not a
-    crossing: NonConvergence reports it, as it does solver.DEFAULT_MAX_ITER.
+    crossing: NonConvergence reports it, as it does kernels.ITP_MAX_ITER.
     """
     check_n(n)
     if not (is_int(p) and is_int(q)):
@@ -139,15 +139,15 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
         s, _, t = solver.branch_point(n, theta)
         return _slope(n, s, t)[1] - r
 
-    theta, iters, status = solver.branch_root(n, g_minus_r, -r, 4.0 - r)
+    theta, iters, capped = solver.branch_root(n, g_minus_r, -r, 4.0 - r)
     try:
         smp = g_eval(n, solver.branch_point(n, theta)[0])
     except NumericsError as exc:
         raise type(exc)(f"slope {p}/{q}: {exc}") from exc
     if abs(smp.g - r) <= DEFAULT_TOL_G:
         return smp, InvertReport(iters + 1)
-    if status == kernels.ITER_CAP:
-        cap = solver.DEFAULT_MAX_ITER
+    if capped:
+        cap = kernels.ITP_MAX_ITER
         raise NonConvergence(f"slope root finding hit the {cap}-iteration cap for n={n}, {p}/{q}")
     raise NonConvergence(
         f"bracket around s = {smp.s} collapsed at n={n} with |g - {p}/{q}| = "

@@ -25,13 +25,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import asin, cos, inf, isfinite, pi, sin, sqrt, ulp
+from math import asin, cos, inf, isfinite, pi, sin, sqrt
 
 from . import kernels
 from .errors import DomainError, NonConvergence, NumericsError
-from .exactpoly import check_n
-
-DEFAULT_MAX_ITER = 200
+from .exactpoly import check_n, is_int
 
 
 def check_positive(name: str, value: float) -> float:
@@ -58,6 +56,8 @@ class RepSolution(
 
 def tau_num(m: int, trace: float) -> float:
     """Numeric (z^m - z^-m)/(z - z^-1) with z + 1/z = trace, |trace| <= 2."""
+    if not is_int(m):
+        raise DomainError(f"m must be an integer, got {m!r}")
     trace = float(trace)
     if not abs(trace) <= 2.0:
         if abs(trace) - 2.0 <= 1e-12:
@@ -160,35 +160,35 @@ def branch_point(n: int, theta: float) -> tuple[float, float, float]:
 
 
 @lru_cache(maxsize=64)
-def _branch_constants(n: int) -> tuple[bool, float, float, float, float, float]:
-    """(zero_is_lo, lo, hi, tol, den_zero, num_inf): branch_root's constants
-    for n, which must pass check_n.
+def _branch_constants(n: int) -> tuple[bool, float, float, float, float]:
+    """(zero_is_lo, lo, hi, den_zero, num_inf): branch_root's constants for
+    n, which must pass check_n.
 
     lo < hi is branch_interval(n), zero_is_lo says whether lo is the end
-    where s -> 0, tol = 4 ulp(hi) is ITP's tolerance, and den_zero =
-    cos((n + 1/2) theta) at the s -> 0 end and num_inf = 2 sin(theta/2)
-    sin(n theta) at the s -> inf end are the factors of solve's end values.
+    where s -> 0, and den_zero = cos((n + 1/2) theta) at the s -> 0 end and
+    num_inf = 2 sin(theta/2) sin(n theta) at the s -> inf end are the
+    factors of solve's end values.
     """
     zero, inf_end = branch_ends(n)
     lo, hi = branch_interval(n)
     den_zero = _branch_terms(n, zero)[2]
     num_inf = _branch_terms(n, inf_end)[1]
-    return zero == lo, lo, hi, 4.0 * ulp(hi), den_zero, num_inf
+    return zero == lo, lo, hi, den_zero, num_inf
 
 
-def branch_root(n: int, f, f_zero: float, f_inf: float) -> tuple[float, int, int]:
-    """kernels.itp on f across branch_interval(n): (theta, iterations, status).
+def branch_root(n: int, f, f_zero: float, f_inf: float) -> tuple[float, int, bool]:
+    """kernels.itp on f across branch_interval(n): (theta, iterations, capped).
 
     f_zero and f_inf are f's values at the ends where s -> 0 and s -> inf,
-    nonzero with opposite signs; ITP never evaluates an end.  With ftol = 0
-    and tol = 4 ulp(hi) it stops at hi - lo < 2 ulp(hi), float resolution.
-    The interval, its orientation and tol depend on n alone, so
-    _branch_constants computes them once per n (a small functools cache,
-    cleared with the package's other caches), not once per root.
+    nonzero with opposite signs; ITP never evaluates an end, and it stops at
+    hi - lo < 2 ulp(hi), float resolution.  The interval and its orientation
+    depend on n alone, so _branch_constants computes them once per n (a
+    small functools cache, cleared with the package's other caches), not
+    once per root.
     """
-    zero_is_lo, lo, hi, tol, _, _ = _branch_constants(n)
+    zero_is_lo, lo, hi, _, _ = _branch_constants(n)
     f_lo, f_hi = (f_zero, f_inf) if zero_is_lo else (f_inf, f_zero)
-    return kernels.itp(f, lo, hi, f_lo, f_hi, tol, DEFAULT_MAX_ITER, 0.0)
+    return kernels.itp(f, lo, hi, f_lo, f_hi)
 
 
 def _root(n: int, s: float) -> tuple[float, float, float, float, int]:
@@ -211,13 +211,13 @@ def _root(n: int, s: float) -> tuple[float, float, float, float, int]:
         T = s + 2.0 + 1.0 / (s + 1.0)
         iters = 0
     else:
-        den_zero, num_inf = _branch_constants(n)[4:]
-        theta, iters, status = branch_root(
+        den_zero, num_inf = _branch_constants(n)[3:]
+        theta, iters, capped = branch_root(
             n, _branch_equation(n, s), s * den_zero, -num_inf
         )
-        if status == kernels.ITER_CAP:
+        if capped:
             raise NonConvergence(
-                f"root finding hit the {DEFAULT_MAX_ITER}-iteration cap at n={n}, s={s}"
+                f"root finding hit the {kernels.ITP_MAX_ITER}-iteration cap at n={n}, s={s}"
             )
         h = sin(0.5 * theta)
         delta = 4.0 * h * h

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import twistcover
-from twistcover import BivarPoly, DomainError, TRACE_POLY, riley_poly, solve, tau_poly
+from twistcover import BivarPoly, DomainError, TRACE_POLY, riley_poly, solve, tau_num, tau_poly
 from twistcover.checks import SEED, grid_solutions
 from twistcover.exactpoly import _tau_nonneg, clear_cache, phi_exact, tau_exact
 
@@ -93,6 +93,19 @@ def test_non_integer_twist_parameter():
         for n in (2.5, True, False):
             with pytest.raises(DomainError, match="n must be an integer"):
                 build(n)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [tau_poly, lambda m: tau_exact(m, 3), lambda m: tau_num(m, 1.5)],
+    ids=["tau_poly", "tau_exact", "tau_num"],
+)
+@pytest.mark.parametrize("m", [2.5, True, "3"])
+def test_non_integer_trace_index(build, m):
+    # each trace recursion walks |m| integer steps; True is an int subclass,
+    # yet no index
+    with pytest.raises(DomainError, match="m must be an integer"):
+        build(m)
 
 
 def _summed(p: BivarPoly, s: Fraction, T: Fraction) -> Fraction:
@@ -200,6 +213,18 @@ def test_poly_arithmetic_basics():
     assert (3 * a).coeffs == {(1, 0): 6, (0, 1): -3}
     with pytest.raises(ValueError, match="negative degree"):
         BivarPoly({(-1, 0): 1})
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(0, 0): 2.5}, {(1.5, 0): 1}, {(0, 2.0): 1}, {(0, 0): "7"}, {(0, 0): True},
+     {(True, 0): 1}, {(0, 0): Fraction(3)}],
+)
+def test_terms_must_be_integers(terms):
+    # int() would truncate 2.5 to 2, file s^1.5 under s^1 and read "7" and
+    # True as 7 and 1
+    with pytest.raises(DomainError, match="must be integers"):
+        BivarPoly(terms)
 
 
 def test_product_degrees_add():

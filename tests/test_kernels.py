@@ -11,7 +11,6 @@ import pytest
 from twistcover import kernels, solver
 from twistcover.checks import GRID_N
 from twistcover.exactpoly import tau_exact
-from twistcover.kernels import CONVERGED, FLOAT_LIMIT, ITER_CAP
 
 
 def test_cheb_ratio_against_exact_recursion():
@@ -66,38 +65,49 @@ def test_phi_delta_matches_solver_values():
         )
 
 
-def test_bisect_statuses():
+def test_bisect_statuses(monkeypatch):
     d_lo, d_hi, _, _ = DELTA_WINDOWS[2, 1.0]
     phi = partial(kernels.phi_delta, 2, 1.0)
     window = (d_lo, d_hi, phi(d_lo), phi(d_hi))
-    root, iters, status = kernels.itp(phi, *window, 1e-13, 200, 0.0)
-    assert status == CONVERGED
+    root, iters, capped = kernels.itp(phi, *window)
+    assert not capped
     assert 0 < iters <= 60
     # delta = T - s - 2 at s = 1 with T = (17 + sqrt(17))/4
     assert root == pytest.approx((5 + math.sqrt(17)) / 4, rel=1e-12)
 
-    _, _, capped = kernels.itp(phi, *window, 1e-13, 3, 0.0)
-    assert capped == ITER_CAP
+    # the cap is read when itp runs
+    monkeypatch.setattr(kernels, "ITP_MAX_ITER", 3)
+    assert kernels.itp(phi, *window)[1:] == (3, True)
+    monkeypatch.undo()
 
-    # demanding more resolution than doubles have stops at the float limit
-    _, _, limited = kernels.itp(phi, *window, 0.0, 200, 0.0)
-    assert limited == FLOAT_LIMIT
+    # tol = 4 ulp(2**-1000) is far below the spacing of floats at a jump at
+    # -1.25, so the bracket closes on two neighbouring floats and the
+    # midpoint, no longer interior, ends the search: not capped
+    seen = []
+
+    def step(x):
+        seen.append(x)
+        return -1.0 if x < -1.25 else 1.0
+
+    assert kernels.itp(step, -3.0, 2.0**-1000, -1.0, 1.0) == (-1.25, 53, False)
+    assert len(seen) == 53
 
 
-def test_itp_returns_the_first_step_within_ftol():
-    # x^3 - 2 on [0, 2]: every step calls f once, and the first step point
-    # with |f| <= ftol comes back as it is, not the bracket midpoint
+def test_itp_returns_an_exact_zero_at_once():
+    # x^3 + 2 on [-3, 2**-1000]: float resolution at the root is far coarser
+    # than tol, and the first step point where f is exactly 0.0 (the 11th)
+    # comes back as it is, not the bracket midpoint
     seen = []
 
     def f(x):
         seen.append(x)
-        return x**3 - 2.0
+        return x**3 + 2.0
 
-    root, iters, status = kernels.itp(f, 0.0, 2.0, -2.0, 6.0, 1e-15, 200, 1e-6)
-    assert status == CONVERGED
-    assert iters == len(seen) and root == seen[-1]
-    assert abs(root**3 - 2.0) <= 1e-6
-    assert all(abs(x**3 - 2.0) > 1e-6 for x in seen[:-1])
+    root, iters, capped = kernels.itp(f, -3.0, 2.0**-1000, -25.0, 2.0)
+    assert (iters, capped) == (11, False)
+    assert len(seen) == 11 and root == seen[-1]
+    assert root**3 + 2.0 == 0.0
+    assert all(x**3 + 2.0 != 0.0 for x in seen[:-1])
 
 
 @pytest.mark.parametrize(
@@ -108,7 +118,9 @@ def test_itp_steps_inside_an_end_it_reaches(n, s):
     # onto the end whose f is ~0 once |f| is near 1e-16: the step moves tol/4
     # inside that end, not to the midpoint, and the next bracket is the tol/4
     # sliver beside it (bisecting toward the end took 31, 32 and 31 steps)
-    zero_is_lo, lo, hi, tol, den_zero, num_inf = solver._branch_constants(n)
+    zero_is_lo, lo, hi, den_zero, num_inf = solver._branch_constants(n)
+    # itp's own tolerance
+    tol = 4.0 * math.ulp(hi)
     f_zero, f_inf = s * den_zero, -num_inf
     f_lo, f_hi = (f_zero, f_inf) if zero_is_lo else (f_inf, f_zero)
     branch_eq = solver._branch_equation(n, s)
@@ -118,8 +130,8 @@ def test_itp_steps_inside_an_end_it_reaches(n, s):
         seen.append((x, branch_eq(x)))
         return seen[-1][1]
 
-    _, iters, status = kernels.itp(f, lo, hi, f_lo, f_hi, tol, 200, 0.0)
-    assert status == CONVERGED and iters == len(seen) <= 10
+    _, iters, capped = kernels.itp(f, lo, hi, f_lo, f_hi)
+    assert not capped and iters == len(seen) <= 10
     # replay itp's bracket to find the steps whose regula falsi point was on
     # an end
     insets = 0

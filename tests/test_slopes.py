@@ -6,6 +6,7 @@ import pytest
 
 import twistcover.checks as checks
 import twistcover.cover as cover
+import twistcover.kernels as kernels
 import twistcover.rep as rep
 import twistcover.slopes as slopes
 import twistcover.solver as solver
@@ -330,7 +331,7 @@ def test_invert_refuses_a_jump(monkeypatch, branch_calls):
         invert(2, 2, 1)
     assert " at n=2 " in str(exc.value)
     # ITP collapses the bracket in theta onto the jump, well inside the cap
-    assert 0 < branch_calls[0] - 1 < solver.DEFAULT_MAX_ITER
+    assert 0 < branch_calls[0] - 1 < kernels.ITP_MAX_ITER
     where = float(str(exc.value).split("bracket around s = ")[1].split()[0])
     assert where == pytest.approx(2.0, rel=1e-12)
 
@@ -338,7 +339,7 @@ def test_invert_refuses_a_jump(monkeypatch, branch_calls):
 def test_invert_iteration_cap(monkeypatch):
     # n = 1 solves in closed form, so the cap binds only invert's own loop,
     # which needs 9 steps in theta for 3/2
-    monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 3)
+    monkeypatch.setattr(kernels, "ITP_MAX_ITER", 3)
     with pytest.raises(NonConvergence, match="3-iteration cap"):
         invert(1, 3, 2)
 

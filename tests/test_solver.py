@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import twistcover.kernels as kernels
 import twistcover.slopes as slopes
 import twistcover.solver as solver
 from twistcover import (
@@ -194,7 +195,7 @@ def test_scan_far_out_on_the_branch(n):
 
 
 def test_solve_iteration_cap(monkeypatch):
-    monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 3)
+    monkeypatch.setattr(kernels, "ITP_MAX_ITER", 3)
     with pytest.raises(NonConvergence, match="3-iteration cap"):
         solve(2, 1.0)
 
