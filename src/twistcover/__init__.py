@@ -4,8 +4,8 @@ The pipeline: exact defining polynomials (exactpoly), certified numeric roots
 (solver), the matrix representation and its longitude (rep), the slope map
 g and its inversion (slopes), and lifting to the universal cover with surgery
 certificates (cover).  checks bundles the runtime invariant suites; cli is
-the command line frontend.  kernels holds the four hot inner loops that
-solver, rep and cover call.
+the command line frontend, and the one module that formats output.  kernels
+holds the four hot inner loops that solver, rep and cover call.
 """
 
 from ._version import __version__
@@ -14,7 +14,6 @@ from .cover import (
     SU11Elem,
     SurgeryCertificate,
     certificate,
-    certificate_json,
     chart,
     cover_inv,
     cover_mul,
@@ -47,6 +46,6 @@ from .rep import (
     w_matrix,
     w_power,
 )
-from .slopes import SlopeSample, g_eval, invert, scan, scan_to_csv
+from .slopes import SlopeSample, g_eval, invert, scan
 from .solver import RepSolution, phi_num, solve, t_from_T, tau_num
 

@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 domain error (bad parameters, including usage
 errors), 2 numerical failure.  Payload goes to stdout, structured errors to
 stderr as one JSON object.  Identical inputs produce byte-identical output:
 floats are emitted in shortest round-trip form by the json module, and the
-version string sits in its own header field.
+version string sits in its own header field.  This is the one module that
+formats output: the library returns records, and only this module turns them
+into JSON, text or CSV.
 """
 
 from __future__ import annotations
@@ -28,8 +30,11 @@ def _finite_or_null(x: float) -> float | None:
     return x if isfinite(x) else None
 
 
-def _text(pairs) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in pairs)
+def _emit(fmt: str, payload: dict) -> str:
+    """payload as JSON, or as one "key = value" line per field."""
+    if fmt == "json":
+        return _json(payload)
+    return "".join(f"{k} = {v}\n" for k, v in payload.items())
 
 
 def _rational(text: str) -> tuple[int, int]:
@@ -96,24 +101,22 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_riley(a) -> tuple[str, int]:
-    terms = exactpoly.riley_poly(a.n).terms()
+    # coeffs is ordered by T-degree, then s-degree
+    coeffs = exactpoly.riley_poly(a.n).coeffs.items()
     if a.format == "json":
+        terms = [{"s_deg": i, "T_deg": j, "coeff": str(c)} for (i, j), c in coeffs]
         return _json({"version": __version__, "n": a.n, "terms": terms}), 0
     if a.format == "csv":
-        lines = ["s_deg,T_deg,coeff"]
-        lines += [f"{t['s_deg']},{t['T_deg']},{t['coeff']}" for t in terms]
-        return "\n".join(lines) + "\n", 0
-    lines = [f"n = {a.n}, {len(terms)} terms"]
-    lines += [f"  s^{t['s_deg']} T^{t['T_deg']}  {t['coeff']}" for t in terms]
+        lines = ["s_deg,T_deg,coeff"] + [f"{i},{j},{c}" for (i, j), c in coeffs]
+    else:
+        lines = [f"n = {a.n}, {len(coeffs)} terms"]
+        lines += [f"  s^{i} T^{j}  {c}" for (i, j), c in coeffs]
     return "\n".join(lines) + "\n", 0
 
 
 def _cmd_solve(a) -> tuple[str, int]:
     sol = solver.solve(a.n, a.s)
-    payload = {"version": __version__, **sol._asdict()}
-    if a.format == "json":
-        return _json(payload), 0
-    return _text(payload.items()), 0
+    return _emit(a.format, {"version": __version__, **sol._asdict()}), 0
 
 
 def _cmd_slope(a) -> tuple[str, int]:
@@ -121,41 +124,38 @@ def _cmd_slope(a) -> tuple[str, int]:
         raise DomainError("slope takes exactly one of --s or --r")
     if a.s is not None:
         smp = slopes.g_eval(a.n, a.s)
-        payload = {"version": __version__, "n": a.n, **smp._asdict()}
-    else:
-        p, q = a.r
-        smp, report = slopes.invert(a.n, p, q)
-        payload = {
-            "version": __version__,
-            "n": a.n,
-            "p": p,
-            "q": q,
-            "s_star": smp.s,
-            "T": smp.T,
-            "t": smp.t,
-            "B": smp.B,
-            "g": smp.g,
-            "evaluations": report.evaluations,
-        }
-    if a.format == "json":
-        return _json(payload), 0
-    return _text(payload.items()), 0
+        return _emit(a.format, {"version": __version__, "n": a.n, **smp._asdict()}), 0
+    p, q = a.r
+    smp, report = slopes.invert(a.n, p, q)
+    payload = {
+        "version": __version__,
+        "n": a.n,
+        "p": p,
+        "q": q,
+        "s_star": smp.s,
+        "T": smp.T,
+        "t": smp.t,
+        "B": smp.B,
+        "g": smp.g,
+        "evaluations": report.evaluations,
+    }
+    return _emit(a.format, payload), 0
 
 
 def _cmd_scan(a) -> tuple[str, int]:
     rows = slopes.scan(a.n, a.s_min, a.s_max, a.samples)
     if a.format == "csv":
-        return slopes.scan_to_csv(rows), 0
+        # 17 significant digits round-trip every double
+        lines = [",".join(slopes.SlopeSample._fields)]
+        lines += [",".join(format(v, ".17g") for v in r) for r in rows]
+        return "\n".join(lines) + "\n", 0
     payload = {"version": __version__, "n": a.n, "rows": [r._asdict() for r in rows]}
     return _json(payload), 0
 
 
 def _cmd_certify(a) -> tuple[str, int]:
     cert = cover.certificate(a.n, *a.r)
-    if a.format == "json":
-        return cover.certificate_json(cert), 0
-    pairs = [("version", __version__)] + list(cert._asdict().items())
-    return _text(pairs), 0
+    return _emit(a.format, {"version": __version__, **cert._asdict()}), 0
 
 
 def _cmd_verify(a) -> tuple[str, int]:
@@ -184,12 +184,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         out, code = args.handler(args)
-    except DomainError as exc:
+    except (DomainError, NumericsError) as exc:
         sys.stderr.write(_json({"error": type(exc).__name__, "message": str(exc)}))
-        return 1
-    except NumericsError as exc:
-        sys.stderr.write(_json({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
+        return 1 if isinstance(exc, DomainError) else 2
     sys.stdout.write(out)
     return code
 

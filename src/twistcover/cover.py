@@ -13,7 +13,7 @@ group law's steps (_compose, _inv, _pow, _word) form plain pairs, each checked
 as it is formed, so saturation is caught where it happens; cover_mul,
 cover_inv, cover_pow and cover_word box the result with _box, unchecked.
 SU11Elem (boxed by _su11 the same way) and SurgeryCertificate are slotted
-namedtuples too; certificate_json serializes a certificate's _asdict().
+namedtuples too.
 
 The point of the chart: the kernel of the covering map is {(0, 2 m pi)}, so
 proving that a lifted word equals (0, 0) on the nose, and not just up to a
@@ -24,14 +24,12 @@ x^p L^q at the slope-p/q parameter.
 
 from __future__ import annotations
 
-import json
 from cmath import isfinite, phase
 from collections import namedtuple
 from functools import lru_cache, partial
 from math import cos, inf, sin, sqrt
 
 from . import kernels
-from ._version import __version__
 from .errors import (
     CertificateFailed,
     DomainError,
@@ -269,15 +267,11 @@ def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, flo
     return xt, yt, residual
 
 
-def lifted_longitude(
-    n: int, xt: CoverElem, yt: CoverElem, expected_gamma: float | None = None
-) -> CoverElem:
+def lifted_longitude(n: int, xt: CoverElem, yt: CoverElem) -> CoverElem:
     """Lift of the longitude; |omega| must stay within DEFAULT_TOL_CERT.
 
     The longitude w_rev^n w^n, w_rev = y x^-1 y^-1 x, is the product of two
     powers by squaring, O(log |n|) compositions, not a letter walk.
-    Optionally cross-checks gamma against the holonomy's value
-    (rep.HolonomyData.lifted_gamma), to LONGITUDE_GAMMA_TOL.
     """
     g, w = _compose(_pow(_word("yXYx", xt, yt), n), _lifted_w_power(n, xt, yt))
     if not abs(w) <= DEFAULT_TOL_CERT:
@@ -285,13 +279,6 @@ def lifted_longitude(
             f"lifted longitude has omega = {w}, "
             f"|omega| > {DEFAULT_TOL_CERT} at n={n}"
         )
-    if expected_gamma is not None:
-        err = abs(g - expected_gamma)
-        if not err <= LONGITUDE_GAMMA_TOL:
-            raise NumericsError(
-                f"lifted longitude gamma = {g} differs from holonomy "
-                f"value {expected_gamma} by {err:.3e} > {LONGITUDE_GAMMA_TOL}"
-            )
     return _box((g, w))
 
 
@@ -319,11 +306,19 @@ def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
     that the lifted x^p L^q lands on (0, 0) within DEFAULT_TOL_CERT.  It
     lifts at invert's own sample, whose s and t come from g_eval at s*, the
     certificate's one solve (invert's steps evaluate the branch in closed form).
+    The lifted longitude's gamma must match the holonomy's value
+    (rep.HolonomyData.lifted_gamma) to LONGITUDE_GAMMA_TOL.
     """
     smp, _ = invert(n, p, q)
     _, hol = longitude(n, smp)
     xt, yt, rel_res = lift_generators(n, smp)
-    lt = lifted_longitude(n, xt, yt, expected_gamma=hol.lifted_gamma)
+    lt = lifted_longitude(n, xt, yt)
+    err = abs(lt.gamma - hol.lifted_gamma)
+    if not err <= LONGITUDE_GAMMA_TOL:
+        raise NumericsError(
+            f"lifted longitude gamma = {lt.gamma} differs from holonomy "
+            f"value {hol.lifted_gamma} by {err:.3e} > {LONGITUDE_GAMMA_TOL}"
+        )
     stage = f"closure of x^{p} L^{q} at n={n}, r={p}/{q}, s*={smp.s}"
     try:
         final = cover_mul(cover_pow(xt, p), cover_pow(lt, q))
@@ -353,10 +348,3 @@ def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
         tol_slope=DEFAULT_TOL_G,
         tol_certificate=DEFAULT_TOL_CERT,
     )
-
-
-def certificate_json(cert: SurgeryCertificate) -> str:
-    """Serialize with a fixed field order, version first."""
-    payload = {"version": __version__}
-    payload.update(cert._asdict())
-    return json.dumps(payload, indent=2) + "\n"

@@ -227,11 +227,6 @@ class BivarPoly:
     def degree_T(self) -> int:
         return len(self._rows) - 1
 
-    def terms(self) -> list:
-        """Serialization form: coefficients as decimal strings, ordered
-        lexicographically by T-degree then s-degree."""
-        return [{"s_deg": a, "T_deg": b, "coeff": str(c)} for (a, b), c in self.coeffs.items()]
-
     def __repr__(self):
         if not self._rows:
             return "BivarPoly(0)"

@@ -212,7 +212,12 @@ def longitude(n: int, sol: RepSolution) -> tuple[Mat2, HolonomyData]:
     """
     s, t = sol.s, sol.t
     u11, u12, u21, u22 = w_power(n, s, t)
-    sigma = sigma_factor(s, t)
+    try:
+        sigma = sigma_factor(s, t)
+    except DomainError as exc:
+        # on the branch T > s + 2 strictly, so a zero denominator is rounding
+        # at large s, not a bad input
+        raise NumericsError(f"at n={n}, u^2 - s = T - s - 2 > 0 rounds to 0: {exc}") from exc
     e12 = u11 * u12 + u21 * u22 / sigma
     e21 = u11 * u12 * sigma + u21 * u22
     ell = _mat((u11 * u11 + u21 * u21 / sigma, e12, e21, u12 * u12 * sigma + u22 * u22))

@@ -88,16 +88,6 @@ def scan(n: int, s_min: float, s_max: float, samples: int) -> list[SlopeSample]:
     return [g_eval(n, s) for s in _log_grid(s_min, s_max, samples)]
 
 
-def scan_to_csv(rows: list[SlopeSample]) -> str:
-    """CSV table "s,T,t,B,g", 17 significant digits per cell."""
-    out = ["s,T,t,B,g"]
-    for r in rows:
-        out.append(
-            ",".join(format(v, ".17g") for v in (r.s, r.T, r.t, r.B, r.g))
-        )
-    return "\n".join(out) + "\n"
-
-
 def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     """Find s with |g(s) - p/q| <= DEFAULT_TOL_G; p/q must be reduced and in
     (0, 4).

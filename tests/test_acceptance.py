@@ -10,12 +10,23 @@ suite bounds live with the suites.
 import ast
 import inspect
 import math
+from collections import Counter
+from fractions import Fraction
 from time import perf_counter
 
 import pytest
 
 import twistcover.checks as checks
-from twistcover import CertificateFailed, certificate, cover, g_eval, phi_num, riley_poly, solve
+from twistcover import (
+    CertificateFailed,
+    NumericsError,
+    certificate,
+    cover,
+    g_eval,
+    phi_num,
+    riley_poly,
+    solve,
+)
 from twistcover.exactpoly import clear_cache
 
 CERT_PAIRS = [
@@ -221,6 +232,24 @@ def test_batch_certify_budget(g_eval_calls, root_calls, phi_delta_calls):
         f"n=2, {len(fracs)} slopes ({refused} refused), {calls} slope evaluations vs {budget}, "
         f"{evals} phi_delta calls vs 0",
     )
+
+
+def test_certify_verdicts_on_the_standard_grid():
+    # every n of GRID_N at every reduced p/q in (0, 4) with q <= 12: the count
+    # of each verdict is pinned, so a change to certificate that moves a slope
+    # from one verdict to another fails here
+    fracs = sorted({Fraction(p, q) for q in range(1, 13) for p in range(1, 4 * q)})
+    assert len(fracs) == 183
+    verdicts = Counter()
+    for n in checks.GRID_N:
+        for r in fracs:
+            try:
+                certificate(n, r.numerator, r.denominator)
+                verdicts["certified"] += 1
+            except NumericsError as exc:
+                verdicts[type(exc).__name__] += 1
+    assert verdicts == {"certified": 1205, "CertificateFailed": 445, "NumericsError": 363}
+    report("certify verdicts on the grid", ", ".join(f"{k} {v}" for k, v in verdicts.items()))
 
 
 def test_large_n_certificates():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import twistcover
-from twistcover import __version__, checks, cover
+from twistcover import __version__, checks, cover, scan
 from twistcover.cli import main
 
 
@@ -152,6 +152,8 @@ def test_nonfinite_solutions_are_numerics_errors(capsys, argv):
             ("slope", "--n", "-1000", "--r", "1/" + "1" + "0" * 17),
             "slope 1/100000000000000000: longitude entry B = 1.0 is not < 1 at n=-1000",
         ),
+        # u^2 - s = T - s - 2 > 0 on the branch rounds to 0, a float pole of sigma
+        (("certify", "--n", "2", "--r", "39999999999/10000000000"), "at n=2, u^2 - s = T - s - 2 > 0 rounds to 0"),
     ],
 )
 def test_float_resolution_limits_are_numerics_errors(capsys, argv, text):
@@ -223,6 +225,34 @@ def test_certify_json(capsys):
     assert abs(data["final_omega"]) < 1e-6
     code2, out2, _ = run(capsys, "certify", "--n", "2", "--r", "1/1")
     assert out2 == out  # byte-identical rerun
+
+
+def test_certify_json_stable(capsys):
+    code, blob, _ = run(capsys, "certify", "--n", "-2", "--r", "1/2")
+    assert code == 0
+    assert blob == run(capsys, "certify", "--n", "-2", "--r", "1/2")[1]
+    data = json.loads(blob)
+    assert list(data)[0] == "version"
+    expected = {
+        "version",
+        "n",
+        "p",
+        "q",
+        "s_star",
+        "t",
+        "B",
+        "gamma_x",
+        "gamma_L",
+        "relator_residual",
+        "longitude_omega",
+        "final_gamma_abs",
+        "final_omega",
+        "tol_slope",
+        "tol_certificate",
+    }
+    assert set(data) == expected
+    assert data["n"] == -2 and data["p"] == 1 and data["q"] == 2
+    assert blob.endswith("\n")
 
 
 def test_certify_text_matches_json(capsys):
@@ -356,6 +386,32 @@ def test_scan_csv(capsys):
     assert lines[1] == "1,3.5,3.1861406616345072,0.22078900754823924,2.6070663536573102"
     code2, out2, _ = run(capsys, "scan", "--n", "1", "--s-min", "1", "--s-max", "2", "--samples", "2", "--format", "csv")
     assert out2 == out
+
+
+def test_scan_csv_format(capsys):
+    rows = scan(1, 0.5, 2.0, 3)
+    code, text, _ = run(capsys, "scan", "--n", "1", "--s-min", "0.5", "--s-max", "2", "--samples", "3", "--format", "csv")
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[0] == "s,T,t,B,g"
+    assert len(lines) == 4
+    assert text.endswith("\n")
+    for line, row in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert float(cells[0]) == row.s
+        assert float(cells[1]) == row.T
+        assert float(cells[2]) == row.t
+        assert float(cells[3]) == row.B
+        assert float(cells[4]) == row.g  # %.17g round-trips exactly
+
+
+def test_riley_terms_order(capsys):
+    code, out, _ = run(capsys, "riley", "--n", "2")
+    assert code == 0
+    terms = json.loads(out)["terms"]
+    keys = [(d["T_deg"], d["s_deg"]) for d in terms]
+    assert keys == sorted(keys)
+    assert all(isinstance(d["coeff"], str) for d in terms)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 """Universal cover of SL2(R): chart arithmetic, lifts, certificates."""
 
-import json
 import math
 import random
 
@@ -15,7 +14,6 @@ from twistcover import (
     RelatorNotCentral,
     SlopeOutOfRange,
     certificate,
-    certificate_json,
     chart,
     cover_inv,
     cover_mul,
@@ -34,6 +32,7 @@ from twistcover.cover import (
     DEFAULT_LIFT_TOL,
     DEFAULT_TOL_CERT,
     IDENTITY_COVER,
+    LONGITUDE_GAMMA_TOL,
     SU11Elem,
     SurgeryCertificate,
     su11_dist,
@@ -497,15 +496,7 @@ def test_lifted_longitude_frozen_value():
     b = longitude_holonomy(1.0, sol.t)
     want = (b * b - 1.0) / (b * b + 1.0)
     assert longitude(1, sol)[1].lifted_gamma == want
-    lifted_longitude(1, xt, yt, expected_gamma=want)  # must not raise
-
-
-@pytest.mark.parametrize("expected_gamma", [0.99, math.nan])
-def test_lifted_longitude_rejects_wrong_gamma(expected_gamma):
-    # the lifted gamma at n = 2, s = 1 is far from 0.99, and NaN matches nothing
-    xt, yt, _ = lift_generators(2, solve(2, 1.0))
-    with pytest.raises(NumericsError, match="differs from holonomy"):
-        lifted_longitude(2, xt, yt, expected_gamma=expected_gamma)
+    assert abs(lt.gamma - want) <= LONGITUDE_GAMMA_TOL
 
 
 def test_lifted_longitude_flags_winding():
@@ -544,32 +535,19 @@ def test_certificate_round_slope():
     assert cert.gamma_x == pytest.approx((cert.t - 1.0) / (cert.t + 1.0), rel=1e-12)
 
 
-def test_certificate_json_stable():
-    cert = certificate(-2, 1, 2)
-    blob = certificate_json(cert)
-    assert blob == certificate_json(cert)
-    data = json.loads(blob)
-    assert list(data)[0] == "version"
-    expected = {
-        "version",
-        "n",
-        "p",
-        "q",
-        "s_star",
-        "t",
-        "B",
-        "gamma_x",
-        "gamma_L",
-        "relator_residual",
-        "longitude_omega",
-        "final_gamma_abs",
-        "final_omega",
-        "tol_slope",
-        "tol_certificate",
-    }
-    assert set(data) == expected
-    assert data["n"] == -2 and data["p"] == 1 and data["q"] == 2
-    assert blob.endswith("\n")
+@pytest.mark.parametrize("gamma", [0.99, math.nan])
+def test_certificate_rejects_longitude_gamma_off_holonomy(monkeypatch, gamma):
+    # a holonomy B shifted to lifted gamma 0.99, far from the lifted
+    # longitude's at n = 2, r = 1, or to NaN, which matches nothing
+    real = cover.longitude
+
+    def shifted(n, sol):
+        ell, hol = real(n, sol)
+        return ell, hol._replace(B=math.sqrt((1.0 + gamma) / (1.0 - gamma)))
+
+    monkeypatch.setattr(cover, "longitude", shifted)
+    with pytest.raises(NumericsError, match="differs from holonomy"):
+        certificate(2, 1, 1)
 
 
 def test_certificate_failure_modes():

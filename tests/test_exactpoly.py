@@ -195,14 +195,6 @@ def test_riley_poly_memory():
     assert grown < 20 * 2**20, f"riley_poly(100) grew the peak RSS by {grown / 2**20:.1f} MB"
 
 
-def test_terms_serialization_order_and_roundtrip():
-    p = riley_poly(2)
-    terms = p.terms()
-    keys = [(d["T_deg"], d["s_deg"]) for d in terms]
-    assert keys == sorted(keys)
-    assert all(isinstance(d["coeff"], str) for d in terms)
-
-
 def test_poly_arithmetic_basics():
     a = BivarPoly({(1, 0): 2, (0, 1): -1})
     b = BivarPoly({(1, 0): -2, (0, 0): 5})

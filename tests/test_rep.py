@@ -9,7 +9,9 @@ from twistcover import (
     DomainError,
     HolonomyData,
     Mat2,
+    NumericsError,
     OffDiagonalTooLarge,
+    g_eval,
     gen_matrices,
     longitude,
     longitude_holonomy,
@@ -136,6 +138,14 @@ def test_sigma_factor():
     # pole at s = u^2
     with pytest.raises(DomainError):
         sigma_factor(2.25, 4.0)
+
+
+def test_longitude_sigma_pole_by_rounding_is_numerics_error():
+    # on the branch u^2 - s = T - s - 2 > 0, but at s ~ 2.5e8 it rounds to 0:
+    # a float limit, not a bad input, so it is not a DomainError
+    smp = g_eval(2, 251188643.1509582)
+    with pytest.raises(NumericsError, match="at n=2, u\\^2 - s = T - s - 2 > 0 rounds to 0"):
+        longitude(2, smp)
 
 
 def test_relation_residual_off_solution():

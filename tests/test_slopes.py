@@ -18,7 +18,6 @@ from twistcover import (
     g_eval,
     invert,
     scan,
-    scan_to_csv,
     solve,
 )
 from twistcover.checks import GRID_N
@@ -152,28 +151,6 @@ def test_scan_validation():
         scan(1, 1.0, 10.0, 1)
     with pytest.raises(DomainError):
         scan(1, 1e-3, 1e3, 3.0)  # range() would raise a bare TypeError
-
-
-def test_scan_to_csv_format():
-    rows = scan(1, 0.5, 2.0, 3)
-    text = scan_to_csv(rows)
-    lines = text.splitlines()
-    assert lines[0] == "s,T,t,B,g"
-    assert len(lines) == 4
-    assert text.endswith("\n")
-    for line, row in zip(lines[1:], rows):
-        cells = line.split(",")
-        assert float(cells[0]) == row.s
-        assert float(cells[1]) == row.T
-        assert float(cells[2]) == row.t
-        assert float(cells[3]) == row.B
-        assert float(cells[4]) == row.g  # %.17g round-trips exactly
-
-
-def test_scan_csv_frozen_row():
-    rows = scan(1, 1.0, 2.0, 2)
-    line = scan_to_csv(rows).splitlines()[1]
-    assert line == "1,3.5,3.1861406616345072,0.22078900754823924,2.6070663536573102"
 
 
 def test_invert_hits_requested_slope():
