@@ -142,6 +142,13 @@ def test_scan_grid_shape():
     assert max(ratios) == pytest.approx(min(ratios), rel=1e-9)
 
 
+def test_scan_csv_frozen_row():
+    # the first row of scan, written as scan --format csv writes it
+    rows = scan(1, 1.0, 2.0, 2)
+    line = ",".join(format(v, ".17g") for v in rows[0])
+    assert line == "1,3.5,3.1861406616345072,0.22078900754823924,2.6070663536573102"
+
+
 def test_scan_validation():
     with pytest.raises(DomainError):
         scan(1, -1.0, 10.0, 5)
