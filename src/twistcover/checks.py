@@ -7,8 +7,8 @@ where it was first attained, and appends the check to ALL_CHECKS in source
 order.  A check fails closed, called directly or by run_all: a NaN counts as
 infinite, and a DomainError or NumericsError raised in it is a FAIL with
 worst inf, bound nan and the refusal as its where.  The CLI `verify` runs
-them all, and the acceptance tests run each one as a gate.  GRID_N, GRID_S
-and grid_solutions are the one definition of the standard grid that tests
+them all, and the acceptance tests run each one as a gate.  GRID_N,
+GRID_S, GRID_SLOPES and grid_solutions are the one standard grid that tests
 and benchmarks import; grid_longitudes and grid_lifts do rep.longitude and
 cover.lift_generators on it once.  Checks are independent and reseed their
 own RNG, so they run in any order or subset.
@@ -20,13 +20,19 @@ import random
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache, wraps
-from math import ceil, cos, inf, isnan, log2, nan, pi, sin, sqrt, tau, ulp
+from math import ceil, cos, gcd, inf, isnan, log2, nan, pi, sin, sqrt, tau, ulp
 
 from . import cover, exactpoly, rep, slopes, solver
 from .errors import DomainError, NumericsError
 
 GRID_N = (-6, -5, -4, -3, -2, 1, 2, 3, 4, 5, 6)
 GRID_S = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
+# the 183 reduced p/q in (0, 4) with q <= 12, ascending (any two differ by at
+# least 1/132, so their quotients in floats order them exactly)
+GRID_SLOPES = tuple(sorted(
+    ((p, q) for q in range(1, 13) for p in range(1, 4 * q) if gcd(p, q) == 1),
+    key=lambda pq: pq[0] / pq[1],
+))
 SEED = 1729
 
 Cases = Iterator[tuple[float, str]]

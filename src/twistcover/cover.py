@@ -37,6 +37,7 @@ from .errors import (
     NumericsError,
     RelatorNotCentral,
 )
+from .exactpoly import check_n, is_int
 from .rep import Mat2, gen_matrices, longitude
 from .slopes import DEFAULT_TOL_G, invert
 from .solver import RepSolution
@@ -208,8 +209,10 @@ def cover_pow(a: CoverElem, k: int) -> CoverElem:
     compositions: at most 2 floor(log2 |k|), against |k| for a fold.
 
     The product is reassociated, so it matches the left fold, its test
-    oracle, only to rounding.
+    oracle, only to rounding.  k must be an integer (not a bool).
     """
+    if not is_int(k):
+        raise DomainError(f"k must be an integer, got {k!r}")
     return _box(_pow(a, k))
 
 
@@ -252,6 +255,7 @@ def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, flo
     The relator w^n x w^-n y^-1 is formed from the lifted w raised to the
     n-th power by squaring, O(log |n|) compositions, not letter by letter.
     """
+    check_n(n)
     gen_x, gen_y = gen_matrices(sol.s, sol.t)
     xt = chart(to_su11(gen_x))
     yt = chart(to_su11(gen_y))
@@ -273,6 +277,7 @@ def lifted_longitude(n: int, xt: CoverElem, yt: CoverElem) -> CoverElem:
     The longitude w_rev^n w^n, w_rev = y x^-1 y^-1 x, is the product of two
     powers by squaring, O(log |n|) compositions, not a letter walk.
     """
+    check_n(n)
     g, w = _compose(_pow(_word("yXYx", xt, yt), n), _lifted_w_power(n, xt, yt))
     if not abs(w) <= DEFAULT_TOL_CERT:
         raise LongitudeOmegaNonzero(

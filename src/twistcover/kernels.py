@@ -6,13 +6,13 @@ consecutive Chebyshev ratios, which rep.w_power, solver.tau_num and phi_delta
 all read); phi_delta, the defining function in the offset coordinate
 d = (T - s - 2)*s, which gives solve its residual; itp, the root finder of
 solve and of invert, both in the branch angle theta (through
-solver.branch_root), where solve's steps evaluate the branch equation and
-invert's evaluate g at a closed-form branch point; and cover_compose, the
-cover group law.  A step of itp that would land on an end of its bracket
-moves tol/4 inside that end (tol = 4 ulp(hi), itp's own), not to the
-midpoint, so a root pinned to an end within rounding ends the search in a
-step instead of twenty or so halvings; the worst case stays one step beyond
-bisection's count.
+solver.branch_root, between the ends of solver._branch(n)), where solve's
+steps evaluate the branch equation and invert's evaluate g at a
+closed-form branch point; and cover_compose, the cover group law.  A step of
+itp that would land on an end of its bracket moves tol/4 inside that end
+(tol = 4 ulp(hi), itp's own), not to the midpoint, so a root pinned to an
+end within rounding ends the search in a step instead of twenty or so
+halvings; the worst case stays one step beyond bisection's count.
 
 The kernels take and return plain floats and complexes.  Their callers keep
 to that on the hot paths: solver._root returns a tuple, and a RepSolution or

@@ -93,11 +93,11 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     (0, 4).
 
     kernels.itp runs once over n's whole branch interval in theta, to float
-    resolution, through solver.branch_root.  Its end values are g's limits
-    minus p/q: -p/q where s -> 0 and 4 - p/q where s -> inf, which bracket
-    every p/q in (0, 4).  ITP never evaluates an end, so the open ends, where
-    s is 0 or inf, are never touched; each step evaluates g at
-    solver.branch_point, with no solve.
+    resolution, through solver.branch_root on the solver._branch(n) record.
+    Its end values are g's limits minus p/q: -p/q where s -> 0 and 4 - p/q
+    where s -> inf, which bracket every p/q in (0, 4).  ITP never evaluates
+    an end, so the open ends, where s is 0 or inf, are never touched; each
+    step evaluates g at solver.branch_point, with no solve.
     The returned sample is g_eval at the s of the final theta, so it is
     exactly what a fresh g_eval at s* gives, and it must meet DEFAULT_TOL_G.
     A final theta that rounds onto an end of the branch, where the closed
@@ -129,7 +129,7 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
         s, _, t = solver.branch_point(n, theta)
         return _slope(n, s, t)[1] - r
 
-    theta, iters, capped = solver.branch_root(n, g_minus_r, -r, 4.0 - r)
+    theta, iters, capped = solver.branch_root(solver._branch(n), g_minus_r, -r, 4.0 - r)
     try:
         smp = g_eval(n, solver.branch_point(n, theta)[0])
     except NumericsError as exc:

@@ -13,7 +13,7 @@ the theta of a given s by ITP (kernels.itp: regula falsi, truncated and
 projected so that it never takes more than one step beyond bisection's
 count) on the same equation with the denominator cleared, and
 slopes.invert walks the whole branch in theta with it.  Both reach ITP
-through branch_root, which knows which end of the interval is s -> 0.
+through branch_root; _branch(n) is the one record of which end is s -> 0.
 n = 1 keeps its closed form T = s + 2 + 1/(s+1): its branch has d -> 0 as
 s -> 0, where theta's absolute resolution would cost T its digits.
 solve's root runs in _root on plain floats, which slopes.g_eval calls too,
@@ -91,27 +91,35 @@ def t_from_T(T: float) -> float:
     return 0.5 * (T + sqrt(T * T - 4.0))
 
 
-def branch_ends(n: int) -> tuple[float, float]:
-    """(theta where s -> 0, theta where s -> inf) on n's root branch; n must
-    pass check_n.
+@lru_cache(maxsize=64)
+def _branch(n: int) -> tuple[float, float, float, float]:
+    """(zero, inf_end, den_zero, num_inf): the one record of n's root branch;
+    n must pass check_n.
+
+    zero and inf_end are the eigenangles theta where s -> 0 and s -> inf:
 
         n > 1:   pi/n,       3pi/(2n+1)
         n = 1:   0,          pi/3
         n < -1:  pi/|n|,     pi/(2|n|-1)
 
-    so s rises with theta for n >= 1 and falls for n < -1.
+    so s rises with theta for n >= 1 and falls for n < -1.  den_zero =
+    cos((n + 1/2) theta) at zero and num_inf = 2 sin(theta/2) sin(n theta) at
+    inf_end are the factors of solve's end values.  The record depends on n
+    alone, so a small functools cache, cleared with the package's other
+    caches, computes it once per n, not once per root.
     """
     if n == 1:
-        return 0.0, pi / 3
-    if n > 1:
-        return pi / n, 3 * pi / (2 * n + 1)
-    return pi / abs(n), pi / (2 * abs(n) - 1)
+        zero, inf_end = 0.0, pi / 3
+    elif n > 1:
+        zero, inf_end = pi / n, 3 * pi / (2 * n + 1)
+    else:
+        zero, inf_end = pi / abs(n), pi / (2 * abs(n) - 1)
+    return zero, inf_end, _branch_terms(n, zero)[2], _branch_terms(n, inf_end)[1]
 
 
 def branch_interval(n: int) -> tuple[float, float]:
     """Open theta interval of n's root branch, lower end first."""
-    a, b = branch_ends(n)
-    return (a, b) if a < b else (b, a)
+    return tuple(sorted(_branch(n)[:2]))
 
 
 def _branch_terms(n: int, theta: float) -> tuple[float, float, float]:
@@ -149,7 +157,7 @@ def branch_point(n: int, theta: float) -> tuple[float, float, float]:
     h, num, den = _branch_terms(n, theta)
     s = num / den
     if not s > 0.0:
-        zero, inf_end = branch_ends(n)
+        zero, inf_end, _, _ = _branch(n)
         end, name = (zero, "0") if abs(theta - zero) <= abs(theta - inf_end) else (inf_end, "inf")
         raise NumericsError(
             f"branch point at theta = {theta} rounds onto the s -> {name} end "
@@ -159,36 +167,18 @@ def branch_point(n: int, theta: float) -> tuple[float, float, float]:
     return s, T, t_from_T(T)
 
 
-@lru_cache(maxsize=64)
-def _branch_constants(n: int) -> tuple[bool, float, float, float, float]:
-    """(zero_is_lo, lo, hi, den_zero, num_inf): branch_root's constants for
-    n, which must pass check_n.
-
-    lo < hi is branch_interval(n), zero_is_lo says whether lo is the end
-    where s -> 0, and den_zero = cos((n + 1/2) theta) at the s -> 0 end and
-    num_inf = 2 sin(theta/2) sin(n theta) at the s -> inf end are the
-    factors of solve's end values.
-    """
-    zero, inf_end = branch_ends(n)
-    lo, hi = branch_interval(n)
-    den_zero = _branch_terms(n, zero)[2]
-    num_inf = _branch_terms(n, inf_end)[1]
-    return zero == lo, lo, hi, den_zero, num_inf
-
-
-def branch_root(n: int, f, f_zero: float, f_inf: float) -> tuple[float, int, bool]:
-    """kernels.itp on f across branch_interval(n): (theta, iterations, capped).
+def branch_root(branch: tuple, f, f_zero: float, f_inf: float) -> tuple[float, int, bool]:
+    """kernels.itp on f across the theta interval of branch, the _branch(n)
+    record: (theta, iterations, capped).
 
     f_zero and f_inf are f's values at the ends where s -> 0 and s -> inf,
     nonzero with opposite signs; ITP never evaluates an end, and it stops at
-    hi - lo < 2 ulp(hi), float resolution.  The interval and its orientation
-    depend on n alone, so _branch_constants computes them once per n (a
-    small functools cache, cleared with the package's other caches), not
-    once per root.
+    hi - lo < 2 ulp(hi), float resolution.
     """
-    zero_is_lo, lo, hi, _, _ = _branch_constants(n)
-    f_lo, f_hi = (f_zero, f_inf) if zero_is_lo else (f_inf, f_zero)
-    return kernels.itp(f, lo, hi, f_lo, f_hi)
+    zero, inf_end, _, _ = branch
+    if zero < inf_end:
+        return kernels.itp(f, zero, inf_end, f_zero, f_inf)
+    return kernels.itp(f, inf_end, zero, f_inf, f_zero)
 
 
 def _root(n: int, s: float) -> tuple[float, float, float, float, int]:
@@ -199,7 +189,8 @@ def _root(n: int, s: float) -> tuple[float, float, float, float, int]:
     branch_root runs ITP on f = s cos((n + 1/2) theta) - 2 sin(theta/2)
     sin(n theta), the branch equation with its denominator cleared.  Its end
     values are closed form, s cos((n + 1/2) theta) < 0 where s -> 0 and
-    -2 sin(theta/2) sin(n theta) > 0 where s -> inf, so no end is evaluated.
+    -2 sin(theta/2) sin(n theta) > 0 where s -> inf, both read from the one
+    _branch(n) lookup of the root, so no end is evaluated.
     delta = 4 sin^2(theta/2) then gives T = s + 2 + delta/s and trace W =
     2 - delta.  A root makes no phi_delta call; solve evaluates the residual.
     n = 1 has the exact closed form T = s + 2 + 1/(s+1) and takes no step.
@@ -211,9 +202,10 @@ def _root(n: int, s: float) -> tuple[float, float, float, float, int]:
         T = s + 2.0 + 1.0 / (s + 1.0)
         iters = 0
     else:
-        den_zero, num_inf = _branch_constants(n)[3:]
+        branch = _branch(n)
+        _, _, den_zero, num_inf = branch
         theta, iters, capped = branch_root(
-            n, _branch_equation(n, s), s * den_zero, -num_inf
+            branch, _branch_equation(n, s), s * den_zero, -num_inf
         )
         if capped:
             raise NonConvergence(

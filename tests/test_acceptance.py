@@ -11,7 +11,6 @@ import ast
 import inspect
 import math
 from collections import Counter
-from fractions import Fraction
 from time import perf_counter
 
 import pytest
@@ -238,13 +237,12 @@ def test_certify_verdicts_on_the_standard_grid():
     # every n of GRID_N at every reduced p/q in (0, 4) with q <= 12: the count
     # of each verdict is pinned, so a change to certificate that moves a slope
     # from one verdict to another fails here
-    fracs = sorted({Fraction(p, q) for q in range(1, 13) for p in range(1, 4 * q)})
-    assert len(fracs) == 183
+    assert len(checks.GRID_SLOPES) == 183
     verdicts = Counter()
     for n in checks.GRID_N:
-        for r in fracs:
+        for p, q in checks.GRID_SLOPES:
             try:
-                certificate(n, r.numerator, r.denominator)
+                certificate(n, p, q)
                 verdicts["certified"] += 1
             except NumericsError as exc:
                 verdicts[type(exc).__name__] += 1

@@ -30,6 +30,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_child(*argv):
+    """Run a fresh interpreter that imports the same package as this
+    process, installed or not, under another PYTHONHASHSEED: "0" (no hash
+    randomization), or "1" where this process runs under "0"."""
+    path = [str(Path(twistcover.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p), "PYTHONHASHSEED": seed}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def run_both(capsys, argv):
+    """run() in this process and the same argv in a fresh `python -W error
+    -m twistcover.cli`; the two must agree byte for byte on exit code,
+    stdout and stderr."""
+    got = run(capsys, *argv)
+    child = run_child("-W", "error", "-m", "twistcover.cli", *argv)
+    assert (child.returncode, child.stdout, child.stderr) == got, argv
+    return got
+
+
 def test_riley_json_golden(capsys):
     code, out, err = run(capsys, "riley", "--n", "1")
     assert code == 0 and err == ""
@@ -129,35 +149,64 @@ def test_nonfinite_solutions_are_numerics_errors(capsys, argv):
     assert f"n={argv[2]}" in data["message"] and f"s={float(argv[4])}" in data["message"]
 
 
-@pytest.mark.parametrize(
-    "argv, text",
-    [
-        # a slope inside (0, 4) whose p / q rounds onto an end
-        (("slope", "--n", "2", "--r", "1/1" + "0" * 400), "rounds to 0.0"),
-        (("slope", "--n", "2", "--r", "399999999999999999999/100000000000000000000"), "rounds to 4.0"),
-        # T rounds to 2, so t = 1
-        (("certify", "--n", str(2**55), "--r", "1/2"), "t = 1.0 is not > 1"),
-        (("slope", "--n", str(2**62), "--s", "1e-18"), "t = 1.0 is not > 1"),
-        # invert's root in theta rounds onto an end of the branch, where the
-        # closed form gives s <= 0
-        (("slope", "--n", "2", "--r", "1/" + "1" + "0" * 17), "rounds onto the s -> 0 end"),
-        (("slope", "--n", "2", "--r", "1/" + "1" + "0" * 21), "rounds onto the s -> 0 end"),
-        (("certify", "--n", "2", "--r", "1/" + "1" + "0" * 17), "rounds onto the s -> 0 end"),
-        (("slope", "--n", "-100", "--r", "3999999999999999/1" + "0" * 15), "rounds onto the s -> inf end"),
-        # B rounds to 1, where g would read -0.0
-        (("slope", "--n", "1", "--s", "1e-17"), "B = 1.0 is not < 1 at n=1, s=1e-17"),
-        (("slope", "--n", "2", "--s", "1e-16"), "B = 1.0 is not < 1 at n=2, s=1e-16"),
-        # at the s of invert's final sample, which names the slope
-        (
-            ("slope", "--n", "-1000", "--r", "1/" + "1" + "0" * 17),
-            "slope 1/100000000000000000: longitude entry B = 1.0 is not < 1 at n=-1000",
-        ),
-        # u^2 - s = T - s - 2 > 0 on the branch rounds to 0, a float pole of sigma
-        (("certify", "--n", "2", "--r", "39999999999/10000000000"), "at n=2, u^2 - s = T - s - 2 > 0 rounds to 0"),
-    ],
+# The CLI contract, defined once: run_both runs each command below in this
+# process and in a fresh interpreter, and the two must agree byte for byte.
+# RERUNS exit 0 and reach every writer: verify, the root finder's work counts
+# (solve, slope), certify at the certify set's largest |n|, scan on invert's
+# window, riley's CSV and text, and the key = value text.  REFUSALS are float
+# resolution limits: exit 2 with one NumericsError that names the limit.
+RERUNS = (
+    "verify",
+    "verify --format json",
+    "solve --n 2 --s 1",
+    "solve --n 2 --s 1 --format text",
+    "slope --n 2 --r 3/2",
+    "certify --n -20 --r 41/12",
+    "certify --n -3 --r 7/2 --format text",
+    "scan --n 6 --s-min 1e-6 --s-max 1e8 --samples 400 --format csv",
+    "scan --n 6 --s-min 1e-6 --s-max 1e8 --samples 400 --format json",
+    "riley --n 6 --format csv",
+    "riley --n -4 --format text",
 )
+REFUSALS = (
+    # a slope inside (0, 4) whose p / q rounds onto an end
+    (("slope", "--n", "2", "--r", "1/1" + "0" * 400), "rounds to 0.0"),
+    (("slope", "--n", "2", "--r", "399999999999999999999/100000000000000000000"), "rounds to 4.0"),
+    # T rounds to 2, so t = 1
+    (("certify", "--n", str(2**55), "--r", "1/2"), "t = 1.0 is not > 1"),
+    (("slope", "--n", str(2**62), "--s", "1e-18"), "t = 1.0 is not > 1"),
+    # invert's root in theta rounds onto an end of the branch, where the
+    # closed form gives s <= 0
+    (("slope", "--n", "2", "--r", "1/" + "1" + "0" * 17), "rounds onto the s -> 0 end"),
+    (("slope", "--n", "2", "--r", "1/" + "1" + "0" * 21), "rounds onto the s -> 0 end"),
+    (("certify", "--n", "2", "--r", "1/" + "1" + "0" * 17), "rounds onto the s -> 0 end"),
+    (("slope", "--n", "-100", "--r", "3999999999999999/1" + "0" * 15), "rounds onto the s -> inf end"),
+    # B rounds to 1, where g would read -0.0
+    (("slope", "--n", "1", "--s", "1e-17"), "B = 1.0 is not < 1 at n=1, s=1e-17"),
+    (("slope", "--n", "2", "--s", "1e-16"), "B = 1.0 is not < 1 at n=2, s=1e-16"),
+    # at the s of invert's final sample, which names the slope
+    (
+        ("slope", "--n", "-1000", "--r", "1/" + "1" + "0" * 17),
+        "slope 1/100000000000000000: longitude entry B = 1.0 is not < 1 at n=-1000",
+    ),
+    # u^2 - s = T - s - 2 > 0 on the branch rounds to 0, a float pole of sigma
+    (("certify", "--n", "2", "--r", "39999999999/10000000000"), "at n=2, u^2 - s = T - s - 2 > 0 rounds to 0"),
+)
+
+
+@pytest.mark.parametrize("command", RERUNS)
+def test_reruns_agree_in_a_fresh_interpreter(capsys, command):
+    code, out, err = run_both(capsys, command.split())
+    assert code == 0 and err == "" and out.endswith("\n")
+    if command == "verify --format json":
+        # run() has already refused NaN and Infinity
+        data = json.loads(out)
+        assert data["all_passed"] is True and len(data["results"]) == len(checks.ALL_CHECKS)
+
+
+@pytest.mark.parametrize("argv, text", REFUSALS)
 def test_float_resolution_limits_are_numerics_errors(capsys, argv, text):
-    code, out, err = run(capsys, *argv)
+    code, out, err = run_both(capsys, argv)
     assert code == 2 and out == ""
     data = json.loads(err)
     assert data["error"] == "NumericsError" and text in data["message"]
@@ -513,14 +562,6 @@ def test_verify_reports_every_suite_when_one_raises(capsys, monkeypatch):
     assert code == 2 and len(lines) == 29
     assert "FAIL  lift_relator_residual: worst inf vs bound nan  [RelatorNotCentral" in out
     assert lines[0].startswith("PASS  tau_three_term")
-
-
-def run_child(*argv):
-    """Run a fresh interpreter that imports the same package as this
-    process, installed or not."""
-    path = [str(Path(twistcover.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 def test_entry_point_subprocess():

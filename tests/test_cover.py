@@ -455,6 +455,26 @@ def test_lift_rejects_off_variety_input():
         lift_generators(2, fake)
 
 
+@pytest.mark.parametrize("n", [0, -1, True, 2.0])
+def test_lifts_reject_a_bad_twist_parameter(n):
+    # a bad n is a DomainError, checked before any composition: n = 0 gave
+    # the identity as a longitude, 0 and True a RelatorNotCentral (the exit
+    # class of a numerical breakdown) and 2.0 a bare TypeError
+    sol = solve(2, 1.0)
+    xt, yt, _ = lift_generators(2, sol)
+    with pytest.raises(DomainError, match="n must"):
+        lift_generators(n, sol)
+    with pytest.raises(DomainError, match="n must"):
+        lifted_longitude(n, xt, yt)
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, "2"])
+def test_cover_pow_rejects_a_non_integer_exponent(k):
+    # True read as 1 and False as 0; a float or a string raised a bare TypeError
+    with pytest.raises(DomainError, match="k must be an integer"):
+        cover_pow(CoverElem(0.3 - 0.2j, 0.4), k)
+
+
 def test_lift_takes_y_at_its_principal_value():
     # y's principal chart value is already the level on which the relator
     # closes (lift_generators raises otherwise), over both signs of n and

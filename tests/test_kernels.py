@@ -118,11 +118,12 @@ def test_itp_steps_inside_an_end_it_reaches(n, s):
     # onto the end whose f is ~0 once |f| is near 1e-16: the step moves tol/4
     # inside that end, not to the midpoint, and the next bracket is the tol/4
     # sliver beside it (bisecting toward the end took 31, 32 and 31 steps)
-    zero_is_lo, lo, hi, den_zero, num_inf = solver._branch_constants(n)
+    zero, _, den_zero, num_inf = solver._branch(n)
+    lo, hi = solver.branch_interval(n)
     # itp's own tolerance
     tol = 4.0 * math.ulp(hi)
     f_zero, f_inf = s * den_zero, -num_inf
-    f_lo, f_hi = (f_zero, f_inf) if zero_is_lo else (f_inf, f_zero)
+    f_lo, f_hi = (f_zero, f_inf) if zero == lo else (f_inf, f_zero)
     branch_eq = solver._branch_equation(n, s)
     seen = []
 

@@ -20,7 +20,7 @@ from twistcover import (
     scan,
     solve,
 )
-from twistcover.checks import GRID_N
+from twistcover.checks import GRID_N, GRID_SLOPES
 
 
 def test_g_frozen_values():
@@ -165,13 +165,10 @@ def test_invert_hits_requested_slope():
     # resolution: measured worst |g - p/q| 7.1e-15 over this domain (2.7e-13
     # when solve searched phi_delta's delta window instead of the branch)
     for n in GRID_N + (-20, -10, 10, 20):
-        for q in range(1, 13):
-            for p in range(1, 4 * q):
-                if math.gcd(p, q) != 1:
-                    continue
-                smp, _ = invert(n, p, q)
-                assert smp == g_eval(n, smp.s), (n, p, q)
-                assert abs(smp.g - p / q) <= 1e-13, (n, p, q)
+        for p, q in GRID_SLOPES:
+            smp, _ = invert(n, p, q)
+            assert smp == g_eval(n, smp.s), (n, p, q)
+            assert abs(smp.g - p / q) <= 1e-13, (n, p, q)
 
 
 def test_invert_evaluations_on_the_grid(branch_calls):
@@ -180,14 +177,11 @@ def test_invert_evaluations_on_the_grid(branch_calls):
     # reached an end fell back to the midpoint)
     evaluations = []
     for n in GRID_N:
-        for q in range(1, 13):
-            for p in range(1, 4 * q):
-                if math.gcd(p, q) != 1:
-                    continue
-                branch_calls[0] = 0
-                _, report = invert(n, p, q)
-                assert report.evaluations == branch_calls[0], (n, p, q)
-                evaluations.append(branch_calls[0])
+        for p, q in GRID_SLOPES:
+            branch_calls[0] = 0
+            _, report = invert(n, p, q)
+            assert report.evaluations == branch_calls[0], (n, p, q)
+            evaluations.append(branch_calls[0])
     assert len(evaluations) == 2013
     assert sum(evaluations) / len(evaluations) <= 10.83
     assert max(evaluations) <= 16
