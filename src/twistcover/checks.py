@@ -1,17 +1,19 @@
 """Runtime invariant suites over the standard parameter grid.
 
 Each check sweeps a documented family of cases and yields one (residual,
-where) pair per case.  @_suite(bound) above it is its one declaration: the
-driver names the result after the function, keeps the worst residual and
-where it was first attained, and appends the check to ALL_CHECKS in source
-order.  A check fails closed, called directly or by run_all: a NaN counts as
-infinite, and a DomainError or NumericsError raised in it is a FAIL with
-worst inf, bound nan and the refusal as its where.  The CLI `verify` runs
-them all, and the acceptance tests run each one as a gate.  GRID_N,
-GRID_S, GRID_SLOPES and grid_solutions are the one standard grid that tests
-and benchmarks import; grid_longitudes and grid_lifts do rep.longitude and
-cover.lift_generators on it once.  Checks are independent and reseed their
-own RNG, so they run in any order or subset.
+fmt, *parts) tuple per case, its location unformatted.  @_suite(bound)
+above it is its one declaration: the wrapper names the result after the
+function, keeps the worst residual and where it was first attained,
+formatting that one location as fmt.format(*parts), and appends the check
+to ALL_CHECKS in source order.  A check fails closed, called directly or
+by run_all: a NaN counts as infinite, and a DomainError or NumericsError
+raised in it is a FAIL with worst inf, bound nan and the refusal as its
+where.  The CLI `verify` runs them all, and the acceptance tests run each
+one as a gate.  GRID_N, GRID_S, GRID_SLOPES and grid_solutions are the one
+standard grid that tests and benchmarks import; grid_longitudes and
+grid_lifts do rep.longitude and cover.lift_generators on it once.  Checks
+are independent and reseed their own RNG, so they run in any order or
+subset.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ GRID_SLOPES = tuple(sorted(
 ))
 SEED = 1729
 
-Cases = Iterator[tuple[float, str]]
+# (residual, fmt, *parts): where is fmt.format(*parts)
+Cases = Iterator[tuple]
 
 
 class CheckResult(namedtuple("CheckResult", "name passed worst bound where")):
@@ -47,16 +50,19 @@ class CheckResult(namedtuple("CheckResult", "name passed worst bound where")):
         return f"{tag}  {self.name}: worst {self.worst:.3e} vs bound {self.bound:.1e}{loc}"
 
 
-def _fold(name: str, bound: float, pairs: Cases) -> CheckResult:
-    """The largest residual of the pairs and where it was first attained; a
-    NaN counts as infinite, so it fails the check where it first appears."""
-    worst, where = 0.0, ""
-    for value, at in pairs:
+def _fold(name: str, bound: float, cases: Cases) -> CheckResult:
+    """The largest residual of the cases and where it was first attained; a
+    NaN counts as infinite, so it fails the check where it first appears.
+    Only that case's location is formatted, once, not every case's."""
+    worst, at = 0.0, None
+    for case in cases:
+        value = case[0]
         if isnan(value):
             value = inf
-        if value > worst or where == "":
+        if value > worst or at is None:
             worst = max(worst, value)
-            where = at
+            at = case
+    where = "" if at is None else at[1].format(*at[2:])
     return CheckResult(name, worst <= bound, worst, bound, where)
 
 
@@ -118,21 +124,21 @@ def check_tau_three_term() -> Cases:
             - exactpoly.TRACE_POLY * exactpoly.tau_poly(m)
             + exactpoly.tau_poly(m - 1)
         )
-        yield 0.0 if not expr else 1.0, f"m={m}"
+        yield 0.0 if not expr else 1.0, "m={}", m
 
 
 @_suite(0.0)
 def check_tau_odd_symmetry() -> Cases:
     for m in range(0, 31):
         ok = exactpoly.tau_poly(-m) == -exactpoly.tau_poly(m)
-        yield 0.0 if ok else 1.0, f"m={m}"
+        yield 0.0 if ok else 1.0, "m={}", m
 
 
 @_suite(0.0)
 def check_riley_T_degree() -> Cases:
     for n in GRID_N:
         deg = exactpoly.riley_poly(n).degree_T
-        yield abs(deg - abs(n)), f"n={n}"
+        yield abs(deg - abs(n)), "n={}", n
 
 
 @_suite(1e-8)
@@ -146,7 +152,7 @@ def check_phi_exact_vs_float() -> Cases:
         T = s + 2.0 + 4.0 * rng.random() / s
         vx = float(exactpoly.phi_exact(n, s, T))
         vf = solver.phi_num(n, s, T)
-        yield abs(vf - vx) / (1.0 + abs(vx)), f"case {i}: n={n}, s={s:.6g}"
+        yield abs(vf - vx) / (1.0 + abs(vx)), "case {}: n={}, s={:.6g}", i, n, s
 
 
 @_suite(1e-12)
@@ -157,14 +163,14 @@ def check_plateau_tau_signs() -> Cases:
         a = 2.0 * cos(pi / (2 * m + 1))
         va, vb = solver.tau_num(m, a), solver.tau_num(m + 1, a)
         if not (va > 0.0 and vb > 0.0):
-            yield inf, f"m={m} inner sign"
-        yield abs(va - vb) / max(1.0, abs(va)), f"m={m} inner"
+            yield inf, "m={} inner sign", m
+        yield abs(va - vb) / max(1.0, abs(va)), "m={} inner", m
     for m in range(2, 13):
         a = 2.0 * cos(3.0 * pi / (2 * m + 1))
         va, vb = solver.tau_num(m, a), solver.tau_num(m + 1, a)
         if not (va < 0.0 and vb < 0.0):
-            yield inf, f"m={m} outer sign"
-        yield abs(va - vb) / max(1.0, abs(va)), f"m={m} outer"
+            yield inf, "m={} outer sign", m
+        yield abs(va - vb) / max(1.0, abs(va)), "m={} outer", m
 
 
 @_suite(1e-9)
@@ -173,30 +179,30 @@ def check_solve_grid_soundness() -> Cases:
     the exact polynomial residual at every grid solution."""
     for n, sol in grid_solutions():
         s = sol.s
-        where = f"n={n}, s={s}"
         if not (s + 2.0 < sol.T < s + 2.0 + 4.0 / s):
-            yield inf, where + " window"
+            yield inf, "n={}, s={} window", n, s
         lo, hi = solver.branch_interval(n)
         if not lo < sol.theta < hi:
-            yield inf, where + " theta"
+            yield inf, "n={}, s={} theta", n, s
         if not (-2.0 < sol.trace_W < 2.0):
-            yield inf, where + " trace"
+            yield inf, "n={}, s={} trace", n, s
         if not abs(sol.t + 1.0 / sol.t - sol.T) <= 1e-12 * (1.0 + abs(sol.T)):
-            yield inf, where + " t vs T"
+            yield inf, "n={}, s={} t vs T", n, s
         res = abs(float(exactpoly.phi_exact(n, s, sol.T)))
-        yield res, where
+        yield res, "n={}, s={}", n, s
 
 
 @_suite(0.0)
 def check_bisection_iteration_bound() -> Cases:
     """iterations <= ceil(log2(window/tol)) + 2, the theta window against
-    kernels.itp's own tol = 4 ulp(hi)."""
+    kernels.itp's own tol = 4 ulp(hi): a measured gate, tighter than itp's
+    guarantee of kernels.ITP_N0 steps beyond bisection."""
     for n, sol in grid_solutions():
         if n == 1:
             continue
         lo, hi = solver.branch_interval(n)
         allowed = ceil(log2((hi - lo) / (4.0 * ulp(hi)))) + 2
-        yield float(max(0, sol.iterations - allowed)), f"n={n}, s={sol.s}"
+        yield float(max(0, sol.iterations - allowed)), "n={}, s={}", n, sol.s
 
 
 def _det_residual(m: rep.Mat2) -> float:
@@ -211,7 +217,7 @@ def check_determinant_one() -> Cases:
         gx, gy = rep.gen_matrices(s, t)
         mats = [gx, gy, rep.w_matrix(s, t), rep.w_power(n, s, t), rep.w_rev_power(n, s, t), ell]
         for i, m in enumerate(mats):
-            yield _det_residual(m), f"n={n}, s={s}, matrix {i}"
+            yield _det_residual(m), "n={}, s={}, matrix {}", n, s, i
 
 
 @_suite(1e-10)
@@ -220,7 +226,7 @@ def check_trace_w_closed_form() -> Cases:
         s = sol.s
         tr_mat = rep.w_matrix(s, sol.t).trace()
         tr_cf = s * s - (sol.T - 2.0) * s + 2.0
-        yield abs(tr_mat - tr_cf) / (1.0 + abs(tr_cf)), f"n={n}, s={s}"
+        yield abs(tr_mat - tr_cf) / (1.0 + abs(tr_cf)), "n={}, s={}", n, s
 
 
 @_suite(1e-8)
@@ -236,7 +242,7 @@ def check_w_power_vs_iterated() -> Cases:
             acc_m = acc_m @ wi
             for m, acc in ((k, acc_p), (-k, acc_m)):
                 d = rep.max_abs_diff(rep.w_power(m, s, t), acc)
-                yield d / (1.0 + acc.maxabs()), f"s={s}, power {m}"
+                yield d / (1.0 + acc.maxabs()), "s={}, power {}", s, m
 
 
 def w_rev_fold(gx: rep.Mat2, gy: rep.Mat2, k_max: int) -> dict:
@@ -263,28 +269,28 @@ def check_reversed_word_transform() -> Cases:
         for m in range(-6, 7):
             direct = powers[m]
             d = rep.max_abs_diff(rep.w_rev_power(m, s, t), direct)
-            yield d / (1.0 + direct.maxabs()), f"s={s}, n={m}"
+            yield d / (1.0 + direct.maxabs()), "s={}, n={}", s, m
 
 
 @_suite(rep.OFFDIAG_TOL)
 def check_longitude_diagonal() -> Cases:
     for (n, sol), (ell, hol) in zip(grid_solutions(), grid_longitudes()):
         if not ell.m11 > 0.0:
-            yield inf, f"n={n}, s={sol.s} sign"
-        yield hol.offdiag_residual, f"n={n}, s={sol.s}"
+            yield inf, "n={}, s={} sign", n, sol.s
+        yield hol.offdiag_residual, "n={}, s={}", n, sol.s
 
 
 @_suite(1e-10)
 def check_longitude_entry_product() -> Cases:
     for (n, sol), (ell, _) in zip(grid_solutions(), grid_longitudes()):
-        yield abs(ell.m11 * ell.m22 - 1.0), f"n={n}, s={sol.s}"
+        yield abs(ell.m11 * ell.m22 - 1.0), "n={}, s={}", n, sol.s
 
 
 @_suite(1e-10)
 def check_holonomy_matrix_cross_check() -> Cases:
     """Longitude (1,1) entry against the closed form for B."""
     for (n, sol), (ell, hol) in zip(grid_solutions(), grid_longitudes()):
-        yield abs(ell.m11 - hol.B) / (1.0 + ell.maxabs()), f"n={n}, s={sol.s}"
+        yield abs(ell.m11 - hol.B) / (1.0 + ell.maxabs()), "n={}, s={}", n, sol.s
 
 
 @_suite(1e-9)
@@ -295,13 +301,13 @@ def check_offdiag_vanishing_identity() -> Cases:
     the residual lives in; the unscaled sum is pinned to the T granularity
     near the sigma pole and cannot reach this bound at large s."""
     for (n, sol), (ell, _) in zip(grid_solutions(), grid_longitudes()):
-        yield abs(ell.m21) / (1.0 + ell.maxabs()), f"n={n}, s={sol.s}"
+        yield abs(ell.m21) / (1.0 + ell.maxabs()), "n={}, s={}", n, sol.s
 
 
 @_suite(1e-8)
 def check_relation_residual() -> Cases:
     for n, sol in grid_solutions():
-        yield rep.relation_residual(n, sol.s, sol.t), f"n={n}, s={sol.s}"
+        yield rep.relation_residual(n, sol.s, sol.t), "n={}, s={}", n, sol.s
 
 
 @_suite(1.0)
@@ -311,8 +317,8 @@ def check_small_s_limits() -> Cases:
     yield abs(t1 - (3.0 + sqrt(5.0)) / 2.0) / 1e-4, "n=1 t limit"
     for n in GRID_N:
         smp = slopes.g_eval(n, 1e-6)
-        yield abs(smp.B - 1.0) / 0.01, f"n={n} B limit"
-        yield smp.g / 0.005, f"n={n} g limit"
+        yield abs(smp.B - 1.0) / 0.01, "n={} B limit", n
+        yield smp.g / 0.005, "n={} g limit", n
 
 
 @_suite(1.0)
@@ -320,10 +326,10 @@ def check_large_s_limits() -> Cases:
     """t - s -> 2, s/t -> 1, B t^2 -> 1, g -> 4 as s -> infinity."""
     for n in GRID_N:
         smp = slopes.g_eval(n, 1e6)
-        yield abs(smp.t - smp.s - 2.0) / 0.01, f"n={n} t-s"
-        yield abs(smp.s / smp.t - 1.0) / 0.01, f"n={n} s/t"
-        yield abs(smp.B * smp.t**2 - 1.0) / 0.01, f"n={n} B t^2"
-        yield (4.0 - smp.g) / 0.005, f"n={n} g limit"
+        yield abs(smp.t - smp.s - 2.0) / 0.01, "n={} t-s", n
+        yield abs(smp.s / smp.t - 1.0) / 0.01, "n={} s/t", n
+        yield abs(smp.B * smp.t**2 - 1.0) / 0.01, "n={} B t^2", n
+        yield (4.0 - smp.g) / 0.005, "n={} g limit", n
 
 
 @_suite(slopes.DEFAULT_TOL_G)
@@ -332,7 +338,7 @@ def check_invert_recheck() -> Cases:
     for n, p, q in ((1, 1, 1), (2, 3, 2), (-2, 1, 2)):
         smp, _ = slopes.invert(n, p, q)
         again = slopes.g_eval(n, smp.s)
-        yield abs(again.g - p / q), f"n={n}, r={p}/{q}"
+        yield abs(again.g - p / q), "n={}, r={}/{}", n, p, q
 
 
 @_suite(1e-10)
@@ -343,7 +349,7 @@ def check_cover_projection_homomorphism() -> Cases:
         b = _random_cover_elem(rng)
         lhs = cover.unchart(cover.cover_mul(a, b))
         rhs = cover.su11_mul(cover.unchart(a), cover.unchart(b))
-        yield cover.su11_dist(lhs, rhs), f"case {i}"
+        yield cover.su11_dist(lhs, rhs), "case {}", i
 
 
 @_suite(1e-10)
@@ -353,7 +359,7 @@ def check_cover_associativity() -> Cases:
         a, b, c = (_random_cover_elem(rng) for _ in range(3))
         lhs = cover.cover_mul(cover.cover_mul(a, b), c)
         rhs = cover.cover_mul(a, cover.cover_mul(b, c))
-        yield max(abs(lhs.gamma - rhs.gamma), abs(lhs.omega - rhs.omega)), f"case {i}"
+        yield max(abs(lhs.gamma - rhs.gamma), abs(lhs.omega - rhs.omega)), "case {}", i
 
 
 @_suite(0.0)
@@ -366,7 +372,7 @@ def check_real_axis_closure() -> Cases:
         b = cover.CoverElem(complex(rng.uniform(-0.99, 0.99), 0.0), 0.0)
         prod = cover.cover_mul(a, b)
         ok = prod.omega == 0.0 and prod.gamma.imag == 0.0 and abs(prod.gamma.real) < 1.0
-        yield 0.0 if ok else 1.0, f"case {i}"
+        yield 0.0 if ok else 1.0, "case {}", i
 
 
 @_suite(1e-12)
@@ -378,8 +384,8 @@ def check_central_commutation() -> Cases:
         lhs = cover.cover_mul(c, a)
         rhs = cover.cover_mul(a, c)
         if lhs.omega != rhs.omega:
-            yield inf, f"case {i} omega"
-        yield abs(lhs.gamma - rhs.gamma), f"case {i}"
+            yield inf, "case {} omega", i
+        yield abs(lhs.gamma - rhs.gamma), "case {}", i
 
 
 @_suite(1e-12)
@@ -388,16 +394,16 @@ def check_chart_roundtrip() -> Cases:
     for i in range(1000):
         e = _random_cover_elem(rng, omega_span=pi - 1e-9)
         u = cover.unchart(e)
-        yield abs(u.defect()), f"case {i} defect"
+        yield abs(u.defect()), "case {} defect", i
         back = cover.chart(u)
-        yield abs(back.gamma - e.gamma), f"case {i} gamma"
-        yield abs(back.omega - e.omega), f"case {i} omega"
+        yield abs(back.gamma - e.gamma), "case {} gamma", i
+        yield abs(back.omega - e.omega), "case {} omega", i
 
 
 @_suite(cover.DEFAULT_LIFT_TOL)
 def check_lift_relator_residual() -> Cases:
     for (n, sol), (_, _, res) in zip(grid_solutions(), grid_lifts()):
-        yield res, f"n={n}, s={sol.s}"
+        yield res, "n={}, s={}", n, sol.s
 
 
 @_suite(cover.DEFAULT_TOL_CERT)
@@ -408,10 +414,9 @@ def check_longitude_lift_level() -> Cases:
     circle)."""
     for (n, sol), (_, hol), (xt, yt, _) in zip(grid_solutions(), grid_longitudes(), grid_lifts()):
         lt = cover.lifted_longitude(n, xt, yt)
-        where = f"n={n}, s={sol.s}"
         if not abs(lt.gamma - hol.lifted_gamma) <= 1e-7:
-            yield inf, where + " gamma"
-        yield abs(lt.omega), where
+            yield inf, "n={}, s={} gamma", n, sol.s
+        yield abs(lt.omega), "n={}, s={}", n, sol.s
 
 
 @_suite(1e-10)
@@ -426,7 +431,7 @@ def check_deck_shift_invariance() -> Cases:
             ys = cover.CoverElem(yt.gamma, yt.omega + tau * ky)
             shifted = cover.cover_word(rep.longitude_word(n), xs, ys)
             d = max(abs(shifted.gamma - base.gamma), abs(shifted.omega - base.omega))
-            yield d, f"n={n}, shifts ({kx}, {ky})"
+            yield d, "n={}, shifts ({}, {})", n, kx, ky
 
 
 def projection_residual(cert: cover.SurgeryCertificate) -> float:

@@ -304,6 +304,11 @@ class SurgeryCertificate(
     __slots__ = ()
 
 
+def _closure_stage(n: int, p: int, q: int, s_star: float) -> str:
+    """The closure stage a failed certificate names; formatted on failure only."""
+    return f"closure of x^{p} L^{q} at n={n}, r={p}/{q}, s*={s_star}"
+
+
 def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
     """Full pipeline: invert the slope map at p/q, lift, and certify.
 
@@ -324,13 +329,13 @@ def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
             f"lifted longitude gamma = {lt.gamma} differs from holonomy "
             f"value {hol.lifted_gamma} by {err:.3e} > {LONGITUDE_GAMMA_TOL}"
         )
-    stage = f"closure of x^{p} L^{q} at n={n}, r={p}/{q}, s*={smp.s}"
     try:
         final = cover_mul(cover_pow(xt, p), cover_pow(lt, q))
     except NumericsError as exc:
-        raise NumericsError(f"{stage} failed: {exc}") from exc
+        raise NumericsError(f"{_closure_stage(n, p, q, smp.s)} failed: {exc}") from exc
     final_gamma_abs = abs(final.gamma)
     if not (final_gamma_abs <= DEFAULT_TOL_CERT and abs(final.omega) <= DEFAULT_TOL_CERT):
+        stage = _closure_stage(n, p, q, smp.s)
         raise CertificateFailed(
             f"{stage} failed: lifted word is ({final.gamma}, {final.omega}); "
             f"|gamma| = {final_gamma_abs:.3e}, |omega| = {abs(final.omega):.3e} "

@@ -8,11 +8,15 @@ d = (T - s - 2)*s, which gives solve its residual; itp, the root finder of
 solve and of invert, both in the branch angle theta (through
 solver.branch_root, between the ends of solver._branch(n)), where solve's
 steps evaluate the branch equation and invert's evaluate g at a
-closed-form branch point; and cover_compose, the cover group law.  A step of
-itp that would land on an end of its bracket moves tol/4 inside that end
-(tol = 4 ulp(hi), itp's own), not to the midpoint, so a root pinned to an
-end within rounding ends the search in a step instead of twenty or so
-halvings; the worst case stays one step beyond bisection's count.
+closed-form branch point; and cover_compose, the cover group law.  itp
+interpolates by two-sided regula falsi: when the same end of its bracket
+moves twice in a row, the value of the end that stayed put is scaled
+(Anderson-Bjorck), so neither end goes stale.  A step of itp that would
+land on an end of its bracket moves tol/4 inside that end (tol = 4 ulp(hi),
+itp's own), not to the midpoint, so a root pinned to an end within rounding
+ends the search in a step instead of twenty or so halvings.  Whatever the
+interpolant does, the worst case stays ITP_N0 steps beyond bisection's
+count.
 
 The kernels take and return plain floats and complexes.  Their callers keep
 to that on the hot paths: solver._root returns a tuple, and a RepSolution or
@@ -28,9 +32,9 @@ from math import acos, acosh, atan2, cos, pi, sin, sinh, ulp
 # ITP constants of Oliveira & Takahashi: the truncation is
 # ITP_K1 / (hi - lo) * width**ITP_K2, and ITP_N0 is the number of steps it
 # may take beyond bisection's count; ITP_MAX_ITER caps the steps of one search
-ITP_K1 = 0.2
+ITP_K1 = 0.004
 ITP_K2 = 2
-ITP_N0 = 1
+ITP_N0 = 3
 ITP_MAX_ITER = 200
 
 
@@ -80,39 +84,54 @@ def itp(f, lo, hi, f_lo, f_hi):
 
     ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS
     47(1), 2020) steps to the regula falsi point, nudged toward the midpoint
-    by ITP_K1 * width**ITP_K2 and kept within a slack r of the midpoint, so
-    it converges superlinearly on a smooth root.  The caller supplies a
-    certified bracket: f_lo and f_hi are f at lo and hi, nonzero with
-    opposite signs, so f is called once per step and never at an end.  A
-    step point x with f(x) == 0.0 is returned at once.
+    by ITP_K1 / (hi - lo) * width**ITP_K2 and kept within a slack r of the
+    midpoint.  The caller supplies a certified bracket: f_lo and f_hi are f
+    at lo and hi, nonzero with opposite signs, so f is called once per step
+    and never at an end.  A step point x with f(x) == 0.0 is returned at
+    once.
+
+    The interpolation is two-sided (Anderson & Bjorck, BIT 13 (1973), a
+    relative of the Pegasus method of Dowell & Jarratt, BIT 12 (1972)).
+    Plain regula falsi leaves one end stale on a convex f, so only the other
+    end moves and the projection forces near-bisection steps.  Here, when the
+    same end moves twice in a row, the value of the end that stayed put is
+    scaled by m = 1 - f(x)/f_same, f_same being the moving end's previous
+    value, or by 1/2 when m <= 0.  The next regula falsi point then moves
+    toward the stale end, and a smooth root converges superlinearly from
+    both sides.  Scaling never flips an end's sign but may underflow it to
+    0, so which end a step replaces is read from lo's sign at entry.
 
     The tolerance is tol = 4 ulp(hi).  The loop runs until the width drops
     below tol/2 = 2 ulp(hi), float resolution, and returns the midpoint, as
     bisection does, so the midpoint sits within tol/4 of the bracketed root.
     Bisection needs floor(log2((hi-lo)/tol)) + 2 halvings for that.  The
     slack r keeps the width after j steps at most (hi-lo) * 2**(ITP_N0 - j),
-    so in exact arithmetic ITP stops within ITP_N0 = 1 step more:
-    ceil(log2((hi-lo)/tol)) + 2 unless the ratio is a power of two.  A
-    midpoint that is no longer strictly interior means float resolution was
-    reached first (the root lies where floats are coarser than at hi); that
-    too ends the search.  Only reaching ITP_MAX_ITER steps sets capped.
+    whatever the interpolant, so in exact arithmetic ITP stops within
+    ITP_N0 steps more than bisection: at most
+    ceil(log2((hi-lo)/tol)) + ITP_N0 + 1 unless the ratio is a power of two.
+    A midpoint that is no longer strictly interior means float resolution
+    was reached first (the root lies where floats are coarser than at hi);
+    that too ends the search.  Only reaching ITP_MAX_ITER steps sets capped.
 
     A step point that is not strictly interior has reached an end: the
-    regula falsi point rounds onto the end whose f is nearest 0 once the
-    root sits within rounding of it.  It moves tol/4 inside that end (Brent's
-    minimum step, 1973), so the next bracket is either the tol/4 sliver
-    beside the end, which stops the loop, or the rest less tol/4.  Bisecting
-    instead would spend a step per halving on a root already pinned to the
-    end.  The point stays within the slack r: it reached an end, so r was at
-    least half the width, and the bound above holds.  The midpoint is kept
-    only when the inset point is not strictly interior either (tol/4 below
-    float resolution at the end).
+    regula falsi point rounds onto the end whose value is nearest 0, as once
+    the root sits within rounding of it.  It moves tol/4 inside that end
+    (Brent's minimum step, 1973), so the next bracket is either the tol/4
+    sliver beside the end, which stops the loop, or the rest less tol/4.
+    Bisecting instead would spend a step per halving on a root already
+    pinned to the end.  The point stays within the slack r: it reached an
+    end, so r was at least half the width, and the bound above holds.  The
+    midpoint is kept only when the inset point is not strictly interior
+    either (tol/4 below float resolution at the end).
     """
     tol = 4.0 * ulp(hi)
     target = 0.5 * tol
     k1 = ITP_K1 / (hi - lo)
     # halved before each step, it is the width that step may leave
     slack_width = (hi - lo) * 2.0**ITP_N0
+    lo_pos = f_lo > 0.0
+    # -1 when lo moved last, 1 when hi did, 0 before the first step
+    moved = 0
     iters = 0
     while hi - lo >= target:
         if iters >= ITP_MAX_ITER:
@@ -142,10 +161,17 @@ def itp(f, lo, hi, f_lo, f_hi):
         iters += 1
         if fx == 0.0:
             return x, iters, False
-        if (fx > 0.0) == (f_lo > 0.0):
-            lo, f_lo = x, fx
+        # the end moving a second time in a row scales its partner's value
+        if (fx > 0.0) == lo_pos:
+            if moved < 0:
+                m = 1.0 - fx / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo, moved = x, fx, -1
         else:
-            hi, f_hi = x, fx
+            if moved > 0:
+                m = 1.0 - fx / f_hi
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi, moved = x, fx, 1
     return 0.5 * (lo + hi), iters, False
 
 

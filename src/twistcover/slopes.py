@@ -10,13 +10,13 @@ A^p B^q = 1, i.e. g(s) = p/q.  g tends to 0 as s -> 0 and to 4 as s -> inf,
 so every rational slope strictly inside (0, 4) is attained.  invert() runs
 ITP once along the whole root branch, in the eigenangle theta of W, with
 those two limits as the values at the branch's open ends; each step gets its
-(s, T, t) in closed form from solver.branch_point, without a solve.
+(s, T, t) in closed form from solver._branch_point, without a solve.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import exp, gcd, log
+from math import exp, gcd, inf, log
 
 from . import kernels, solver
 from .errors import DomainError, NonConvergence, NumericsError, SlopeOutOfRange
@@ -52,14 +52,18 @@ def _slope(n: int, s: float, t: float) -> tuple[float, float]:
 
 
 def g_eval(n: int, s: float) -> SlopeSample:
-    """Solve at (n, s) and evaluate the slope map there.
+    """Solve at (n, s) and evaluate the slope map there."""
+    check_n(n)
+    return _sample(n, solver.check_positive("s", s))
+
+
+def _sample(n: int, s: float) -> SlopeSample:
+    """g_eval for a checked n and s: the per-sample core of g_eval and scan.
 
     The root comes from solver._root, the core solve shares, on plain
     floats: the one record built is the returned sample, and no phi_n
     residual is evaluated, since only solve reports one.
     """
-    check_n(n)
-    s = solver.check_positive("s", s)
     T, t = solver._root(n, s)[:2]
     b, g = _slope(n, s, t)
     # B < 1 at every s > 0, so B = 1 (g = -0.0) is s below float resolution;
@@ -80,12 +84,19 @@ def _log_grid(s_min: float, s_max: float, samples: int) -> list[float]:
 
 
 def scan(n: int, s_min: float, s_max: float, samples: int) -> list[SlopeSample]:
-    """Slope map on a log-spaced grid, sorted by s."""
-    if not (0 < s_min < s_max):
-        raise DomainError(f"need 0 < s_min < s_max, got {s_min}, {s_max}")
+    """Slope map on a log-spaced grid, sorted by s.
+
+    n and the window are checked once, here: every grid point of a finite
+    positive window is finite and positive, so each sample runs g_eval's
+    core with no check of its own.
+    """
+    s_min, s_max = float(s_min), float(s_max)
+    if not 0.0 < s_min < s_max < inf:
+        raise DomainError(f"need 0 < s_min < s_max < inf, got {s_min}, {s_max}")
     if not isinstance(samples, int) or samples < 2:
         raise DomainError(f"samples must be an integer of at least 2, got {samples!r}")
-    return [g_eval(n, s) for s in _log_grid(s_min, s_max, samples)]
+    check_n(n)
+    return [_sample(n, s) for s in _log_grid(s_min, s_max, samples)]
 
 
 def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
@@ -97,7 +108,8 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     Its end values are g's limits minus p/q: -p/q where s -> 0 and 4 - p/q
     where s -> inf, which bracket every p/q in (0, 4).  ITP never evaluates
     an end, so the open ends, where s is 0 or inf, are never touched; each
-    step evaluates g at solver.branch_point, with no solve.
+    step evaluates g at a branch point (solver._branch_point, as n is
+    checked here), with no solve.
     The returned sample is g_eval at the s of the final theta, so it is
     exactly what a fresh g_eval at s* gives, and it must meet DEFAULT_TOL_G.
     A final theta that rounds onto an end of the branch, where the closed
@@ -126,12 +138,12 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
         )
 
     def g_minus_r(theta):
-        s, _, t = solver.branch_point(n, theta)
+        s, _, t = solver._branch_point(n, theta)
         return _slope(n, s, t)[1] - r
 
     theta, iters, capped = solver.branch_root(solver._branch(n), g_minus_r, -r, 4.0 - r)
     try:
-        smp = g_eval(n, solver.branch_point(n, theta)[0])
+        smp = g_eval(n, solver._branch_point(n, theta)[0])
     except NumericsError as exc:
         raise type(exc)(f"slope {p}/{q}: {exc}") from exc
     if abs(smp.g - r) <= DEFAULT_TOL_G:

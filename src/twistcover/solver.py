@@ -9,11 +9,12 @@ trace W = 2 - d = 2 cos(theta) and T = s + 2 + d/s: phi_n = 0 reads
 
 and s runs strictly monotonically between 0 and inf as theta crosses the
 open interval branch_interval(n).  branch_point evaluates it; solve finds
-the theta of a given s by ITP (kernels.itp: regula falsi, truncated and
-projected so that it never takes more than one step beyond bisection's
-count) on the same equation with the denominator cleared, and
-slopes.invert walks the whole branch in theta with it.  Both reach ITP
-through branch_root; _branch(n) is the one record of which end is s -> 0.
+the theta of a given s by ITP (kernels.itp: two-sided regula falsi,
+truncated and projected so that it never takes more than kernels.ITP_N0
+steps beyond bisection's count) on the same equation with the denominator
+cleared, and slopes.invert walks the whole branch in theta with it.  Both
+reach ITP through branch_root; _branch(n) is the one record of which end
+is s -> 0.
 n = 1 keeps its closed form T = s + 2 + 1/(s+1): its branch has d -> 0 as
 s -> 0, where theta's absolute resolution would cost T its digits.
 solve's root runs in _root on plain floats, which slopes.g_eval calls too,
@@ -119,6 +120,7 @@ def _branch(n: int) -> tuple[float, float, float, float]:
 
 def branch_interval(n: int) -> tuple[float, float]:
     """Open theta interval of n's root branch, lower end first."""
+    check_n(n)
     return tuple(sorted(_branch(n)[:2]))
 
 
@@ -154,6 +156,13 @@ def branch_point(n: int, theta: float) -> tuple[float, float, float]:
     and t = t_from_T(T), as in solve, so a branch point differs from
     solve(n, s) only in where theta's rounding falls.
     """
+    check_n(n)
+    return _branch_point(n, theta)
+
+
+def _branch_point(n: int, theta: float) -> tuple[float, float, float]:
+    """branch_point for an n that has passed check_n: the core that
+    slopes.invert evaluates at each of its steps."""
     h, num, den = _branch_terms(n, theta)
     s = num / den
     if not s > 0.0:

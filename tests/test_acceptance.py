@@ -176,6 +176,27 @@ def test_suite_fails_closed_on_nan():
     assert res.worst == math.inf and res.where == "b"
 
 
+def _eager_fold(name, bound, cases):
+    """The reference fold: every case's location formatted as it comes."""
+    worst, where = 0.0, ""
+    for value, fmt, *parts in cases:
+        at = fmt.format(*parts)
+        if math.isnan(value):
+            value = math.inf
+        if value > worst or where == "":
+            worst = max(worst, value)
+            where = at
+    return checks.CheckResult(name, worst <= bound, worst, bound, where)
+
+
+def test_lazy_locations_fold_as_eager_ones():
+    # _fold formats only the worst case's location; on every suite its
+    # result, where included, equals the fold that formats them all
+    for suite in checks.ALL_CHECKS:
+        got = suite()
+        assert got == _eager_fold(got.name, got.bound, suite.__wrapped__()), got.name
+
+
 def test_suite_fails_closed_on_a_refusal_when_called_directly(monkeypatch):
     # no lifted relator meets this tolerance, so lift_generators refuses
     # inside the suite; the suite itself records the FAIL, not only run_all

@@ -72,6 +72,8 @@ def test_bisect_statuses(monkeypatch):
     root, iters, capped = kernels.itp(phi, *window)
     assert not capped
     assert 0 < iters <= 60
+    bits = math.log2((d_hi - d_lo) / (4.0 * math.ulp(d_hi)))
+    assert iters <= math.ceil(bits) + kernels.ITP_N0 + 1
     # delta = T - s - 2 at s = 1 with T = (17 + sqrt(17))/4
     assert root == pytest.approx((5 + math.sqrt(17)) / 4, rel=1e-12)
 
@@ -89,13 +91,17 @@ def test_bisect_statuses(monkeypatch):
         seen.append(x)
         return -1.0 if x < -1.25 else 1.0
 
-    assert kernels.itp(step, -3.0, 2.0**-1000, -1.0, 1.0) == (-1.25, 53, False)
-    assert len(seen) == 53
+    assert kernels.itp(step, -3.0, 2.0**-1000, -1.0, 1.0) == (-1.25, 55, False)
+    assert len(seen) == 55
+    # within ITP_N0 steps of bisection's count, float resolution or not
+    # (the ratio of the window to tol overflows a float, its log2 does not)
+    bits = math.log2(3.0 + 2.0**-1000) - math.log2(4.0 * math.ulp(2.0**-1000))
+    assert len(seen) <= math.ceil(bits) + kernels.ITP_N0 + 1
 
 
 def test_itp_returns_an_exact_zero_at_once():
     # x^3 + 2 on [-3, 2**-1000]: float resolution at the root is far coarser
-    # than tol, and the first step point where f is exactly 0.0 (the 11th)
+    # than tol, and the first step point where f is exactly 0.0 (the 14th)
     # comes back as it is, not the bracket midpoint
     seen = []
 
@@ -104,10 +110,25 @@ def test_itp_returns_an_exact_zero_at_once():
         return x**3 + 2.0
 
     root, iters, capped = kernels.itp(f, -3.0, 2.0**-1000, -25.0, 2.0)
-    assert (iters, capped) == (11, False)
-    assert len(seen) == 11 and root == seen[-1]
+    assert (iters, capped) == (14, False)
+    assert len(seen) == 14 and root == seen[-1]
     assert root**3 + 2.0 == 0.0
     assert all(x**3 + 2.0 != 0.0 for x in seen[:-1])
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, steps",
+    [(lambda x: x**8 - 0.5, 0.0, 2.0, 17), (lambda x: x * x - 2.0, 0.0, 10.0, 11)],
+    ids=["x^8 - 1/2", "x^2 - 2"],
+)
+def test_itp_scales_the_stale_end_of_a_convex_f(f, lo, hi, steps):
+    # on a convex f plain regula falsi moves only the end nearest the root,
+    # so the other end's value stays stale and the slack forces bisection:
+    # 55 steps on both.  Scaling the end that stayed put makes the steps
+    # close in from both sides.
+    root, iters, capped = kernels.itp(f, lo, hi, f(lo), f(hi))
+    assert (iters, capped) == (steps, False)
+    assert abs(f(root)) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -133,9 +154,10 @@ def test_itp_steps_inside_an_end_it_reaches(n, s):
 
     _, iters, capped = kernels.itp(f, lo, hi, f_lo, f_hi)
     assert not capped and iters == len(seen) <= 10
-    # replay itp's bracket to find the steps whose regula falsi point was on
-    # an end
+    # replay itp's bracket, with the scaling of the end that stayed put, to
+    # find the steps whose regula falsi point was on an end
     insets = 0
+    moved = 0
     for x, fx in seen:
         x_f = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if x_f <= lo or x_f >= hi:
@@ -143,9 +165,15 @@ def test_itp_steps_inside_an_end_it_reaches(n, s):
             assert x != 0.5 * (lo + hi)
             insets += 1
         if (fx > 0.0) == (f_lo > 0.0):
-            lo, f_lo = x, fx
+            if moved < 0:
+                m = 1.0 - fx / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo, moved = x, fx, -1
         else:
-            hi, f_hi = x, fx
+            if moved > 0:
+                m = 1.0 - fx / f_hi
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi, moved = x, fx, 1
     assert insets >= 1
 
 
