@@ -12,8 +12,16 @@ A CoverElem is a (gamma, omega) tuple, checked once where it is built.  The
 group law's steps (_compose, _inv, _pow, _word) form plain pairs, each checked
 as it is formed, so saturation is caught where it happens; cover_mul,
 cover_inv, cover_pow and cover_word box the result with _box, unchecked.
-SU11Elem (boxed by _su11 the same way) and SurgeryCertificate are slotted
-namedtuples too.
+SU11Elem and SurgeryCertificate are slotted namedtuples too, boxed the same
+way by _su11 and _cert.
+
+An element on the real axis (omega == 0, real gamma) lies in a hyperbolic
+one-parameter subgroup, gamma = tanh(u), and the law restricted to it is
+tanh addition, gamma'' = (gamma1 + gamma2)/(1 + gamma1 gamma2) with omega
+staying 0.  _pow powers such an element (the lifted meridian x) by that
+chain on floats.  It is bit for bit the real part of cover_compose on such
+pairs: with zero imaginary parts and e^(-2i omega) = 1 - 0i, every cross
+term of the complex law is +-0.
 
 The point of the chart: the kernel of the covering map is {(0, 2 m pi)}, so
 proving that a lifted word equals (0, 0) on the nose, and not just up to a
@@ -165,10 +173,13 @@ def _inv(a: tuple) -> tuple:
 
 
 def _pow(a: tuple, k: int) -> tuple:
-    """cover_pow on a (gamma, omega) pair."""
+    """cover_pow on a (gamma, omega) pair; one on the real axis goes to
+    _pow_real."""
     if k < 0:
         a = _inv(a)
         k = -k
+    if a[1] == 0.0 and a[0].imag == 0.0:
+        return _pow_real(a, k)
     acc = None
     while True:
         if k & 1:
@@ -177,6 +188,40 @@ def _pow(a: tuple, k: int) -> tuple:
         if not k:
             return IDENTITY_COVER if acc is None else acc
         a = _compose(a, a)
+
+
+def _pow_real(a: tuple, k: int) -> tuple:
+    """_pow for a on the real axis and k >= 0: the same squaring order, with
+    each composition the tanh addition (x + acc)/(1 + acc x) on floats.
+
+    That is _compose's gamma bit for bit, and abs(acc) < 1 is _check's test
+    on it, so saturation raises the same NumericsError.  The result keeps a's
+    zero imaginary part and omega, as _compose does for the lifted meridian
+    (gamma > 0 with omega = +0); elsewhere on the axis the two may differ in
+    the sign of a zero.
+    """
+    x = a[0].real
+    acc = None
+    while True:
+        if k & 1:
+            if acc is None:
+                acc = x
+            else:
+                acc = (x + acc) / (1.0 + acc * x)
+                if not abs(acc) < 1.0:
+                    raise _left_the_chart(acc)
+        k >>= 1
+        if not k:
+            return IDENTITY_COVER if acc is None else (complex(acc, a[0].imag), a[1])
+        x = (x + x) / (1.0 + x * x)
+        if not abs(x) < 1.0:
+            raise _left_the_chart(x)
+
+
+def _left_the_chart(gamma: float) -> NumericsError:
+    """_compose's refusal of a product whose real gamma rounded onto the
+    unit circle."""
+    return NumericsError(f"cover composition left the chart: |gamma| = {abs(gamma)} is not < 1")
 
 
 def _word(word: str, x: tuple, y: tuple) -> tuple:
@@ -209,7 +254,9 @@ def cover_pow(a: CoverElem, k: int) -> CoverElem:
     compositions: at most 2 floor(log2 |k|), against |k| for a fold.
 
     The product is reassociated, so it matches the left fold, its test
-    oracle, only to rounding.  k must be an integer (not a bool).
+    oracle, only to rounding.  An a on the real axis is powered by the tanh
+    addition chain on floats (see the module docstring), with the same gamma
+    and the same refusals.  k must be an integer (not a bool).
     """
     if not is_int(k):
         raise DomainError(f"k must be an integer, got {k!r}")
@@ -227,13 +274,17 @@ def cover_word(word: str, xt: CoverElem, yt: CoverElem) -> CoverElem:
 
 @lru_cache(maxsize=1)
 def _lifted_w_power(n: int, x: tuple, y: tuple) -> tuple:
-    """Lift of w^n, w = x y^-1 x^-1 y, by squaring: O(log |n|) compositions.
+    """(w^n, x^-1, y^-1) at the lifts x, y: w = x y^-1 x^-1 y composed left
+    to right in 3 compositions, as cover_word folds it, and raised to the
+    n-th power by squaring, O(log |n|) compositions.
 
-    The relator and the longitude both contain w^n; one entry is enough for
-    lifted_longitude to reuse the power that lift_generators formed at the
-    same lifts.
+    The relator and the longitude both contain w^n, and x^-1 and y^-1 are
+    letters of the relator, w and w_rev; one entry is enough for
+    lifted_longitude to reuse all three from lift_generators at the same
+    lifts, so each inverse is formed once per lift.
     """
-    return _pow(_word("xYXy", x, y), n)
+    xi, yi = _inv(x), _inv(y)
+    return _pow(_compose(_compose(_compose(x, yi), xi), y), n), xi, yi
 
 
 def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, float]:
@@ -259,8 +310,8 @@ def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, flo
     gen_x, gen_y = gen_matrices(sol.s, sol.t)
     xt = chart(to_su11(gen_x))
     yt = chart(to_su11(gen_y))
-    wn = _lifted_w_power(n, xt, yt)
-    g, w = _compose(_compose(_compose(wn, xt), _inv(wn)), _inv(yt))
+    wn, _, yi = _lifted_w_power(n, xt, yt)
+    g, w = _compose(_compose(_compose(wn, xt), _inv(wn)), yi)
     residual = max(abs(g), abs(w))
     if not residual <= DEFAULT_LIFT_TOL:
         raise RelatorNotCentral(
@@ -275,10 +326,13 @@ def lifted_longitude(n: int, xt: CoverElem, yt: CoverElem) -> CoverElem:
     """Lift of the longitude; |omega| must stay within DEFAULT_TOL_CERT.
 
     The longitude w_rev^n w^n, w_rev = y x^-1 y^-1 x, is the product of two
-    powers by squaring, O(log |n|) compositions, not a letter walk.
+    powers by squaring, O(log |n|) compositions, not a letter walk.  w^n and
+    the inverses of x and y come from _lifted_w_power, and w_rev is composed
+    left to right in 3 compositions, as cover_word folds it.
     """
     check_n(n)
-    g, w = _compose(_pow(_word("yXYx", xt, yt), n), _lifted_w_power(n, xt, yt))
+    wn, xi, yi = _lifted_w_power(n, xt, yt)
+    g, w = _compose(_pow(_compose(_compose(_compose(yt, xi), yi), xt), n), wn)
     if not abs(w) <= DEFAULT_TOL_CERT:
         raise LongitudeOmegaNonzero(
             f"lifted longitude has omega = {w}, "
@@ -302,6 +356,9 @@ class SurgeryCertificate(
     """
 
     __slots__ = ()
+
+
+_cert = partial(tuple.__new__, SurgeryCertificate)
 
 
 def _closure_stage(n: int, p: int, q: int, s_star: float) -> str:
@@ -342,19 +399,7 @@ def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
             f"exceed tol = {DEFAULT_TOL_CERT} "
             f"(relator residual {rel_res:.3e}, longitude omega {lt.omega:.3e})"
         )
-    return SurgeryCertificate(
-        n=n,
-        p=p,
-        q=q,
-        s_star=smp.s,
-        t=smp.t,
-        B=hol.B,
-        gamma_x=xt.gamma.real,
-        gamma_L=lt.gamma.real,
-        relator_residual=rel_res,
-        longitude_omega=lt.omega,
-        final_gamma_abs=final_gamma_abs,
-        final_omega=final.omega,
-        tol_slope=DEFAULT_TOL_G,
-        tol_certificate=DEFAULT_TOL_CERT,
-    )
+    return _cert((
+        n, p, q, smp.s, smp.t, hol.B, xt.gamma.real, lt.gamma.real, rel_res,
+        lt.omega, final_gamma_abs, final.omega, DEFAULT_TOL_G, DEFAULT_TOL_CERT,
+    ))

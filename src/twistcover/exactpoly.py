@@ -48,10 +48,12 @@ def _width(bits: int) -> int:
     return max(64, (2 * bits + 9) & ~7)
 
 
-def _bias(n: int, k: int) -> int:
-    """sum_a 2^(8k-1) * 2^(8k*a) for a < n: the offset that makes n balanced
-    k-byte digits nonnegative."""
-    return int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
+def _bias(n: int, k: int, slot: int | None = None) -> int:
+    """sum_a 2^(8k-1) * 2^(8 slot*a) for a < n: the offset that makes n
+    balanced k-byte digits nonnegative, each in a slot of `slot` bytes
+    (k unless given)."""
+    pad = bytes(0 if slot is None else slot - k)
+    return int.from_bytes((bytes(k - 1) + b"\x80" + pad) * n, "little")
 
 
 def _unpack(row: int, w: int) -> list:
@@ -141,10 +143,26 @@ class BivarPoly:
         return self._coeffs
 
     def _at(self, w: int) -> "BivarPoly":
-        """self repacked at slot width w >= self._w."""
+        """self repacked at slot width w >= self._w: each row is
+        _pack(_unpack(row, self._w), w), moved by byte slices.
+
+        The biased k1-byte digits of a row go into k2-byte slots by k1
+        strided slice copies, and the bias, now one 2^(w1-1) per k2-byte
+        slot, comes off the repacked integer; no digit is decoded.
+        """
         if w == self._w:
             return self
-        return _new(tuple(_pack(_unpack(row, self._w), w) for row in self._rows), w, self._mag)
+        w1 = self._w
+        k1, k2 = w1 >> 3, w >> 3
+        rows = []
+        for row in self._rows:
+            n = row.bit_length() // w1 + 1
+            buf = (row + _bias(n, k1)).to_bytes(n * k1, "little")
+            out = bytearray(n * k2)
+            for j in range(k1):
+                out[j::k2] = buf[j::k1]
+            rows.append(int.from_bytes(out, "little") - _bias(n, k1, k2))
+        return _new(tuple(rows), w, self._mag)
 
     def __eq__(self, other):
         if not isinstance(other, BivarPoly):

@@ -162,9 +162,15 @@ def branch_point(n: int, theta: float) -> tuple[float, float, float]:
 
 def _branch_point(n: int, theta: float) -> tuple[float, float, float]:
     """branch_point for an n that has passed check_n: the core that
-    slopes.invert evaluates at each of its steps."""
-    h, num, den = _branch_terms(n, theta)
-    s = num / den
+    slopes.invert evaluates at each of its steps.
+
+    _branch_terms's three factors and t_from_T's root are written out in
+    this one frame, bit for bit the same expressions, as _branch_equation
+    does for solve.  t_from_T's check T >= 2 is left out: T = s + 2 + d/s
+    with s > 0 and d >= 0 always meets it.
+    """
+    h = sin(0.5 * theta)
+    s = 2.0 * h * sin(n * theta) / cos((n + 0.5) * theta)
     if not s > 0.0:
         zero, inf_end, _, _ = _branch(n)
         end, name = (zero, "0") if abs(theta - zero) <= abs(theta - inf_end) else (inf_end, "inf")
@@ -173,7 +179,7 @@ def _branch_point(n: int, theta: float) -> tuple[float, float, float]:
             f"{end} of n={n}'s branch: s = {s} is not positive"
         )
     T = s + 2.0 + 4.0 * h * h / s
-    return s, T, t_from_T(T)
+    return s, T, 0.5 * (T + sqrt(T * T - 4.0))
 
 
 def branch_root(branch: tuple, f, f_zero: float, f_inf: float) -> tuple[float, int, bool]:

@@ -75,6 +75,12 @@ def cover_compose_calls(monkeypatch):
 
 
 @pytest.fixture
+def cover_inv_calls(monkeypatch):
+    # cover._inv is the one inverse step behind cover_inv, _pow and the lifts
+    return _count_calls(monkeypatch, cover, "_inv")
+
+
+@pytest.fixture
 def rep_solutions_built(monkeypatch):
     return _count_records(monkeypatch, solver.RepSolution)
 

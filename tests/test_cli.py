@@ -191,6 +191,8 @@ REFUSALS = (
     ),
     # u^2 - s = T - s - 2 > 0 on the branch rounds to 0, a float pole of sigma
     (("certify", "--n", "2", "--r", "39999999999/10000000000"), "at n=2, u^2 - s = T - s - 2 > 0 rounds to 0"),
+    # |gamma| of a square in x^47's real-axis chain rounds onto the unit circle
+    (("certify", "--n", "2", "--r", "47/12"), "closure of x^47 L^12 at n=2"),
 )
 
 

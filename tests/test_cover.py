@@ -20,6 +20,7 @@ from twistcover import (
     cover_pow,
     cover_word,
     from_su11,
+    invert,
     lift_generators,
     lifted_longitude,
     solve,
@@ -27,7 +28,7 @@ from twistcover import (
     unchart,
 )
 from twistcover import cover
-from twistcover.checks import GRID_N, GRID_S
+from twistcover.checks import GRID_N, GRID_S, GRID_SLOPES
 from twistcover.cover import (
     DEFAULT_LIFT_TOL,
     DEFAULT_TOL_CERT,
@@ -334,6 +335,46 @@ def test_saturation_inside_a_power_or_word_is_caught():
         cover_word("xx", a, IDENTITY_COVER)
 
 
+def _pow_or_refusal(a: CoverElem, k: int, power) -> object:
+    """power(a, k), or the message of the NumericsError it raises."""
+    try:
+        return power(a, k)
+    except NumericsError as exc:
+        return str(exc)
+
+
+def test_real_axis_chain_matches_the_general_law():
+    # boxed_pow composes through cover_mul, the complex law, in the same
+    # squaring order; on the real axis cover_pow runs the tanh addition
+    # chain instead, and its gamma must be the complex law's real part bit
+    # for bit, its refusals the same saturation with the same message
+    rng = random.Random(59)
+    ks = [k for k in range(-200, 201) if k]
+    refused = 0
+    for i in range(3000):
+        if i % 4:
+            g = rng.uniform(-1.0, 1.0)
+        else:
+            # within 1e-15 of +-1
+            g = rng.choice((-1.0, 1.0)) * (1.0 - 2.0**-53 * rng.randint(1, 9))
+        # the lifted meridian's gamma has imaginary part -0.0
+        a = CoverElem(complex(g, -0.0 if i % 3 else 0.0), 0.0)
+        k = rng.choice(ks)
+        got = _pow_or_refusal(a, k, cover_pow)
+        want = _pow_or_refusal(a, k, boxed_pow)
+        if isinstance(want, str):
+            refused += 1
+            assert got == want and "left the chart: |gamma| = " in got, (i, g, k)
+            continue
+        assert got.gamma.real == want.gamma.real, (i, g, k)
+        assert got.gamma.imag == want.gamma.imag == 0.0 and got.omega == want.omega == 0.0, (i, g, k)
+        if g > 0.0 and k > 0:
+            # the lifted meridian's case: zero signs included
+            assert repr(got) == repr(want), (i, g, k)
+    # both branches are exercised
+    assert 0 < refused < 3000
+
+
 def test_cover_elem_is_the_pair():
     e = CoverElem(0.5 + 0j, 1.0)
     assert e == (0.5 + 0j, 1.0) and hash(e) == hash((0.5 + 0j, 1.0))
@@ -380,6 +421,77 @@ def test_certificate_builds_few_records(n, p, q, cover_elems_built):
     # group law's intermediate steps are pairs, not records
     certificate(n, p, q)
     assert 0 < cover_elems_built[0] <= 6
+
+
+# (n, p, q) -> cover_compose and cover._inv calls of one certificate on a
+# cold _lifted_w_power cache.  The lift takes 10 + 2 (bit_length + popcount
+# - 2) compositions of |n| (test_lift_compositions_grow_with_log_n) and three
+# inverses, x^-1, y^-1 and w^-n, plus one per power of a negative n; x^p on
+# the real axis takes none; L^q one per squaring and further set bit; the
+# closure one.  x^47 at n = 2 saturates inside its chain.
+CERTIFICATE_WORK = {
+    (2, 3, 2): (12 + 0 + 1 + 1, 3),
+    (-20, 41, 12): (20 + 0 + 4 + 1, 5),
+    (2, 47, 12): (12, 3),
+}
+
+
+@pytest.mark.parametrize("n, p, q", list(CERTIFICATE_WORK))
+def test_certificate_work_counts(n, p, q, cover_compose_calls, cover_inv_calls):
+    cover._lifted_w_power.cache_clear()
+    cover_compose_calls[0] = cover_inv_calls[0] = 0
+    try:
+        certificate(n, p, q)
+    except NumericsError as exc:
+        assert (n, p, q) == (2, 47, 12) and "closure of x^47 L^12 at n=2" in str(exc)
+    assert (cover_compose_calls[0], cover_inv_calls[0]) == CERTIFICATE_WORK[n, p, q]
+
+
+def _rebuild(n: int, p: int, q: int, s: float) -> tuple:
+    """The recheck of a certificate at s: a fresh solve, the public lifts,
+    x^p L^q by cover_pow and cover_mul, and the closure bound.  Returns the
+    five fields it rebuilds, or the class of its refusal."""
+    try:
+        xt, yt, rel_res = lift_generators(n, solve(n, s))
+        lt = lifted_longitude(n, xt, yt)
+        final = cover_mul(cover_pow(xt, p), cover_pow(lt, q))
+    except NumericsError as exc:
+        return type(exc)
+    final_gamma_abs = abs(final.gamma)
+    if not (final_gamma_abs <= DEFAULT_TOL_CERT and abs(final.omega) <= DEFAULT_TOL_CERT):
+        return CertificateFailed
+    return lt.gamma.real, rel_res, lt.omega, final_gamma_abs, final.omega
+
+
+RECHECK_POINTS = [
+    (n, p, q) for n in sorted(GRID_N + (-20, -10, 10, 20)) for p, q in GRID_SLOPES[::7]
+]
+
+
+def test_certificate_agrees_with_its_recheck_bit_for_bit():
+    # a recheck that misses the certificate by a rounding would count a
+    # returned certificate as wrong, so the two paths must agree exactly
+    outcomes = set()
+    for n, p, q in RECHECK_POINTS:
+        try:
+            cert = certificate(n, p, q)
+        except NumericsError as exc:
+            try:
+                smp, _ = invert(n, p, q)
+            except NumericsError as inv_exc:
+                # refused before the lift: invert refuses the same way
+                assert type(inv_exc) is type(exc), (n, p, q)
+                continue
+            assert _rebuild(n, p, q, smp.s) is type(exc), (n, p, q)
+            outcomes.add(type(exc))
+            continue
+        fields = (
+            cert.gamma_L, cert.relator_residual, cert.longitude_omega,
+            cert.final_gamma_abs, cert.final_omega,
+        )
+        assert _rebuild(n, p, q, cert.s_star) == fields, (n, p, q)
+        outcomes.add(SurgeryCertificate)
+    assert SurgeryCertificate in outcomes and CertificateFailed in outcomes
 
 
 def test_lift_generators_at_solution():

@@ -20,7 +20,7 @@ import pytest
 import twistcover
 from twistcover import BivarPoly, DomainError, TRACE_POLY, riley_poly, solve, tau_num, tau_poly
 from twistcover.checks import SEED, grid_solutions
-from twistcover.exactpoly import _tau_nonneg, clear_cache, phi_exact, tau_exact
+from twistcover.exactpoly import _pack, _tau_nonneg, _unpack, clear_cache, phi_exact, tau_exact
 
 # phi_1 = T^2 ... in (s_deg, T_deg) form: s^2 + 3s + 3 - (s+1)T
 PHI_1 = {(1, 1): -1, (0, 1): -1, (2, 0): 1, (1, 0): 3, (0, 0): 3}
@@ -385,6 +385,19 @@ def test_product_that_forces_a_repack():
     assert pp.coeffs == _ref_mul(terms, terms)
     assert pp * p == p * pp
     assert (pp * p).coeffs == _ref_mul(_ref_mul(terms, terms), terms)
+
+
+def test_repack_by_byte_slices_equals_the_digit_walk():
+    # _at moves whole biased digits between slots; the oracle decodes every
+    # digit and packs it again
+    for m in range(41):
+        for p in (tau_poly(m), -tau_poly(m)):
+            w = p._w
+            for w2 in (w + 8, w + 64, 2 * w + 16):
+                q = p._at(w2)
+                assert q._w == w2
+                assert q._rows == tuple(_pack(_unpack(row, w), w2) for row in p._rows), (m, w2)
+                assert q.coeffs == p.coeffs
 
 
 # the Fraction walk that the integer walk replaced, kept as the oracle
