@@ -15,13 +15,20 @@ cover_inv, cover_pow and cover_word box the result with _box, unchecked.
 SU11Elem and SurgeryCertificate are slotted namedtuples too, boxed the same
 way by _su11 and _cert.
 
-An element on the real axis (omega == 0, real gamma) lies in a hyperbolic
-one-parameter subgroup, gamma = tanh(u), and the law restricted to it is
-tanh addition, gamma'' = (gamma1 + gamma2)/(1 + gamma1 gamma2) with omega
-staying 0.  _pow powers such an element (the lifted meridian x) by that
-chain on floats.  It is bit for bit the real part of cover_compose on such
-pairs: with zero imaginary parts and e^(-2i omega) = 1 - 0i, every cross
-term of the complex law is +-0.
+_pow is one squaring loop, accumulate then square, whose step is _compose,
+or _tanh_add on the real gammas for an element on the real axis (omega ==
+0, real gamma; the lifted meridian x).  Such an element lies in a
+hyperbolic one-parameter subgroup, gamma = tanh(u), where the law is tanh
+addition, gamma'' = (gamma1 + gamma2)/(1 + gamma1 gamma2) with omega staying
+0.  That is bit for bit the real part of cover_compose on such pairs: with
+zero imaginary parts and e^(-2i omega) = 1 - 0i, every cross term of the
+complex law is +-0.
+
+A certificate forms each lifted word once, in one frame, with no state kept
+between calls: _lift forms x, y, their inverses, w^n and the relator, and
+_longitude forms w_rev^n w^n from them (w and w_rev are _commutator at
+(x, y) and at (y, x)).  The closure x^p L^q is composed on plain pairs, so
+a certificate boxes three CoverElems: x, y and the longitude.
 
 The point of the chart: the kernel of the covering map is {(0, 2 m pi)}, so
 proving that a lifted word equals (0, 0) on the nose, and not just up to a
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 from cmath import isfinite, phase
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import partial
 from math import cos, inf, sin, sqrt
 
 from . import kernels
@@ -172,56 +179,42 @@ def _inv(a: tuple) -> tuple:
     return g, w
 
 
+def _tanh_add(u: float, v: float) -> float:
+    """_compose's gamma for two elements on the real axis: the tanh
+    addition (u + v)/(1 + u v), refused as _compose refuses it when it
+    rounds onto the unit circle."""
+    g = (u + v) / (1.0 + u * v)
+    if not abs(g) < 1.0:
+        raise NumericsError(f"cover composition left the chart: |gamma| = {abs(g)} is not < 1")
+    return g
+
+
 def _pow(a: tuple, k: int) -> tuple:
-    """cover_pow on a (gamma, omega) pair; one on the real axis goes to
-    _pow_real."""
+    """cover_pow on a (gamma, omega) pair: accumulate, then square, one
+    step per bit.  On the real axis the step is _tanh_add on the real
+    gammas, elsewhere it is _compose.
+
+    On the axis the result keeps a's zero imaginary part and omega, as
+    _compose does for the lifted meridian (gamma > 0 with omega = +0);
+    elsewhere on the axis the two may differ in the sign of a zero.
+    """
     if k < 0:
         a = _inv(a)
         k = -k
-    if a[1] == 0.0 and a[0].imag == 0.0:
-        return _pow_real(a, k)
+    g, w = a
+    real_axis = w == 0.0 and g.imag == 0.0
+    a, step = (g.real, _tanh_add) if real_axis else (a, _compose)
     acc = None
     while True:
         if k & 1:
-            acc = a if acc is None else _compose(acc, a)
+            acc = a if acc is None else step(acc, a)
         k >>= 1
         if not k:
-            return IDENTITY_COVER if acc is None else acc
-        a = _compose(a, a)
-
-
-def _pow_real(a: tuple, k: int) -> tuple:
-    """_pow for a on the real axis and k >= 0: the same squaring order, with
-    each composition the tanh addition (x + acc)/(1 + acc x) on floats.
-
-    That is _compose's gamma bit for bit, and abs(acc) < 1 is _check's test
-    on it, so saturation raises the same NumericsError.  The result keeps a's
-    zero imaginary part and omega, as _compose does for the lifted meridian
-    (gamma > 0 with omega = +0); elsewhere on the axis the two may differ in
-    the sign of a zero.
-    """
-    x = a[0].real
-    acc = None
-    while True:
-        if k & 1:
-            if acc is None:
-                acc = x
-            else:
-                acc = (x + acc) / (1.0 + acc * x)
-                if not abs(acc) < 1.0:
-                    raise _left_the_chart(acc)
-        k >>= 1
-        if not k:
-            return IDENTITY_COVER if acc is None else (complex(acc, a[0].imag), a[1])
-        x = (x + x) / (1.0 + x * x)
-        if not abs(x) < 1.0:
-            raise _left_the_chart(x)
-
-
-def _left_the_chart(gamma: float) -> NumericsError:
-    """_compose's refusal of a product whose real gamma rounded onto the
-    unit circle."""
-    return NumericsError(f"cover composition left the chart: |gamma| = {abs(gamma)} is not < 1")
+            break
+        a = step(a, a)
+    if acc is None:
+        return IDENTITY_COVER
+    return (complex(acc, g.imag), w) if real_axis else acc
 
 
 def _word(word: str, x: tuple, y: tuple) -> tuple:
@@ -272,19 +265,45 @@ def cover_word(word: str, xt: CoverElem, yt: CoverElem) -> CoverElem:
     return _box(_word(word, xt, yt))
 
 
-@lru_cache(maxsize=1)
-def _lifted_w_power(n: int, x: tuple, y: tuple) -> tuple:
-    """(w^n, x^-1, y^-1) at the lifts x, y: w = x y^-1 x^-1 y composed left
-    to right in 3 compositions, as cover_word folds it, and raised to the
-    n-th power by squaring, O(log |n|) compositions.
+def _commutator(a: tuple, b: tuple, ai: tuple, bi: tuple) -> tuple:
+    """a b^-1 a^-1 b from a, b and their inverses, composed left to right in
+    3 compositions, as cover_word folds it: w = x y^-1 x^-1 y at (x, y) and
+    w_rev = y x^-1 y^-1 x at (y, x)."""
+    return _compose(_compose(_compose(a, bi), ai), b)
 
-    The relator and the longitude both contain w^n, and x^-1 and y^-1 are
-    letters of the relator, w and w_rev; one entry is enough for
-    lifted_longitude to reuse all three from lift_generators at the same
-    lifts, so each inverse is formed once per lift.
-    """
-    xi, yi = _inv(x), _inv(y)
-    return _pow(_compose(_compose(_compose(x, yi), xi), y), n), xi, yi
+
+def _lift(n: int, s: float, t: float) -> tuple:
+    """(x, y, x^-1, y^-1, w^n, residual) at (s, t), for an n that has passed
+    check_n: the lift frame.  x and y are CoverElems, the rest pairs; the
+    residual is the lifted relator w^n x w^-n y^-1's distance from (0, 0),
+    and RelatorNotCentral refuses it above DEFAULT_LIFT_TOL."""
+    gen_x, gen_y = gen_matrices(s, t)
+    xt = chart(to_su11(gen_x))
+    yt = chart(to_su11(gen_y))
+    xi, yi = _inv(xt), _inv(yt)
+    wn = _pow(_commutator(xt, yt, xi, yi), n)
+    g, w = _compose(_compose(_compose(wn, xt), _inv(wn)), yi)
+    residual = max(abs(g), abs(w))
+    if not residual <= DEFAULT_LIFT_TOL:
+        raise RelatorNotCentral(
+            f"lifted relator at n={n}, s={s} is ({g}, {w}), "
+            f"residual {residual:.3e} > {DEFAULT_LIFT_TOL}; the parameters do "
+            f"not satisfy the group relation"
+        )
+    return xt, yt, xi, yi, wn, residual
+
+
+def _longitude(n: int, xt: tuple, yt: tuple, xi: tuple, yi: tuple, wn: tuple) -> CoverElem:
+    """The lifted longitude w_rev^n w^n from _lift's frame: w_rev^n by
+    squaring, then one composition with w^n.  LongitudeOmegaNonzero unless
+    |omega| <= DEFAULT_TOL_CERT."""
+    g, w = _compose(_pow(_commutator(yt, xt, yi, xi), n), wn)
+    if not abs(w) <= DEFAULT_TOL_CERT:
+        raise LongitudeOmegaNonzero(
+            f"lifted longitude has omega = {w}, "
+            f"|omega| > {DEFAULT_TOL_CERT} at n={n}"
+        )
+    return _box((g, w))
 
 
 def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, float]:
@@ -303,22 +322,12 @@ def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, flo
     lift on the wrong level would leave a residual near 2 pi and raise
     RelatorNotCentral.
 
-    The relator w^n x w^-n y^-1 is formed from the lifted w raised to the
-    n-th power by squaring, O(log |n|) compositions, not letter by letter.
+    This runs the lift frame _lift and keeps x, y and the residual; the
+    frame's inverses and w^n are dropped, so lifted_longitude forms them
+    again.  certificate runs the frame itself and passes them along.
     """
     check_n(n)
-    gen_x, gen_y = gen_matrices(sol.s, sol.t)
-    xt = chart(to_su11(gen_x))
-    yt = chart(to_su11(gen_y))
-    wn, _, yi = _lifted_w_power(n, xt, yt)
-    g, w = _compose(_compose(_compose(wn, xt), _inv(wn)), yi)
-    residual = max(abs(g), abs(w))
-    if not residual <= DEFAULT_LIFT_TOL:
-        raise RelatorNotCentral(
-            f"lifted relator at n={n}, s={sol.s} is ({g}, {w}), "
-            f"residual {residual:.3e} > {DEFAULT_LIFT_TOL}; the parameters do "
-            f"not satisfy the group relation"
-        )
+    xt, yt, _, _, _, residual = _lift(n, sol.s, sol.t)
     return xt, yt, residual
 
 
@@ -326,19 +335,14 @@ def lifted_longitude(n: int, xt: CoverElem, yt: CoverElem) -> CoverElem:
     """Lift of the longitude; |omega| must stay within DEFAULT_TOL_CERT.
 
     The longitude w_rev^n w^n, w_rev = y x^-1 y^-1 x, is the product of two
-    powers by squaring, O(log |n|) compositions, not a letter walk.  w^n and
-    the inverses of x and y come from _lifted_w_power, and w_rev is composed
-    left to right in 3 compositions, as cover_word folds it.
+    powers by squaring, O(log |n|) compositions, not a letter walk.  Called
+    alone it recomputes what _lift's frame holds, the inverses of x and y
+    and w^n, by the same steps, so its result equals the longitude that
+    certificate forms from the frame bit for bit.
     """
     check_n(n)
-    wn, xi, yi = _lifted_w_power(n, xt, yt)
-    g, w = _compose(_pow(_compose(_compose(_compose(yt, xi), yi), xt), n), wn)
-    if not abs(w) <= DEFAULT_TOL_CERT:
-        raise LongitudeOmegaNonzero(
-            f"lifted longitude has omega = {w}, "
-            f"|omega| > {DEFAULT_TOL_CERT} at n={n}"
-        )
-    return _box((g, w))
+    xi, yi = _inv(xt), _inv(yt)
+    return _longitude(n, xt, yt, xi, yi, _pow(_commutator(xt, yt, xi, yi), n))
 
 
 class SurgeryCertificate(
@@ -378,8 +382,8 @@ def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
     """
     smp, _ = invert(n, p, q)
     _, hol = longitude(n, smp)
-    xt, yt, rel_res = lift_generators(n, smp)
-    lt = lifted_longitude(n, xt, yt)
+    xt, yt, xi, yi, wn, rel_res = _lift(n, smp.s, smp.t)
+    lt = _longitude(n, xt, yt, xi, yi, wn)
     err = abs(lt.gamma - hol.lifted_gamma)
     if not err <= LONGITUDE_GAMMA_TOL:
         raise NumericsError(
@@ -387,19 +391,19 @@ def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
             f"value {hol.lifted_gamma} by {err:.3e} > {LONGITUDE_GAMMA_TOL}"
         )
     try:
-        final = cover_mul(cover_pow(xt, p), cover_pow(lt, q))
+        g, w = _compose(_pow(xt, p), _pow(lt, q))
     except NumericsError as exc:
         raise NumericsError(f"{_closure_stage(n, p, q, smp.s)} failed: {exc}") from exc
-    final_gamma_abs = abs(final.gamma)
-    if not (final_gamma_abs <= DEFAULT_TOL_CERT and abs(final.omega) <= DEFAULT_TOL_CERT):
+    final_gamma_abs = abs(g)
+    if not (final_gamma_abs <= DEFAULT_TOL_CERT and abs(w) <= DEFAULT_TOL_CERT):
         stage = _closure_stage(n, p, q, smp.s)
         raise CertificateFailed(
-            f"{stage} failed: lifted word is ({final.gamma}, {final.omega}); "
-            f"|gamma| = {final_gamma_abs:.3e}, |omega| = {abs(final.omega):.3e} "
+            f"{stage} failed: lifted word is ({g}, {w}); "
+            f"|gamma| = {final_gamma_abs:.3e}, |omega| = {abs(w):.3e} "
             f"exceed tol = {DEFAULT_TOL_CERT} "
             f"(relator residual {rel_res:.3e}, longitude omega {lt.omega:.3e})"
         )
     return _cert((
         n, p, q, smp.s, smp.t, hol.B, xt.gamma.real, lt.gamma.real, rel_res,
-        lt.omega, final_gamma_abs, final.omega, DEFAULT_TOL_G, DEFAULT_TOL_CERT,
+        lt.omega, final_gamma_abs, w, DEFAULT_TOL_G, DEFAULT_TOL_CERT,
     ))

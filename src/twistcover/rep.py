@@ -28,7 +28,7 @@ from math import sqrt
 
 from . import kernels
 from .errors import DomainError, NumericsError, OffDiagonalTooLarge
-from .exactpoly import is_int
+from .exactpoly import check_n, is_int
 from .solver import RepSolution, check_positive
 
 OFFDIAG_TOL = 1e-6
@@ -210,6 +210,7 @@ def longitude(n: int, sol: RepSolution) -> tuple[Mat2, HolonomyData]:
     (1,1) entry is the cross-check, not the source.  Only sol.s and sol.t are
     read, so a slopes.SlopeSample serves as well as a RepSolution.
     """
+    check_n(n)
     s, t = sol.s, sol.t
     u11, u12, u21, u22 = w_power(n, s, t)
     try:

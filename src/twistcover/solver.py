@@ -107,14 +107,20 @@ def _branch(n: int) -> tuple[float, float, float, float]:
     cos((n + 1/2) theta) at zero and num_inf = 2 sin(theta/2) sin(n theta) at
     inf_end are the factors of solve's end values.  The record depends on n
     alone, so a small functools cache, cleared with the package's other
-    caches, computes it once per n, not once per root.
+    caches, computes it once per n, not once per root.  An n too large to
+    convert to a float is a NumericsError that gives |n|'s bit length.
     """
-    if n == 1:
-        zero, inf_end = 0.0, pi / 3
-    elif n > 1:
-        zero, inf_end = pi / n, 3 * pi / (2 * n + 1)
-    else:
-        zero, inf_end = pi / abs(n), pi / (2 * abs(n) - 1)
+    try:
+        if n == 1:
+            zero, inf_end = 0.0, pi / 3
+        elif n > 1:
+            zero, inf_end = pi / n, 3 * pi / (2 * n + 1)
+        else:
+            zero, inf_end = pi / abs(n), pi / (2 * abs(n) - 1)
+    except OverflowError:
+        raise NumericsError(
+            f"n is too large for double precision: |n| has {n.bit_length()} bits"
+        ) from None
     return zero, inf_end, _branch_terms(n, zero)[2], _branch_terms(n, inf_end)[1]
 
 

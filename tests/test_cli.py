@@ -193,6 +193,16 @@ REFUSALS = (
     (("certify", "--n", "2", "--r", "39999999999/10000000000"), "at n=2, u^2 - s = T - s - 2 > 0 rounds to 0"),
     # |gamma| of a square in x^47's real-axis chain rounds onto the unit circle
     (("certify", "--n", "2", "--r", "47/12"), "closure of x^47 L^12 at n=2"),
+    # n = +-10^400 does not convert to a float
+    *(
+        (argv, "n is too large for double precision: |n| has 1329 bits")
+        for big in ("1" + "0" * 400, "-1" + "0" * 400)
+        for argv in (
+            ("solve", "--n", big, "--s", "1"),
+            ("scan", "--n", big, "--s-min", "1", "--s-max", "2", "--samples", "3"),
+            ("certify", "--n", big, "--r", "1/2"),
+        )
+    ),
 )
 
 

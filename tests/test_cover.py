@@ -1,7 +1,9 @@
 """Universal cover of SL2(R): chart arithmetic, lifts, certificates."""
 
+import ast
 import math
 import random
+import sys
 
 import pytest
 
@@ -417,16 +419,15 @@ def test_each_element_is_checked_once(cover_checks):
 
 @pytest.mark.parametrize("n, p, q", [(2, 3, 2), (-20, 41, 12)])
 def test_certificate_builds_few_records(n, p, q, cover_elems_built):
-    # the lifts of x and y, the longitude, x^p, L^q and their product: the
-    # group law's intermediate steps are pairs, not records
+    # the lifts of x and y and the longitude: the group law's intermediate
+    # steps and the closure x^p L^q are pairs, not records
     certificate(n, p, q)
-    assert 0 < cover_elems_built[0] <= 6
+    assert 0 < cover_elems_built[0] <= 3
 
 
-# (n, p, q) -> cover_compose and cover._inv calls of one certificate on a
-# cold _lifted_w_power cache.  The lift takes 10 + 2 (bit_length + popcount
-# - 2) compositions of |n| (test_lift_compositions_grow_with_log_n) and three
-# inverses, x^-1, y^-1 and w^-n, plus one per power of a negative n; x^p on
+# (n, p, q) -> cover_compose and cover._inv calls of one certificate.  The
+# lift frame takes 10 + 2 (bit_length + popcount - 2) compositions of |n|
+# (test_lift_compositions_grow_with_log_n) and three inverses, x^-1, y^-1 and w^-n, plus one per power of a negative n; x^p on
 # the real axis takes none; L^q one per squaring and further set bit; the
 # closure one.  x^47 at n = 2 saturates inside its chain.
 CERTIFICATE_WORK = {
@@ -438,7 +439,6 @@ CERTIFICATE_WORK = {
 
 @pytest.mark.parametrize("n, p, q", list(CERTIFICATE_WORK))
 def test_certificate_work_counts(n, p, q, cover_compose_calls, cover_inv_calls):
-    cover._lifted_w_power.cache_clear()
     cover_compose_calls[0] = cover_inv_calls[0] = 0
     try:
         certificate(n, p, q)
@@ -494,6 +494,80 @@ def test_certificate_agrees_with_its_recheck_bit_for_bit():
     assert SurgeryCertificate in outcomes and CertificateFailed in outcomes
 
 
+def _statement_of_line(path: str) -> dict:
+    """line -> (first line, column) of the innermost statement holding it; a
+    function's statement holds its decorators too."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    owner = {}
+    # ast.walk goes breadth first, so an inner statement overwrites the
+    # lines of the statements that hold it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.stmt):
+            first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+            for line in range(first, node.end_lineno + 1):
+                owner[line] = (node.lineno, node.col_offset)
+    return owner
+
+
+def statements_executed(run) -> int:
+    """Distinct statements of the twistcover package that run() executes.
+
+    Each sys.settrace line event counts the innermost ast.stmt holding its
+    line, so the count does not depend on how a Python version splits a
+    statement's line events; each call counts the def statement of the
+    function entered, at the code's first line.  Every functools cache in
+    the package is cleared first, so a warm cache hides no body.
+    """
+    owners = {}
+    for modname, mod in list(sys.modules.items()):
+        if mod is None or not modname.startswith("twistcover"):
+            continue
+        owners[mod.__file__] = _statement_of_line(mod.__file__)
+        for value in list(vars(mod).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    hit = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            path = frame.f_code.co_filename
+            hit.add((path, owners[path][frame.f_lineno]))
+        return local
+
+    def start(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename not in owners:
+            return None
+        hit.add((code.co_filename, owners[code.co_filename][code.co_firstlineno]))
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(start)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return len(hit)
+
+
+# The certificate's trusted base: the statements that one certificate per
+# pair of GRID_N x every 7th GRID_SLOPES entry executes, refusals included.
+CERTIFICATE_STATEMENTS = 285
+
+
+def test_certificate_runs_few_statements():
+    def certify_all():
+        for n in GRID_N:
+            for p, q in GRID_SLOPES[::7]:
+                try:
+                    certificate(n, p, q)
+                except NumericsError:
+                    pass
+
+    assert 0 < statements_executed(certify_all) <= CERTIFICATE_STATEMENTS
+
+
 def test_lift_generators_at_solution():
     sol = solve(1, 1.0)
     xt, yt, residual = lift_generators(1, sol)
@@ -528,19 +602,31 @@ def test_powered_lift_matches_letter_walk(n, s):
 @pytest.mark.parametrize("n", [2, -6, 20, -1000, 10**4])
 def test_lift_compositions_grow_with_log_n(n, cover_compose_calls):
     # the letter walk takes 16|n| + 2; squaring takes at most 2 log2|n|
-    # per power, lifted_longitude reuses lift_generators' w^n, and each of
-    # the two four-letter words starts from its first letter
+    # per power, the longitude reuses the lift frame's w^n, and each of the
+    # two four-letter words starts from its first letter.  This is the frame
+    # certificate runs: lifted_longitude called alone forms w^n again.
     sol = solve(n, 0.05)
-    cover._lifted_w_power.cache_clear()
     cover_compose_calls[0] = 0
-    xt, yt, _ = lift_generators(n, sol)
-    lifted_longitude(n, xt, yt)
+    xt, yt, xi, yi, wn, _ = cover._lift(n, sol.s, sol.t)
+    cover._longitude(n, xt, yt, xi, yi, wn)
     assert cover_compose_calls[0] <= 4 * math.ceil(math.log2(abs(n))) + 14
     # exactly: 3 per word, 3 for the relator, 1 for the longitude, and per
     # power one squaring per bit below the top and one product per further
     # set bit
     m = abs(n)
     assert cover_compose_calls[0] == 10 + 2 * (m.bit_length() + bin(m).count("1") - 2)
+
+
+def test_standalone_longitude_equals_the_lift_frames():
+    # lifted_longitude called alone forms the frame's inverses and w^n again,
+    # by the same steps, so it equals the longitude certificate forms
+    for n in GRID_N:
+        for s in GRID_S:
+            sol = solve(n, s)
+            xt, yt, xi, yi, wn, _ = cover._lift(n, sol.s, sol.t)
+            lt = cover._longitude(n, xt, yt, xi, yi, wn)
+            assert lifted_longitude(n, xt, yt) == lt, (n, s)
+            assert lift_generators(n, sol)[:2] == (xt, yt), (n, s)
 
 
 @pytest.mark.parametrize("n", [-100, 100])

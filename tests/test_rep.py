@@ -192,6 +192,14 @@ def test_longitude_rejects_off_variety_input():
         longitude(2, fake)
 
 
+@pytest.mark.parametrize("n", [0, -1, True, 2.5])
+def test_longitude_rejects_a_bad_twist_parameter(n):
+    # n = 0 would give the identity and n = -1 an off-diagonal refusal, the
+    # exit-2 class; both are the caller's error
+    with pytest.raises(DomainError, match="n must"):
+        longitude(n, solve(2, 1.0))
+
+
 def test_mat2_operations():
     a = Mat2(1.0, 2.0, 3.0, 4.0)
     b = Mat2(0.0, 1.0, 1.0, 0.0)

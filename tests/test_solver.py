@@ -11,6 +11,10 @@ import twistcover.solver as solver
 from twistcover import (
     DomainError,
     NonConvergence,
+    NumericsError,
+    certificate,
+    g_eval,
+    invert,
     phi_num,
     solve,
     t_from_T,
@@ -121,6 +125,20 @@ def test_branch_functions_reject_a_bad_twist_parameter(n):
     with pytest.raises(DomainError, match="n must"):
         solver.branch_point(n, 1.0)
     assert solver._branch.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [10**400, -(10**400)])
+def test_n_beyond_double_range_is_a_numerics_error(n):
+    # pi / n cannot convert n to a float; the refusal gives n's bit length,
+    # since str(n) itself raises above 4300 digits
+    for call in (
+        lambda: solve(n, 1.0),
+        lambda: g_eval(n, 1.0),
+        lambda: invert(n, 1, 2),
+        lambda: certificate(n, 1, 2),
+    ):
+        with pytest.raises(NumericsError, match=r"\|n\| has 1329 bits"):
+            call()
 
 
 @pytest.mark.parametrize("n", [2, -3, 5])
