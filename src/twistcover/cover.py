@@ -375,8 +375,8 @@ def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
 
     Finds s* with g(s*) = p/q, lifts the representation there, and verifies
     that the lifted x^p L^q lands on (0, 0) within DEFAULT_TOL_CERT.  It
-    lifts at invert's own sample, whose s and t come from g_eval at s*, the
-    certificate's one solve (invert's steps evaluate the branch in closed form).
+    lifts at invert's own sample, whose s and t come from the one root at
+    s* (invert's steps evaluate the branch in closed form).
     The lifted longitude's gamma must match the holonomy's value
     (rep.HolonomyData.lifted_gamma) to LONGITUDE_GAMMA_TOL.
     """

@@ -29,7 +29,7 @@ from math import sqrt
 from . import kernels
 from .errors import DomainError, NumericsError, OffDiagonalTooLarge
 from .exactpoly import check_n, is_int
-from .solver import RepSolution, check_positive
+from .solver import RepSolution, _too_large, check_positive
 
 OFFDIAG_TOL = 1e-6
 
@@ -131,11 +131,15 @@ def word_eval(word: str, gen_x: Mat2, gen_y: Mat2) -> Mat2:
 
 def w_word(n: int) -> str:
     """Word for w^n; w = xY Xy, w^-1 = YxyX."""
+    if not is_int(n):
+        raise DomainError(f"n must be an integer, got {n!r}")
     return ("xYXy" if n >= 0 else "YxyX") * abs(n)
 
 
 def w_rev_word(n: int) -> str:
     """Word for w_rev^n; w_rev = yXYx (w with its letters reversed)."""
+    if not is_int(n):
+        raise DomainError(f"n must be an integer, got {n!r}")
     return ("yXYx" if n >= 0 else "XyxY") * abs(n)
 
 
@@ -149,15 +153,19 @@ def relator_word(n: int) -> str:
 
 
 def w_power(n: int, s: float, t: float) -> Mat2:
-    """W^n through the trace recursion; valid for every integer n."""
+    """W^n through the trace recursion, for any integer n; an n or a W^n
+    beyond double range (cheb_pair's sinh form at |trace W| > 2) is refused."""
     if not is_int(n):
         raise DomainError(f"n must be an integer, got {n!r}")
     if n == 0:
         return IDENTITY2
     w11, w12, w21, w22 = w_matrix(s, t)
     tr = w11 + w22
-    tnp, tn = kernels.cheb_pair(n, tr)
-    tnm = kernels.cheb_pair(n - 1, tr)[1]
+    try:
+        tnp, tn = kernels.cheb_pair(n, tr)
+        tnm = kernels.cheb_pair(n - 1, tr)[1]
+    except OverflowError:
+        raise _too_large("n", n) from None
     return _mat((w11 * tn - tnm, w12 * tn, w21 * tn, tnp - w11 * tn))
 
 
@@ -197,8 +205,15 @@ class HolonomyData(namedtuple("HolonomyData", "B offdiag_residual")):
 
 
 def longitude_holonomy(s: float, t: float) -> float:
-    """Closed form of the longitude's (1,1) entry, B = (t-s-1)/((1+s)t - 1)."""
-    return (t - s - 1.0) / ((1.0 + s) * t - 1.0)
+    """Closed form of the longitude's (1,1) entry, B = (t-s-1)/((1+s)t - 1).
+
+    Unchecked on the slope map's hot path: what breaks the arithmetic (an
+    int beyond double range, the pole (1 + s) t = 1) is off the domain."""
+    try:
+        return (t - s - 1.0) / ((1.0 + s) * t - 1.0)
+    except (OverflowError, ZeroDivisionError):
+        _check_params(s, t)
+        raise
 
 
 def longitude(n: int, sol: RepSolution) -> tuple[Mat2, HolonomyData]:

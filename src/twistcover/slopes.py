@@ -33,9 +33,8 @@ class SlopeSample(namedtuple("SlopeSample", "s T t B g")):
 
 
 class InvertReport(namedtuple("InvertReport", "evaluations")):
-    """Diagnostics from invert(): the number of slope samples the search
-    consulted, one branch point per ITP step plus the one g_eval at the
-    result."""
+    """Diagnostics from invert(): the slope samples the search consulted,
+    one branch point per ITP step plus the one sample at the result."""
 
     __slots__ = ()
 
@@ -54,17 +53,17 @@ def _slope(n: int, s: float, t: float) -> tuple[float, float]:
 def g_eval(n: int, s: float) -> SlopeSample:
     """Solve at (n, s) and evaluate the slope map there."""
     check_n(n)
-    return _sample(n, solver.check_positive("s", s))
+    return _sample(n, solver.check_positive("s", s), solver._branch(n))
 
 
-def _sample(n: int, s: float) -> SlopeSample:
-    """g_eval for a checked n and s: the per-sample core of g_eval and scan.
+def _sample(n: int, s: float, branch: tuple) -> SlopeSample:
+    """g_eval for a checked n and s on n's branch record: the sample core.
 
     The root comes from solver._root, the core solve shares, on plain
     floats: the one record built is the returned sample, and no phi_n
     residual is evaluated, since only solve reports one.
     """
-    T, t = solver._root(n, s)[:2]
+    T, t = solver._root(n, s, branch)[:2]
     b, g = _slope(n, s, t)
     # B < 1 at every s > 0, so B = 1 (g = -0.0) is s below float resolution;
     # invert's steps call _slope instead, to which g = -0 is a valid sign
@@ -86,17 +85,18 @@ def _log_grid(s_min: float, s_max: float, samples: int) -> list[float]:
 def scan(n: int, s_min: float, s_max: float, samples: int) -> list[SlopeSample]:
     """Slope map on a log-spaced grid, sorted by s.
 
-    n and the window are checked once, here: every grid point of a finite
-    positive window is finite and positive, so each sample runs g_eval's
-    core with no check of its own.
+    n and the window are checked, and n's branch record formed, once, here:
+    every grid point of a finite positive window is finite and positive, so
+    each sample runs g_eval's core with no check of its own.
     """
-    s_min, s_max = float(s_min), float(s_max)
+    s_min, s_max = solver.as_float("s_min", s_min), solver.as_float("s_max", s_max)
     if not 0.0 < s_min < s_max < inf:
         raise DomainError(f"need 0 < s_min < s_max < inf, got {s_min}, {s_max}")
     if not isinstance(samples, int) or samples < 2:
         raise DomainError(f"samples must be an integer of at least 2, got {samples!r}")
     check_n(n)
-    return [_sample(n, s) for s in _log_grid(s_min, s_max, samples)]
+    branch = solver._branch(n)
+    return [_sample(n, s, branch) for s in _log_grid(s_min, s_max, samples)]
 
 
 def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
@@ -104,17 +104,17 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     (0, 4).
 
     kernels.itp runs once over n's whole branch interval in theta, to float
-    resolution, through solver.branch_root on the solver._branch(n) record.
+    resolution, through solver._branch_root on the solver._branch(n) record.
     Its end values are g's limits minus p/q: -p/q where s -> 0 and 4 - p/q
     where s -> inf, which bracket every p/q in (0, 4).  ITP never evaluates
     an end, so the open ends, where s is 0 or inf, are never touched; each
     step evaluates g at a branch point (solver._branch_point, as n is
     checked here), with no solve.
-    The returned sample is g_eval at the s of the final theta, so it is
-    exactly what a fresh g_eval at s* gives, and it must meet DEFAULT_TOL_G.
+    The returned sample is g_eval's core at the s of the final theta, so it
+    is exactly what a fresh g_eval at s* gives; it must meet DEFAULT_TOL_G.
     A final theta that rounds onto an end of the branch, where the closed
     form gives no positive s (1/10^17 at n = 2), is a NumericsError naming
-    p/q, n and the end; a breakdown in the final g_eval (B rounds to 1 at
+    p/q, n and the end; a breakdown in the final sample (B rounds to 1 at
     n = -1000, 1/10^17) names p/q too and keeps its class.
     A bracket that collapses without meeting the bound is a jump, not a
     crossing: NonConvergence reports it, as it does kernels.ITP_MAX_ITER.
@@ -137,13 +137,15 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
             f"slope {p}/{q} lies in (0, 4) but rounds to {r} in double precision"
         )
 
+    branch = solver._branch(n)
+
     def g_minus_r(theta):
-        s, _, t = solver._branch_point(n, theta)
+        s, _, t = solver._branch_point(n, theta, branch)
         return _slope(n, s, t)[1] - r
 
-    theta, iters, capped = solver.branch_root(solver._branch(n), g_minus_r, -r, 4.0 - r)
+    theta, iters, capped = solver._branch_root(branch, g_minus_r, -r, 4.0 - r)
     try:
-        smp = g_eval(n, solver._branch_point(n, theta)[0])
+        smp = _sample(n, solver._branch_point(n, theta, branch)[0], branch)
     except NumericsError as exc:
         raise type(exc)(f"slope {p}/{q}: {exc}") from exc
     if abs(smp.g - r) <= DEFAULT_TOL_G:

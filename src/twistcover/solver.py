@@ -13,8 +13,8 @@ the theta of a given s by ITP (kernels.itp: two-sided regula falsi,
 truncated and projected so that it never takes more than kernels.ITP_N0
 steps beyond bisection's count) on the same equation with the denominator
 cleared, and slopes.invert walks the whole branch in theta with it.  Both
-reach ITP through branch_root; _branch(n) is the one record of which end
-is s -> 0.
+reach ITP through _branch_root on the _branch(n) record of which end is
+s -> 0, formed once per public call and handed down, not cached.
 n = 1 keeps its closed form T = s + 2 + 1/(s+1): its branch has d -> 0 as
 s -> 0, where theta's absolute resolution would cost T its digits.
 solve's root runs in _root on plain floats, which slopes.g_eval calls too,
@@ -25,7 +25,6 @@ evaluates phi_n at the root for its residual.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from math import asin, cos, inf, isfinite, pi, sin, sqrt
 
 from . import kernels
@@ -33,9 +32,24 @@ from .errors import DomainError, NonConvergence, NumericsError
 from .exactpoly import check_n, is_int
 
 
+def _too_large(name: str, k: int) -> NumericsError:
+    """The one refusal of an integer argument beyond double range; it gives
+    |k|'s bit length, since str(k) itself raises above 4300 digits."""
+    bits = int(k).bit_length()
+    return NumericsError(f"{name} is too large for double precision: |{name}| has {bits} bits")
+
+
+def as_float(name: str, value: float) -> float:
+    """float(value), refusing an integer beyond double range with _too_large."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise _too_large(name, value) from None
+
+
 def check_positive(name: str, value: float) -> float:
-    """value as a float; DomainError unless it is finite and positive."""
-    value = float(value)
+    """as_float(name, value); DomainError unless it is finite and positive."""
+    value = as_float(name, value)
     if not 0.0 < value < inf:
         raise DomainError(f"{name} must be finite and positive, got {value}")
     return value
@@ -59,20 +73,23 @@ def tau_num(m: int, trace: float) -> float:
     """Numeric (z^m - z^-m)/(z - z^-1) with z + 1/z = trace, |trace| <= 2."""
     if not is_int(m):
         raise DomainError(f"m must be an integer, got {m!r}")
-    trace = float(trace)
+    trace = as_float("trace", trace)
     if not abs(trace) <= 2.0:
         if abs(trace) - 2.0 <= 1e-12:
             trace = 2.0 if trace > 0 else -2.0
         else:
             raise DomainError(f"trace must lie in [-2, 2], got {trace}")
-    return kernels.cheb_pair(m - 1, trace)[0]
+    try:
+        return kernels.cheb_pair(m - 1, trace)[0]
+    except OverflowError:
+        raise _too_large("m", m) from None
 
 
 def phi_num(n: int, s: float, T: float) -> float:
     """Numeric phi_n(s, T) for T in the trace band [s+2, s+2+4/s]."""
     check_n(n)
     s = check_positive("s", s)
-    T = float(T)
+    T = as_float("T", T)
     delta = ((T - s) - 2.0) * s
     # rounding slack: computing delta from T costs about s*ulp(T)
     slack = max(1e-9, 8e-16 * s * max(abs(T), 1.0))
@@ -81,18 +98,20 @@ def phi_num(n: int, s: float, T: float) -> float:
             f"T = {T} outside the trace band [s+2, s+2+4/s] for s = {s}"
         )
     delta = min(max(delta, 0.0), 4.0)
-    return kernels.phi_delta(n, s, delta)
+    try:
+        return kernels.phi_delta(n, s, delta)
+    except OverflowError:
+        raise _too_large("n", n) from None
 
 
 def t_from_T(T: float) -> float:
     """Larger root of t + 1/t = T, real for T >= 2."""
-    T = float(T)
+    T = as_float("T", T)
     if not T >= 2.0:
         raise DomainError(f"T must be at least 2, got {T}")
     return 0.5 * (T + sqrt(T * T - 4.0))
 
 
-@lru_cache(maxsize=64)
 def _branch(n: int) -> tuple[float, float, float, float]:
     """(zero, inf_end, den_zero, num_inf): the one record of n's root branch;
     n must pass check_n.
@@ -105,10 +124,9 @@ def _branch(n: int) -> tuple[float, float, float, float]:
 
     so s rises with theta for n >= 1 and falls for n < -1.  den_zero =
     cos((n + 1/2) theta) at zero and num_inf = 2 sin(theta/2) sin(n theta) at
-    inf_end are the factors of solve's end values.  The record depends on n
-    alone, so a small functools cache, cleared with the package's other
-    caches, computes it once per n, not once per root.  An n too large to
-    convert to a float is a NumericsError that gives |n|'s bit length.
+    inf_end are the factors of solve's end values.  Each public entry forms
+    the record once per call, after its own checks, and hands it down; an n
+    beyond double range is refused by _too_large.
     """
     try:
         if n == 1:
@@ -118,9 +136,7 @@ def _branch(n: int) -> tuple[float, float, float, float]:
         else:
             zero, inf_end = pi / abs(n), pi / (2 * abs(n) - 1)
     except OverflowError:
-        raise NumericsError(
-            f"n is too large for double precision: |n| has {n.bit_length()} bits"
-        ) from None
+        raise _too_large("n", n) from None
     return zero, inf_end, _branch_terms(n, zero)[2], _branch_terms(n, inf_end)[1]
 
 
@@ -155,20 +171,25 @@ def _branch_equation(n: int, s: float):
 def branch_point(n: int, theta: float) -> tuple[float, float, float]:
     """(s, T, t) of the root branch at eigenangle theta of W, in closed form.
 
-    theta must lie inside branch_interval(n), where s is positive and finite.
-    Within rounding of an end the closed form can still give s <= 0 (at
-    n = 2, float(pi/2) lies just below the true s -> 0 end); that is a
+    theta must lie inside the open interval branch_interval(n), where s is
+    positive and finite; any other theta, NaN and +-inf included, is a
+    DomainError.  Within rounding of an end the closed form can still give
+    s <= 0 (at n = 13, at the first float inside the s -> 0 end); that is a
     NumericsError naming the end.  T = s + 2 + d/s with d = 4 sin^2(theta/2)
     and t = t_from_T(T), as in solve, so a branch point differs from
     solve(n, s) only in where theta's rounding falls.
     """
     check_n(n)
-    return _branch_point(n, theta)
+    branch = _branch(n)
+    lo, hi = sorted(branch[:2])
+    if not lo < theta < hi:
+        raise DomainError(f"theta must lie in n={n}'s branch interval ({lo}, {hi}), got {theta}")
+    return _branch_point(n, theta, branch)
 
 
-def _branch_point(n: int, theta: float) -> tuple[float, float, float]:
-    """branch_point for an n that has passed check_n: the core that
-    slopes.invert evaluates at each of its steps.
+def _branch_point(n: int, theta: float, branch: tuple) -> tuple[float, float, float]:
+    """branch_point for a checked n and theta on branch, the _branch(n)
+    record (read only to name an end): the core of invert's steps.
 
     _branch_terms's three factors and t_from_T's root are written out in
     this one frame, bit for bit the same expressions, as _branch_equation
@@ -178,7 +199,7 @@ def _branch_point(n: int, theta: float) -> tuple[float, float, float]:
     h = sin(0.5 * theta)
     s = 2.0 * h * sin(n * theta) / cos((n + 0.5) * theta)
     if not s > 0.0:
-        zero, inf_end, _, _ = _branch(n)
+        zero, inf_end, _, _ = branch
         end, name = (zero, "0") if abs(theta - zero) <= abs(theta - inf_end) else (inf_end, "inf")
         raise NumericsError(
             f"branch point at theta = {theta} rounds onto the s -> {name} end "
@@ -188,7 +209,7 @@ def _branch_point(n: int, theta: float) -> tuple[float, float, float]:
     return s, T, 0.5 * (T + sqrt(T * T - 4.0))
 
 
-def branch_root(branch: tuple, f, f_zero: float, f_inf: float) -> tuple[float, int, bool]:
+def _branch_root(branch: tuple, f, f_zero: float, f_inf: float) -> tuple[float, int, bool]:
     """kernels.itp on f across the theta interval of branch, the _branch(n)
     record: (theta, iterations, capped).
 
@@ -202,18 +223,19 @@ def branch_root(branch: tuple, f, f_zero: float, f_inf: float) -> tuple[float, i
     return kernels.itp(f, inf_end, zero, f_inf, f_zero)
 
 
-def _root(n: int, s: float) -> tuple[float, float, float, float, int]:
-    """(T, t, delta, theta, iterations) of the root at (n, s).
+def _root(n: int, s: float, branch: tuple) -> tuple[float, float, float, float, int]:
+    """(T, t, delta, theta, iterations) of the root at (n, s) on branch.
 
     The root core on plain floats, for solve and slopes.g_eval, which
-    validate n and s and build the one record their caller receives.
-    branch_root runs ITP on f = s cos((n + 1/2) theta) - 2 sin(theta/2)
-    sin(n theta), the branch equation with its denominator cleared.  Its end
-    values are closed form, s cos((n + 1/2) theta) < 0 where s -> 0 and
-    -2 sin(theta/2) sin(n theta) > 0 where s -> inf, both read from the one
-    _branch(n) lookup of the root, so no end is evaluated.
-    delta = 4 sin^2(theta/2) then gives T = s + 2 + delta/s and trace W =
-    2 - delta.  A root makes no phi_delta call; solve evaluates the residual.
+    validate n and s, form the _branch(n) record and build the one record
+    their caller receives.  _branch_root runs ITP on f = s cos((n + 1/2)
+    theta) - 2 sin(theta/2) sin(n theta), the branch equation with its
+    denominator cleared.  Its end values, s cos((n + 1/2) theta) < 0 where
+    s -> 0 and -2 sin(theta/2) sin(n theta) > 0 where s -> inf, are read
+    from the record, so no end is evaluated.
+    delta = 4 sin^2(theta/2) then gives T = s + 2 + delta/s >= 2, trace W =
+    2 - delta and t, t_from_T's root written out as in _branch_point.  A
+    root makes no phi_delta call; solve evaluates the residual.
     n = 1 has the exact closed form T = s + 2 + 1/(s+1) and takes no step.
     """
     if n == 1:
@@ -223,9 +245,8 @@ def _root(n: int, s: float) -> tuple[float, float, float, float, int]:
         T = s + 2.0 + 1.0 / (s + 1.0)
         iters = 0
     else:
-        branch = _branch(n)
         _, _, den_zero, num_inf = branch
-        theta, iters, capped = branch_root(
+        theta, iters, capped = _branch_root(
             branch, _branch_equation(n, s), s * den_zero, -num_inf
         )
         if capped:
@@ -235,7 +256,7 @@ def _root(n: int, s: float) -> tuple[float, float, float, float, int]:
         h = sin(0.5 * theta)
         delta = 4.0 * h * h
         T = s + 2.0 + delta / s
-    t = t_from_T(T)
+    t = 0.5 * (T + sqrt(T * T - 4.0))
     if not (isfinite(T) and isfinite(t)):
         raise NumericsError(
             f"solve left the floating range at n={n}, s={s}: T = {T}, t = {t}"
@@ -248,7 +269,7 @@ def solve(n: int, s: float) -> RepSolution:
     theta (see _root), as a RepSolution with phi_n's residual there."""
     check_n(n)
     s = check_positive("s", s)
-    T, t, delta, theta, iters = _root(n, s)
+    T, t, delta, theta, iters = _root(n, s, _branch(n))
     residual = kernels.phi_delta(n, s, delta)
     if not isfinite(residual):
         raise NumericsError(

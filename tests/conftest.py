@@ -58,6 +58,12 @@ def branch_calls(monkeypatch):
 
 
 @pytest.fixture
+def branch_records(monkeypatch):
+    # solver._branch forms n's branch record; nothing caches it
+    return _count_calls(monkeypatch, solver, "_branch")
+
+
+@pytest.fixture
 def root_calls(monkeypatch):
     # solver._root is the core that solve and g_eval share, so this counts
     # every root, whether or not a RepSolution is built from it

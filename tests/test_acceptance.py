@@ -228,8 +228,9 @@ def test_every_suite_is_declared_once_in_source_order():
 def test_batch_certify_budget(g_eval_calls, root_calls, phi_delta_calls):
     # the bound is a count of slope evaluations, not a time: one per slope.
     # invert's ITP steps in theta evaluate the branch in closed form, so the
-    # one root per slope is the g_eval at s*, and a certificate lifts at
-    # that sample, so it solves nowhere else.  Each root searches the branch
+    # one root per slope is invert's sample at s*, taken from g_eval's core
+    # with no g_eval call, and a certificate lifts at that sample, so it
+    # solves nowhere else.  Each root searches the branch
     # equation in theta and evaluates no phi_n residual (only solve reports
     # one), so the 20 roots take no phi_delta call.  Both counts are exact,
     # so a path that stopped counting (or stopped solving) fails as surely
@@ -244,7 +245,7 @@ def test_batch_certify_budget(g_eval_calls, root_calls, phi_delta_calls):
     budget = len(fracs)
     calls = root_calls[0]
     assert calls == budget, f"{calls} slope evaluations for {len(fracs)} certificates"
-    assert g_eval_calls[0] <= len(fracs), f"{g_eval_calls[0]} g_evals for {len(fracs)} certificates"
+    assert g_eval_calls[0] == 0, f"{g_eval_calls[0]} g_evals for {len(fracs)} certificates"
     evals = phi_delta_calls[0]
     assert evals == 0, f"{evals} phi_delta calls for {len(fracs)} certificates"
     report(

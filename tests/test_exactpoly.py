@@ -145,6 +145,23 @@ def test_float_arguments_evaluate_at_their_binary_value():
     assert phi_exact(2, 0.1, 4.0) != phi_exact(2, Fraction(1, 10), 4)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: phi_exact(2, math.inf, 3.0),
+        lambda: phi_exact(2, 1.0, math.nan),
+        lambda: phi_exact(2, 1.0, -math.inf),
+        lambda: tau_exact(3, math.nan),
+        lambda: tau_exact(3, math.inf),
+    ],
+)
+def test_non_finite_float_arguments_are_domain_errors(call):
+    # a NaN or infinite float has no exact value: Fraction raised a bare
+    # OverflowError or ValueError for it
+    with pytest.raises(DomainError, match="must be finite"):
+        call()
+
+
 def _stack_depth() -> int:
     frame, depth = sys._getframe(), 0
     while frame is not None:

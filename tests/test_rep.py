@@ -255,3 +255,11 @@ def test_non_integer_n_is_a_domain_error(fn):
     # bool subclasses int, and W^True would pass for W^1
     with pytest.raises(DomainError, match="n must be an integer"):
         fn(True, 1.0, 4.0)
+
+
+def test_w_power_beyond_double_range_is_numerics():
+    # at trace W = -95.01 cheb_pair takes its sinh form, which overflows at
+    # |n| acosh(|trace|/2) > 710: a bare OverflowError, now the refusal of an
+    # integer argument beyond double range
+    with pytest.raises(NumericsError, match=r"n is too large for double precision: \|n\| has 11 bits"):
+        w_power(2000, 1.0, 100.0)

@@ -167,10 +167,13 @@ def test_scan_validation():
 
 
 @pytest.mark.parametrize("n", [1, 2, -3, 1000])
-def test_scan_rows_are_g_eval_samples(n):
-    # scan and g_eval share one per-sample core
+def test_scan_rows_are_g_eval_samples(n, branch_records):
+    # scan and g_eval share one per-sample core; scan forms n's branch
+    # record once for all of its samples, g_eval once per call
     rows = scan(n, 1e-6, 1e8, 41)
+    assert branch_records[0] == 1
     assert rows == [g_eval(n, r.s) for r in rows]
+    assert branch_records[0] == 1 + len(rows)
 
 
 def test_invert_hits_requested_slope():
@@ -300,16 +303,20 @@ def test_slope_limits():
 
 
 @pytest.mark.parametrize("n, p, q", [(2, 3, 2), (-3, 7, 2), (1, 1, 1), (4, 5, 3)])
-def test_invert_cold_and_warm_agree(n, p, q, g_eval_calls, root_calls, branch_calls):
+def test_invert_cold_and_warm_agree(
+    n, p, q, g_eval_calls, root_calls, branch_calls, branch_records
+):
     # invert keeps no state, so a repeated call repeats the first one exactly
     results = []
     for _ in range(2):
-        g_eval_calls[0] = root_calls[0] = branch_calls[0] = 0
+        g_eval_calls[0] = root_calls[0] = branch_calls[0] = branch_records[0] = 0
         smp, report = invert(n, p, q)
         assert abs(smp.g - p / q) <= 1e-12
-        # the theta steps solve nothing; the one g_eval is the returned sample
-        assert g_eval_calls[0] == 1
+        # the theta steps solve nothing; the one root is the returned sample,
+        # taken from g_eval's core on the record invert formed for its steps
+        assert g_eval_calls[0] == 0
         assert root_calls[0] == 1
+        assert branch_records[0] == 1
         # each step makes one branch point and the result one more
         assert 0 < branch_calls[0] - 1 < 30
         assert report.evaluations == branch_calls[0]

@@ -118,13 +118,31 @@ def test_solve_rejects_bad_s():
 @pytest.mark.parametrize("n", [0, -1, True, 2.5])
 def test_branch_functions_reject_a_bad_twist_parameter(n):
     # a bad n is the caller's error, never a ZeroDivisionError, an empty
-    # interval, a NumericsError or a value, and _branch caches nothing for it
-    solver._branch.cache_clear()
+    # interval, a NumericsError or a value
     with pytest.raises(DomainError, match="n must"):
         solver.branch_interval(n)
     with pytest.raises(DomainError, match="n must"):
         solver.branch_point(n, 1.0)
-    assert solver._branch.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("theta", [0.5, 3.0, math.nan, math.inf, -math.inf, "lo", "hi"])
+def test_branch_point_refuses_a_theta_off_the_branch(theta):
+    # n = 2's branch is the open interval (pi/2, 3pi/5): 0.5 gave the point
+    # (1.3204, 3.5059, 3.1926) of no branch, 3.0 and NaN a NumericsError that
+    # blamed rounding onto the s -> inf end, inf a bare ValueError
+    lo, hi = solver.branch_interval(2)
+    theta = {"lo": lo, "hi": hi}.get(theta, theta)
+    with pytest.raises(DomainError, match=r"theta must lie in n=2's branch interval"):
+        solver.branch_point(2, theta)
+
+
+@pytest.mark.parametrize("n, end", [(13, "0"), (-7, "inf")])
+def test_branch_point_rounding_onto_an_end_is_numerics(n, end):
+    # the first float inside the interval is on the branch, yet the closed
+    # form rounds its s onto the end
+    lo, _ = solver.branch_interval(n)
+    with pytest.raises(NumericsError, match=rf"rounds onto the s -> {end} end .* of n={n}'s"):
+        solver.branch_point(n, math.nextafter(lo, math.inf))
 
 
 @pytest.mark.parametrize("n", [10**400, -(10**400)])
