@@ -51,11 +51,11 @@ from .errors import (
     LongitudeOmegaNonzero,
     NumericsError,
     RelatorNotCentral,
+    check_n,
+    is_int,
 )
-from .exactpoly import check_n, is_int
 from .rep import Mat2, gen_matrices, longitude
 from .slopes import DEFAULT_TOL_G, invert
-from .solver import RepSolution
 
 DEFAULT_TOL_CERT = 1e-6
 # Relator and longitude products keep intermediate |gamma| within ~1/norm^2
@@ -306,7 +306,7 @@ def _longitude(n: int, xt: tuple, yt: tuple, xi: tuple, yi: tuple, wn: tuple) ->
     return _box((g, w))
 
 
-def lift_generators(n: int, sol: RepSolution) -> tuple[CoverElem, CoverElem, float]:
+def lift_generators(n: int, sol) -> tuple[CoverElem, CoverElem, float]:
     """Lift the generator images to the cover so the relator maps to (0, 0).
 
     Only sol.s and sol.t are read, so a slopes.SlopeSample serves as well.

@@ -1,10 +1,15 @@
-"""Error taxonomy.
+"""Error taxonomy and the argument checks.
 
 DomainError covers violated input contracts (bad n, slope outside the
 certified interval, malformed rationals); the CLI maps it to exit code 1.
 NumericsError covers runtime numerical failures (lost convergence, residuals
-above tolerance); the CLI maps it to exit code 2.
+above tolerance); the CLI maps it to exit code 2.  The checks every module
+applies to its arguments live here too: is_int and check_n for integers,
+as_float and check_positive for floats, and _too_large, the one refusal of
+an integer beyond double range.
 """
+
+from math import inf
 
 
 class DomainError(ValueError):
@@ -37,3 +42,44 @@ class LongitudeOmegaNonzero(NumericsError):
 
 class CertificateFailed(NumericsError):
     """Final cover element of x^p L^q is not the identity at tolerance."""
+
+
+def is_int(value) -> bool:
+    """True for an int that is not a bool: bool subclasses int, but True and
+    False are no integer parameters."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_n(n: int) -> None:
+    """DomainError unless n is an integer twist parameter other than 0 and -1.
+
+    n = 0 and n = -1 give the unknot and the trefoil, which are outside this
+    machinery.
+    """
+    if not is_int(n):
+        raise DomainError(f"n must be an integer, got {n!r}")
+    if n in (0, -1):
+        raise DomainError(f"n must not be 0 or -1, got {n}")
+
+
+def _too_large(name: str, k: int) -> NumericsError:
+    """The one refusal of an integer argument beyond double range; it gives
+    |k|'s bit length, since str(k) itself raises above 4300 digits."""
+    bits = int(k).bit_length()
+    return NumericsError(f"{name} is too large for double precision: |{name}| has {bits} bits")
+
+
+def as_float(name: str, value: float) -> float:
+    """float(value), refusing an integer beyond double range with _too_large."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise _too_large(name, value) from None
+
+
+def check_positive(name: str, value: float) -> float:
+    """as_float(name, value); DomainError unless it is finite and positive."""
+    value = as_float(name, value)
+    if not 0.0 < value < inf:
+        raise DomainError(f"{name} must be finite and positive, got {value}")
+    return value

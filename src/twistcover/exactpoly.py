@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import isfinite
 
-from .errors import DomainError
+from .errors import DomainError, check_n, is_int
 
 
 def _width(bits: int) -> int:
@@ -79,12 +79,6 @@ def _fit(w: int, mag: int) -> int:
     else the wider slot width for them."""
     bits = mag.bit_length()
     return w if bits < w else _width(bits)
-
-
-def is_int(value) -> bool:
-    """True for an int that is not a bool: bool subclasses int, but True and
-    False are no integer parameters."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _new(rows: tuple, w: int, mag: int) -> "BivarPoly":
@@ -341,18 +335,6 @@ def tau_exact(m: int, K) -> Fraction:
         raise DomainError(f"m must be an integer, got {m!r}")
     x, _, d = _scaled_pair(m, _exact("K", K))
     return Fraction(x, d)
-
-
-def check_n(n: int) -> None:
-    """DomainError unless n is an integer twist parameter other than 0 and -1.
-
-    n = 0 and n = -1 give the unknot and the trefoil, which are outside this
-    machinery.
-    """
-    if not is_int(n):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    if n in (0, -1):
-        raise DomainError(f"n must not be 0 or -1, got {n}")
 
 
 def riley_poly(n: int) -> BivarPoly:

@@ -2,29 +2,17 @@
 
 These four functions are the inner loops of the solver and the cover
 arithmetic: cheb_pair, the one float evaluation of the trace recursion (two
-consecutive Chebyshev ratios, which rep.w_power, solver.tau_num and phi_delta
-all read); phi_delta, the defining function in the offset coordinate
-d = (T - s - 2)*s, which gives solve its residual; itp, the root finder of
-solve and of invert, both in the branch angle theta (through
-solver._branch_root, between the ends of the solver._branch(n) record),
-where solve's steps evaluate the branch equation and invert's evaluate g at
-a closed-form branch point; and cover_compose, the cover group law.  itp
-interpolates by two-sided regula falsi: when the same end of its bracket
-moves twice in a row, the value of the end that stayed put is scaled
-(Anderson-Bjorck), so neither end goes stale.  A step of itp that would
-land on an end of its bracket moves tol/4 inside that end (tol = 4 ulp(hi),
-itp's own), not to the midpoint, so a root pinned to an end within rounding
-ends the search in a step instead of twenty or so halvings.  Whatever the
-interpolant does, the worst case stays ITP_N0 steps beyond bisection's
-count.
-
-The kernels take and return plain floats and complexes.  Their callers keep
-to that on the hot paths: solver._root returns a tuple, and a RepSolution or
-SlopeSample (each a namedtuple) is built once, where a public function
-returns it; the branch record is a tuple passed down, with no cache.  Only
-solve calls phi_delta, for its residual; a root for g_eval, scan or invert
-makes none.  In the cover module a CoverElem is itself a checked (gamma,
-omega) tuple, and the group law's steps compose plain pairs.
+consecutive Chebyshev ratios); phi_delta, the defining function in the
+offset coordinate d = (T - s - 2)*s; itp, the bracketing root finder; and
+cover_compose, the cover group law.  itp interpolates by two-sided regula
+falsi: when the same end of its bracket moves twice in a row, the value of
+the end that stayed put is scaled (Anderson-Bjorck), so neither end goes
+stale.  A step of itp that would land on an end of its bracket moves tol/4
+inside that end (tol = 4 ulp(hi), itp's own), not to the midpoint, so a
+root pinned to an end within rounding ends the search in a step instead of
+twenty or so halvings.  Whatever the interpolant does, the worst case stays
+ITP_N0 steps beyond bisection's count.  The kernels take and return plain
+floats and complexes.
 """
 
 from math import acos, acosh, atan2, cos, pi, sin, sinh, ulp

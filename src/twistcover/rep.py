@@ -27,9 +27,9 @@ from functools import partial
 from math import sqrt
 
 from . import kernels
-from .errors import DomainError, NumericsError, OffDiagonalTooLarge
-from .exactpoly import check_n, is_int
-from .solver import RepSolution, _too_large, check_positive
+from .errors import (
+    DomainError, NumericsError, OffDiagonalTooLarge, _too_large, check_n, check_positive, is_int,
+)
 
 OFFDIAG_TOL = 1e-6
 
@@ -204,19 +204,19 @@ class HolonomyData(namedtuple("HolonomyData", "B offdiag_residual")):
         return (b * b - 1.0) / (b * b + 1.0)
 
 
+def _holonomy(s: float, t: float) -> float:
+    """longitude_holonomy at an (s, t) its caller holds valid: the slope
+    map's hot path and longitude's B."""
+    return (t - s - 1.0) / ((1.0 + s) * t - 1.0)
+
+
 def longitude_holonomy(s: float, t: float) -> float:
-    """Closed form of the longitude's (1,1) entry, B = (t-s-1)/((1+s)t - 1).
-
-    Unchecked on the slope map's hot path: what breaks the arithmetic (an
-    int beyond double range, the pole (1 + s) t = 1) is off the domain."""
-    try:
-        return (t - s - 1.0) / ((1.0 + s) * t - 1.0)
-    except (OverflowError, ZeroDivisionError):
-        _check_params(s, t)
-        raise
+    """Closed form of the longitude's (1,1) entry, B = (t-s-1)/((1+s)t - 1),
+    at (s, t) as gen_matrices checks them."""
+    return _holonomy(*_check_params(s, t))
 
 
-def longitude(n: int, sol: RepSolution) -> tuple[Mat2, HolonomyData]:
+def longitude(n: int, sol) -> tuple[Mat2, HolonomyData]:
     """rho(longitude) at a solution, with its peripheral scalars.
 
     The matrix is assembled from W^n and sigma; it must come out diagonal to
@@ -243,7 +243,7 @@ def longitude(n: int, sol: RepSolution) -> tuple[Mat2, HolonomyData]:
             f"longitude off-diagonal residual {offdiag:.3e} > {OFFDIAG_TOL} at n={n}, "
             f"s={s}, t={t}; the pair does not solve the defining equation"
         )
-    b = longitude_holonomy(s, t)
+    b = _holonomy(s, t)
     if not b > 0:
         raise NumericsError(f"longitude entry B = {b} is not positive at s={s}, t={t}")
     return ell, HolonomyData(b, offdiag)

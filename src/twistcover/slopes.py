@@ -19,9 +19,11 @@ from collections import namedtuple
 from math import exp, gcd, inf, log
 
 from . import kernels, solver
-from .errors import DomainError, NonConvergence, NumericsError, SlopeOutOfRange
-from .exactpoly import check_n, is_int
-from .rep import longitude_holonomy
+from .errors import (
+    DomainError, NonConvergence, NumericsError, SlopeOutOfRange, as_float, check_n,
+    check_positive, is_int,
+)
+from .rep import _holonomy
 
 DEFAULT_TOL_G = 1e-9
 
@@ -44,7 +46,7 @@ def _slope(n: int, s: float, t: float) -> tuple[float, float]:
     # at |n| >= 2^55 T can round to 2.0, where t = 1 and log(t) = 0
     if not t > 1.0:
         raise NumericsError(f"eigenvalue t = {t} is not > 1 at n={n}, s={s}")
-    b = longitude_holonomy(s, t)
+    b = _holonomy(s, t)
     if not b > 0:
         raise NumericsError(f"longitude entry B = {b} not positive at n={n}, s={s}")
     return b, -2.0 * log(b) / log(t)
@@ -53,7 +55,7 @@ def _slope(n: int, s: float, t: float) -> tuple[float, float]:
 def g_eval(n: int, s: float) -> SlopeSample:
     """Solve at (n, s) and evaluate the slope map there."""
     check_n(n)
-    return _sample(n, solver.check_positive("s", s), solver._branch(n))
+    return _sample(n, check_positive("s", s), solver._branch(n))
 
 
 def _sample(n: int, s: float, branch: tuple) -> SlopeSample:
@@ -89,7 +91,7 @@ def scan(n: int, s_min: float, s_max: float, samples: int) -> list[SlopeSample]:
     every grid point of a finite positive window is finite and positive, so
     each sample runs g_eval's core with no check of its own.
     """
-    s_min, s_max = solver.as_float("s_min", s_min), solver.as_float("s_max", s_max)
+    s_min, s_max = as_float("s_min", s_min), as_float("s_max", s_max)
     if not 0.0 < s_min < s_max < inf:
         raise DomainError(f"need 0 < s_min < s_max < inf, got {s_min}, {s_max}")
     if not isinstance(samples, int) or samples < 2:

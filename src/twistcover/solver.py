@@ -25,34 +25,13 @@ evaluates phi_n at the root for its residual.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import asin, cos, inf, isfinite, pi, sin, sqrt
+from math import asin, cos, isfinite, pi, sin, sqrt
 
 from . import kernels
-from .errors import DomainError, NonConvergence, NumericsError
-from .exactpoly import check_n, is_int
-
-
-def _too_large(name: str, k: int) -> NumericsError:
-    """The one refusal of an integer argument beyond double range; it gives
-    |k|'s bit length, since str(k) itself raises above 4300 digits."""
-    bits = int(k).bit_length()
-    return NumericsError(f"{name} is too large for double precision: |{name}| has {bits} bits")
-
-
-def as_float(name: str, value: float) -> float:
-    """float(value), refusing an integer beyond double range with _too_large."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise _too_large(name, value) from None
-
-
-def check_positive(name: str, value: float) -> float:
-    """as_float(name, value); DomainError unless it is finite and positive."""
-    value = as_float(name, value)
-    if not 0.0 < value < inf:
-        raise DomainError(f"{name} must be finite and positive, got {value}")
-    return value
+from .errors import (
+    DomainError, NonConvergence, NumericsError, _too_large, as_float, check_n,
+    check_positive, is_int,
+)
 
 
 class RepSolution(
@@ -90,6 +69,9 @@ def phi_num(n: int, s: float, T: float) -> float:
     check_n(n)
     s = check_positive("s", s)
     T = as_float("T", T)
+    # an infinite T would make the slack below infinite too
+    if not isfinite(T):
+        raise DomainError(f"T must be finite, got {T}")
     delta = ((T - s) - 2.0) * s
     # rounding slack: computing delta from T costs about s*ulp(T)
     slack = max(1e-9, 8e-16 * s * max(abs(T), 1.0))

@@ -17,6 +17,7 @@ import pytest
 
 import twistcover.checks as checks
 from twistcover import (
+    BivarPoly,
     CertificateFailed,
     NumericsError,
     certificate,
@@ -67,15 +68,28 @@ def certificates():
     return out
 
 
-def test_defining_polynomials_exact():
+def test_defining_polynomials_exact(monkeypatch):
+    # the budget is the work, not the time: riley_poly(n) for n >= 1 takes
+    # n + 1 products of two polynomials, n steps of the tau walk and one by
+    # T - 1 - s
+    products = []
+    mul = BivarPoly.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, BivarPoly):
+            products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(BivarPoly, "__mul__", counting_mul)
     clear_cache()
     start = perf_counter()
     got_1 = riley_poly(1).coeffs
+    products_1 = len(products)
     got_2 = riley_poly(2).coeffs
     elapsed = perf_counter() - start
     assert got_1 == PHI_1
     assert got_2 == PHI_2
-    assert elapsed < 1e-3, f"polynomial construction took {elapsed:.2e}s"
+    assert (products_1, len(products) - products_1) == (2, 3)
     report("defining polynomials", f"n=1,2 coefficient-exact in {elapsed * 1e6:.0f}us")
 
 

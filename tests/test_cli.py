@@ -203,6 +203,8 @@ REFUSALS = (
             ("certify", "--n", big, "--r", "1/2"),
         )
     ),
+    # t - s - 1 cancels, so B's numerator rounds below 0 (s = 1e16 gives g = 4.0)
+    (("slope", "--n", "2", "--s", "3e16"), "B = -1.111111111111111e-33 not positive at n=2, s=3e+16"),
 )
 
 

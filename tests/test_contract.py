@@ -1,8 +1,8 @@
 """The library's error contract and its caches.
 
-Every public function of solver, slopes, rep, cover and exactpoly either
-returns or refuses with DomainError (a bad argument) or NumericsError (a
-numerical failure); any other exception escaping one is a defect, and
+Every public function of solver, slopes, rep, cover, exactpoly and errors
+either returns or refuses with DomainError (a bad argument) or NumericsError
+(a numerical failure); any other exception escaping one is a defect, and
 perfbench counts it as a wrong output.
 """
 
@@ -16,6 +16,7 @@ import pytest
 
 import twistcover
 import twistcover.cover as cover
+import twistcover.errors as errors
 import twistcover.exactpoly as exactpoly
 import twistcover.rep as rep
 import twistcover.slopes as slopes
@@ -32,8 +33,10 @@ _XT, _YT, _ = cover.lift_generators(2, _SOL)
 # time, the numeric arguments whose work grows with their size by design and
 # so are fed every bad value but HUGE)
 CONTRACT = {
-    solver.as_float: (dict(name="s", value=1.0), "value", ""),
-    solver.check_positive: (dict(name="s", value=1.0), "value", ""),
+    errors.is_int: (dict(value=2), "value", ""),
+    errors.check_n: (dict(n=2), "n", ""),
+    errors.as_float: (dict(name="s", value=1.0), "value", ""),
+    errors.check_positive: (dict(name="s", value=1.0), "value", ""),
     solver.tau_num: (dict(m=3, trace=1.5), "m trace", ""),
     solver.phi_num: (dict(n=2, s=1.0, T=3.5), "n s T", ""),
     solver.t_from_T: (dict(T=2.5), "T", ""),
@@ -59,8 +62,6 @@ CONTRACT = {
     cover.lift_generators: (dict(n=2, sol=_SOL), "n", ""),
     cover.lifted_longitude: (dict(n=2, xt=_XT, yt=_YT), "n", ""),
     cover.certificate: (dict(n=2, p=3, q=2), "n p q", ""),
-    exactpoly.is_int: (dict(value=2), "value", ""),
-    exactpoly.check_n: (dict(n=2), "n", ""),
     exactpoly.tau_poly: (dict(m=3), "", "m"),
     exactpoly.riley_poly: (dict(n=2), "", "n"),
     exactpoly.tau_exact: (dict(m=3, K=1), "K", "m"),
@@ -77,7 +78,7 @@ NO_NUMERIC_ARGUMENT = {
 
 
 def _public_functions():
-    for mod in (solver, slopes, rep, cover, exactpoly):
+    for mod in (solver, slopes, rep, cover, exactpoly, errors):
         for name, value in vars(mod).items():
             if not name.startswith("_") and inspect.isfunction(value):
                 if value.__module__ == mod.__name__:
@@ -115,7 +116,7 @@ def test_each_call_returns_or_refuses_by_the_contract():
 
 def test_arguments_beyond_double_range_have_one_refusal():
     # an integer too large for a float is the NumericsError of
-    # solver._too_large, naming the argument and giving its bit length
+    # errors._too_large, naming the argument and giving its bit length
     n = 10**400
     for call, name in (
         (lambda: solver.tau_num(n, 1.5), "m"),

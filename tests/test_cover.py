@@ -553,7 +553,7 @@ def statements_executed(run) -> int:
 
 # The certificate's trusted base: the statements that one certificate per
 # pair of GRID_N x every 7th GRID_SLOPES entry executes, refusals included.
-CERTIFICATE_STATEMENTS = 283
+CERTIFICATE_STATEMENTS = 282
 
 
 def test_certificate_runs_few_statements():

@@ -241,11 +241,30 @@ def test_gen_matrices_rejects_degenerate_params():
         gen_matrices(1.0, 1.0)
 
 
-@pytest.mark.parametrize("fn", [gen_matrices, w_matrix, sigma_factor])
+@pytest.mark.parametrize("fn", [gen_matrices, w_matrix, sigma_factor, longitude_holonomy])
 @pytest.mark.parametrize("t", [math.inf, math.nan])
 def test_nonfinite_t_is_a_domain_error(fn, t):
     with pytest.raises(DomainError, match="t must be finite"):
         fn(1.0, t)
+
+
+@pytest.mark.parametrize(
+    "s, t, text",
+    [
+        (1.0, 0.0, "t must be finite and positive"),
+        (1.0, -1.0, "t must be finite and positive"),
+        (1.0, 1.0, "t must exceed 1"),
+        (-1.0, 3.0, "s must be finite and positive"),
+        (0.0, 3.0, "s must be finite and positive"),
+        (math.nan, 3.0, "s must be finite and positive"),
+        (math.inf, 3.0, "s must be finite and positive"),
+    ],
+)
+def test_longitude_holonomy_refuses_what_gen_matrices_refuses(s, t, text):
+    # the closed form would give 2.0 at (1, 0) and NaN at a NaN s
+    for fn in (longitude_holonomy, gen_matrices):
+        with pytest.raises(DomainError, match=text):
+            fn(s, t)
 
 
 @pytest.mark.parametrize("fn", [w_power, w_rev_power, relation_residual])

@@ -69,6 +69,14 @@ def test_phi_num_rejects_points_outside_band():
         phi_num(2, 1.0, 7.5)  # T > s + 2 + 4/s
 
 
+@pytest.mark.parametrize("T", [math.inf, -math.inf])
+def test_phi_num_refuses_an_infinite_T(T):
+    # the band check's rounding slack grows with |T|, so at T = +-inf it
+    # would pass and phi_n would be read at a clamped delta (13.0 and 1.0)
+    with pytest.raises(DomainError, match="T must be finite"):
+        phi_num(2, 1.0, T)
+
+
 def test_solve_n1_closed_form():
     for i in range(50):
         s = 10.0 ** (-3 + 6 * i / 49)
