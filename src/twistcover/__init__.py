@@ -1,11 +1,13 @@
 """Representations of twist knot groups into the universal cover of SL(2,R).
 
 The pipeline: exact defining polynomials (exactpoly), certified numeric roots
-(solver), the matrix representation and its longitude (rep), the slope map
-g and its inversion (slopes), and lifting to the universal cover with surgery
-certificates (cover).  checks bundles the runtime invariant suites; cli is
-the command line frontend, and the one module that formats output.  kernels
-holds the four hot inner loops that solver, rep and cover call.
+(solver), the matrix representation and the longitude's closed-form
+holonomy (rep), the slope map g and its inversion (slopes), and lifting to
+the universal cover with surgery certificates (cover).  checks bundles the
+runtime invariant suites, the exact proof of the longitude lemmas among
+them; cli is the command line frontend, and the one module that formats
+output.  kernels holds the four hot inner loops that solver, rep and cover
+call.
 """
 
 from ._version import __version__
@@ -31,16 +33,13 @@ from .errors import (
     LongitudeOmegaNonzero,
     NonConvergence,
     NumericsError,
-    OffDiagonalTooLarge,
     RelatorNotCentral,
     SlopeOutOfRange,
 )
 from .exactpoly import TRACE_POLY, BivarPoly, riley_poly, tau_poly
 from .rep import (
-    HolonomyData,
     Mat2,
     gen_matrices,
-    longitude,
     longitude_holonomy,
     relation_residual,
     w_matrix,

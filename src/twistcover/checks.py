@@ -10,10 +10,12 @@ by run_all: a NaN counts as infinite, and a DomainError or NumericsError
 raised in it is a FAIL with worst inf, bound nan and the refusal as its
 where.  The CLI `verify` runs them all, and the acceptance tests run each
 one as a gate.  GRID_N, GRID_S, GRID_SLOPES and grid_solutions are the one
-standard grid that tests and benchmarks import; grid_longitudes and
-grid_lifts do rep.longitude and cover.lift_generators on it once.  Checks
-are independent and reseed their own RNG, so they run in any order or
-subset.
+standard grid that tests and benchmarks import; grid_lifts does
+cover.lift_generators on it once.  Most suites test float code on that
+grid; longitude_lemmas instead proves, on exact polynomials, the algebra
+that makes the longitude diag(B, 1/B) at every n, which certificates take
+as given.  Checks are independent and reseed their own RNG, so they run
+in any order or subset.
 """
 
 from __future__ import annotations
@@ -94,12 +96,6 @@ def _suite(bound: float):
 @lru_cache(maxsize=None)
 def grid_solutions() -> tuple:
     return tuple((n, solver.solve(n, s)) for n in GRID_N for s in GRID_S)
-
-
-@lru_cache(maxsize=None)
-def grid_longitudes() -> tuple:
-    """rep.longitude at each grid solution, in grid_solutions() order."""
-    return tuple(rep.longitude(n, sol) for n, sol in grid_solutions())
 
 
 @lru_cache(maxsize=None)
@@ -212,10 +208,10 @@ def _det_residual(m: rep.Mat2) -> float:
 
 @_suite(1e-10)
 def check_determinant_one() -> Cases:
-    for (n, sol), (ell, _) in zip(grid_solutions(), grid_longitudes()):
+    for n, sol in grid_solutions():
         s, t = sol.s, sol.t
         gx, gy = rep.gen_matrices(s, t)
-        mats = [gx, gy, rep.w_matrix(s, t), rep.w_power(n, s, t), rep.w_rev_power(n, s, t), ell]
+        mats = [gx, gy, rep.w_matrix(s, t), rep.w_power(n, s, t)]
         for i, m in enumerate(mats):
             yield _det_residual(m), "n={}, s={}, matrix {}", n, s, i
 
@@ -245,63 +241,75 @@ def check_w_power_vs_iterated() -> Cases:
                 yield d / (1.0 + acc.maxabs()), "s={}, power {}", s, m
 
 
-def w_rev_fold(gx: rep.Mat2, gy: rep.Mat2, k_max: int) -> dict:
-    """rho(w_rev^m) for |m| <= k_max, keyed by m: one left fold with @ per
-    sign, extending w_rev^(k-1) by the letters of rep.w_rev_word(+-1).  So it
-    is rep.word_eval(rep.w_rev_word(m), gx, gy), the same fold, bit for bit."""
-    table = {"x": gx, "X": gx.inverse(), "y": gy, "Y": gy.inverse()}
-    out = {0: rep.IDENTITY2}
-    for sign in (1, -1):
-        acc = rep.IDENTITY2
-        for k in range(1, k_max + 1):
-            for ch in rep.w_rev_word(sign):
-                acc = acc @ table[ch]
-            out[sign * k] = acc
-    return out
+def _cleared_generators() -> tuple:
+    """(s, m^2, v^2, Xn, Yn) as exactpoly.BivarPolys in s and m = sqrt(t),
+    m in the T slot: the generator matrices with their denominators
+    cleared, rep.gen_matrices(s, m^2) = (Xn/m, Yn/(m v^2)), v = m^2 - 1."""
+    poly = exactpoly.BivarPoly
+    s, m, one = poly({(1, 0): 1}), poly({(0, 1): 1}), poly.const(1)
+    m2 = m * m
+    v = m2 - one
+    v2 = v * v
+    xn = rep.Mat2(m2, poly(), poly(), one)
+    yn = rep.Mat2(
+        m2 * v * (m2 - s - one), m * (s * m2 - v2), -(s * m * v2), v * ((s + one) * m2 - one)
+    )
+    return s, m2, v2, xn, yn
 
 
-@_suite(1e-8)
-def check_reversed_word_transform() -> Cases:
-    """rho(w_rev^n) from the sigma transform against direct word evaluation."""
-    for _, sol in grid_solutions():
-        s, t = sol.s, sol.t
-        powers = w_rev_fold(*rep.gen_matrices(s, t), 6)
-        for m in range(-6, 7):
-            direct = powers[m]
-            d = rep.max_abs_diff(rep.w_rev_power(m, s, t), direct)
-            yield d / (1.0 + direct.maxabs()), "s={}, n={}", s, m
+@_suite(0.0)
+def check_longitude_lemmas() -> Cases:
+    """Riley's longitude for every n, proved as identities of integer
+    polynomials in (m, s): each case is 0 when its two sides expand to the
+    same polynomial.
 
+    With v = m^2 - 1, X = Xn/m and Y = Yn/(m v^2) (_cleared_generators),
+    W = Wn/(m^4 v^4) and rho(w_rev) = Vn/(m^4 v^4); sigma = s v^2/(v^2 -
+    s m^2) = sn/sd, c = Cn/(m^4 v^4) with Cn = m^2 v^4 (m^2 - (s + 1)(v^2 -
+    s m^2)), B = (m^2 - s - 1)/((1 + s) m^2 - 1) = Bn/Bd, P = Wn - Cn I,
+    and R(M) = (m11, m21/sigma, m12 sigma, m22), which reverses products.
+    The cases: det Y = 1; tr W is exactpoly's trace s^2 - (T - 2) s + 2;
+    c = tr W - T + s + 1; (a) rho(w_rev) = R(W); (b) (W - cI) X =
+    Y (W - cI); (c) R(W - cI)(W - cI) = det(W - cI) diag(B, 1/B).
 
-@_suite(rep.OFFDIAG_TOL)
-def check_longitude_diagonal() -> Cases:
-    for (n, sol), (ell, hol) in zip(grid_solutions(), grid_longitudes()):
-        if not ell.m11 > 0.0:
-            yield inf, "n={}, s={} sign", n, sol.s
-        yield hol.offdiag_residual, "n={}, s={}", n, sol.s
-
-
-@_suite(1e-10)
-def check_longitude_entry_product() -> Cases:
-    for (n, sol), (ell, _) in zip(grid_solutions(), grid_longitudes()):
-        yield abs(ell.m11 * ell.m22 - 1.0), "n={}, s={}", n, sol.s
-
-
-@_suite(1e-10)
-def check_holonomy_matrix_cross_check() -> Cases:
-    """Longitude (1,1) entry against the closed form for B."""
-    for (n, sol), (ell, hol) in zip(grid_solutions(), grid_longitudes()):
-        yield abs(ell.m11 - hol.B) / (1.0 + ell.maxabs()), "n={}, s={}", n, sol.s
-
-
-@_suite(1e-9)
-def check_offdiag_vanishing_identity() -> Cases:
-    """u11 u12 sigma + u21 u22 = 0 at solutions (the longitude (2,1) entry).
-
-    Scaled like every matrix comparison, by 1 + the entry norm of the matrix
-    the residual lives in; the unscaled sum is pinned to the T granularity
-    near the sigma pole and cannot reach this bound at large s."""
-    for (n, sol), (ell, _) in zip(grid_solutions(), grid_longitudes()):
-        yield abs(ell.m21) / (1.0 + ell.maxabs()), "n={}, s={}", n, sol.s
+    On phi_n = tau_{n+1} - (T - 1 - s) tau_n = 0 the trace recursion gives
+    tau_{n-1} = c tau_n, so W^n = tau_n (W - cI) by Cayley-Hamilton, and
+    (b) is the relation W^n X = Y W^n.  By (a), rho(w_rev^n) = R(W^n), so
+    the longitude R(W^n) W^n is diag(B, 1/B) by (c), since tau_n^2 det(W -
+    cI) = det W^n = 1.  Every division is by a value that is nonzero on the
+    branch: m > 1, s > 0, sd = m^2 (T - s - 2) > 0, and Bn = t - s - 1 > 0
+    where B > 0.  n enters only through the root.
+    """
+    s, m2, v2, xn, yn = _cleared_generators()
+    one = exactpoly.BivarPoly.const(1)
+    d4 = m2 * m2 * v2 * v2
+    # Mat2.inverse is the adjugate
+    wn = xn @ yn.inverse() @ xn.inverse() @ yn
+    vn = yn @ xn.inverse() @ yn.inverse() @ xn
+    sn, sd = s * v2, v2 - s * m2
+    cn = m2 * v2 * v2 * (m2 - (s + one) * sd)
+    bn, bd = m2 - s - one, (one + s) * m2 - one
+    pn = rep.Mat2(wn.m11 - cn, wn.m12, wn.m21, wn.m22 - cn)
+    p11, p12, p21, p22 = pn
+    det = pn.det()
+    cases = [
+        ("det Y = 1", yn.det(), m2 * v2 * v2),
+        ("tr W", m2 * wn.trace(), d4 * ((s * s + 2 * one) * m2 - s * v2)),
+        ("c", m2 * cn, m2 * wn.trace() - d4 * (m2 * m2 + one) + d4 * m2 * (s + one)),
+        ("(a) entry 11", vn.m11, wn.m11),
+        ("(a) entry 12", sn * vn.m12, sd * wn.m21),
+        ("(a) entry 21", sd * vn.m21, sn * wn.m12),
+        ("(a) entry 22", vn.m22, wn.m22),
+    ]
+    for ij, lhs, rhs in zip(("11", "12", "21", "22"), pn @ xn, yn @ pn):
+        cases.append((f"(b) entry {ij}", v2 * lhs, rhs))
+    cases += [
+        ("(c) off-diagonal", sn * p11 * p12, -(sd * p21 * p22)),
+        ("(c) entry 11", bd * (sn * p11 * p11 + sd * p21 * p21), sn * bn * det),
+        ("(c) entry 22", bn * (sn * p12 * p12 + sd * p22 * p22), sd * bd * det),
+    ]
+    for name, lhs, rhs in cases:
+        yield 0.0 if not lhs - rhs else 1.0, "{}", name
 
 
 @_suite(1e-8)
@@ -412,9 +420,10 @@ def check_longitude_lift_level() -> Cases:
     within 1e-7 of the holonomy value (wider than cover.LONGITUDE_GAMMA_TOL:
     the grid reaches B ~ 1e-4, where gamma sits within ulps of the unit
     circle)."""
-    for (n, sol), (_, hol), (xt, yt, _) in zip(grid_solutions(), grid_longitudes(), grid_lifts()):
+    for (n, sol), (xt, yt, _) in zip(grid_solutions(), grid_lifts()):
         lt = cover.lifted_longitude(n, xt, yt)
-        if not abs(lt.gamma - hol.lifted_gamma) <= 1e-7:
+        b = rep.longitude_holonomy(sol.s, sol.t)
+        if not abs(lt.gamma - (b * b - 1.0) / (b * b + 1.0)) <= 1e-7:
             yield inf, "n={}, s={} gamma", n, sol.s
         yield abs(lt.omega), "n={}, s={}", n, sol.s
 
@@ -454,8 +463,7 @@ def check_certificate_soundness() -> Cases:
 
 def run_all() -> list[CheckResult]:
     """Every suite in ALL_CHECKS; one that a library refusal stops fails and
-    the suites after it still run.  The grid's longitudes and lifts are
-    rebuilt once per call, against the tolerances of that time."""
-    grid_longitudes.cache_clear()
+    the suites after it still run.  The grid's lifts are rebuilt once per
+    call, against the tolerances of that time."""
     grid_lifts.cache_clear()
     return [fn() for fn in ALL_CHECKS]

@@ -54,7 +54,7 @@ from .errors import (
     check_n,
     is_int,
 )
-from .rep import Mat2, gen_matrices, longitude
+from .rep import Mat2, gen_matrices
 from .slopes import DEFAULT_TOL_G, invert
 
 DEFAULT_TOL_CERT = 1e-6
@@ -276,10 +276,17 @@ def _lift(n: int, s: float, t: float) -> tuple:
     """(x, y, x^-1, y^-1, w^n, residual) at (s, t), for an n that has passed
     check_n: the lift frame.  x and y are CoverElems, the rest pairs; the
     residual is the lifted relator w^n x w^-n y^-1's distance from (0, 0),
-    and RelatorNotCentral refuses it above DEFAULT_LIFT_TOL."""
+    and RelatorNotCentral refuses it above DEFAULT_LIFT_TOL.  A generator
+    matrix that rounding carries off determinant 1 or onto the unit circle
+    of the chart is a NumericsError naming n and s."""
     gen_x, gen_y = gen_matrices(s, t)
-    xt = chart(to_su11(gen_x))
-    yt = chart(to_su11(gen_y))
+    try:
+        xt = chart(to_su11(gen_x))
+        yt = chart(to_su11(gen_y))
+    except DomainError as exc:
+        # the matrices are gen_matrices' own, of determinant 1 and inside
+        # the chart in exact arithmetic, so this refusal is rounding
+        raise NumericsError(f"generator lift at n={n}, s={s} failed by rounding: {exc}") from exc
     xi, yi = _inv(xt), _inv(yt)
     wn = _pow(_commutator(xt, yt, xi, yi), n)
     g, w = _compose(_compose(_compose(wn, xt), _inv(wn)), yi)
@@ -377,18 +384,22 @@ def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
     that the lifted x^p L^q lands on (0, 0) within DEFAULT_TOL_CERT.  It
     lifts at invert's own sample, whose s and t come from the one root at
     s* (invert's steps evaluate the branch in closed form).
-    The lifted longitude's gamma must match the holonomy's value
-    (rep.HolonomyData.lifted_gamma) to LONGITUDE_GAMMA_TOL.
+    The longitude's holonomy is the sample's B, the closed form of
+    rep.longitude_holonomy: on the root the longitude is diag(B, 1/B) by
+    the lemmas that checks.longitude_lemmas proves exactly, so no matrix
+    is formed here.  The lifted longitude's gamma must match the value
+    that gives, (B^2 - 1)/(B^2 + 1), to LONGITUDE_GAMMA_TOL.
     """
     smp, _ = invert(n, p, q)
-    _, hol = longitude(n, smp)
+    b = smp.B
+    want = (b * b - 1.0) / (b * b + 1.0)
     xt, yt, xi, yi, wn, rel_res = _lift(n, smp.s, smp.t)
     lt = _longitude(n, xt, yt, xi, yi, wn)
-    err = abs(lt.gamma - hol.lifted_gamma)
+    err = abs(lt.gamma - want)
     if not err <= LONGITUDE_GAMMA_TOL:
         raise NumericsError(
             f"lifted longitude gamma = {lt.gamma} differs from holonomy "
-            f"value {hol.lifted_gamma} by {err:.3e} > {LONGITUDE_GAMMA_TOL}"
+            f"value {want} by {err:.3e} > {LONGITUDE_GAMMA_TOL}"
         )
     try:
         g, w = _compose(_pow(xt, p), _pow(lt, q))
@@ -404,6 +415,6 @@ def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
             f"(relator residual {rel_res:.3e}, longitude omega {lt.omega:.3e})"
         )
     return _cert((
-        n, p, q, smp.s, smp.t, hol.B, xt.gamma.real, lt.gamma.real, rel_res,
+        n, p, q, smp.s, smp.t, b, xt.gamma.real, lt.gamma.real, rel_res,
         lt.omega, final_gamma_abs, w, DEFAULT_TOL_G, DEFAULT_TOL_CERT,
     ))

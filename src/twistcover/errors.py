@@ -28,10 +28,6 @@ class NonConvergence(NumericsError):
     """Iteration cap hit before the tolerance was reached."""
 
 
-class OffDiagonalTooLarge(NumericsError):
-    """Longitude matrix is not diagonal at the claimed solution."""
-
-
 class RelatorNotCentral(NumericsError):
     """Lifted relator is not a deck transformation; (s, t) is not a solution."""
 

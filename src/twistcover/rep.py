@@ -11,13 +11,15 @@ its inverse, so w = "xYXy".  Powers of W = rho(w) come from the trace
 recursion (u_11 = w_11 tau_n - tau_{n-1} and so on) rather than repeated
 multiplication; repeated multiplication is kept only as the test oracle.
 
-The longitude is rho(w_rev^n w^n).  rho(w_rev^n) is the sigma-conjugate
-transform of rho(w^n), with sigma = s u^2 / (u^2 - s); at a solution of the
-defining equation the longitude matrix is diagonal with positive (1,1) entry
-B = (t-s-1)/((1+s)t - 1).
+The longitude is rho(w_rev^n w^n).  At a solution of the defining equation
+it is diag(B, 1/B) with B = (t-s-1)/((1+s)t - 1), for every n (Riley, Quart.
+J. Math. Oxford 35 (1984)).  The checks.longitude_lemmas suite proves the
+identities behind that exactly, as integer polynomials, so no longitude
+matrix is formed here: longitude_holonomy is B's closed form.
 
-Mat2 and HolonomyData are slotted namedtuples; Mat2's methods unpack its
-entries, and matrices are boxed from a 4-tuple by _mat, without __new__.
+Mat2 is a slotted namedtuple, boxed from a 4-tuple by _mat, without
+__new__.  Its methods unpack its entries and use only +, - and * on them
+(inverse is the adjugate), so the lemma suite runs them on polynomials too.
 """
 
 from __future__ import annotations
@@ -27,15 +29,11 @@ from functools import partial
 from math import sqrt
 
 from . import kernels
-from .errors import (
-    DomainError, NumericsError, OffDiagonalTooLarge, _too_large, check_n, check_positive, is_int,
-)
-
-OFFDIAG_TOL = 1e-6
+from .errors import DomainError, _too_large, check_positive, is_int
 
 
 class Mat2(namedtuple("Mat2", "m11 m12 m21 m22")):
-    """Real 2x2 matrix; every matrix in this module has determinant 1."""
+    """2x2 matrix; every matrix this module builds is real with determinant 1."""
 
     __slots__ = ()
 
@@ -107,16 +105,6 @@ def w_matrix(s: float, t: float) -> Mat2:
     return _mat((w11, w12, w21, w22))
 
 
-def sigma_factor(s: float, t: float) -> float:
-    """sigma = s u^2/(u^2 - s); poles where t + 1/t = s + 2 are rejected."""
-    s, t = _check_params(s, t)
-    u2 = t - 2.0 + 1.0 / t
-    denom = u2 - s
-    if denom == 0.0:
-        raise DomainError(f"sigma has a pole at (s, t) = ({s}, {t})")
-    return s * u2 / denom
-
-
 def word_eval(word: str, gen_x: Mat2, gen_y: Mat2) -> Mat2:
     """Left-to-right product of a word in x, y; uppercase means inverse."""
     table = {"x": gen_x, "X": gen_x.inverse(), "y": gen_y, "Y": gen_y.inverse()}
@@ -169,13 +157,6 @@ def w_power(n: int, s: float, t: float) -> Mat2:
     return _mat((w11 * tn - tnm, w12 * tn, w21 * tn, tnp - w11 * tn))
 
 
-def w_rev_power(n: int, s: float, t: float) -> Mat2:
-    """rho(w_rev^n): the sigma-conjugate transform of W^n."""
-    u11, u12, u21, u22 = w_power(n, s, t)
-    sigma = sigma_factor(s, t)
-    return _mat((u11, u21 / sigma, u12 * sigma, u22))
-
-
 def relation_residual(n: int, s: float, t: float) -> float:
     """Max-abs entrywise difference of rho(w^n x) and rho(y w^n), scaled by
     1 + the larger entry norm, which is the meaningful reading once entries
@@ -190,23 +171,9 @@ def relation_residual(n: int, s: float, t: float) -> float:
     return max_abs_diff(lhs, rhs) / (1.0 + max(lhs.maxabs(), rhs.maxabs()))
 
 
-class HolonomyData(namedtuple("HolonomyData", "B offdiag_residual")):
-    """Peripheral scalars at a solution: longitude entry B > 0 and the
-    achieved off-diagonal residual of the longitude matrix (scaled by 1 + its
-    entry norm)."""
-
-    __slots__ = ()
-
-    @property
-    def lifted_gamma(self) -> float:
-        """Chart gamma of the lifted longitude, (B^2 - 1)/(B^2 + 1)."""
-        b = self[0]
-        return (b * b - 1.0) / (b * b + 1.0)
-
-
 def _holonomy(s: float, t: float) -> float:
     """longitude_holonomy at an (s, t) its caller holds valid: the slope
-    map's hot path and longitude's B."""
+    map's hot path, and so the B of every certificate."""
     return (t - s - 1.0) / ((1.0 + s) * t - 1.0)
 
 
@@ -214,36 +181,3 @@ def longitude_holonomy(s: float, t: float) -> float:
     """Closed form of the longitude's (1,1) entry, B = (t-s-1)/((1+s)t - 1),
     at (s, t) as gen_matrices checks them."""
     return _holonomy(*_check_params(s, t))
-
-
-def longitude(n: int, sol) -> tuple[Mat2, HolonomyData]:
-    """rho(longitude) at a solution, with its peripheral scalars.
-
-    The matrix is assembled from W^n and sigma; it must come out diagonal to
-    OFFDIAG_TOL, and OffDiagonalTooLarge signals that sol does not actually
-    satisfy the defining equation.  B is reported from the closed form; the matrix
-    (1,1) entry is the cross-check, not the source.  Only sol.s and sol.t are
-    read, so a slopes.SlopeSample serves as well as a RepSolution.
-    """
-    check_n(n)
-    s, t = sol.s, sol.t
-    u11, u12, u21, u22 = w_power(n, s, t)
-    try:
-        sigma = sigma_factor(s, t)
-    except DomainError as exc:
-        # on the branch T > s + 2 strictly, so a zero denominator is rounding
-        # at large s, not a bad input
-        raise NumericsError(f"at n={n}, u^2 - s = T - s - 2 > 0 rounds to 0: {exc}") from exc
-    e12 = u11 * u12 + u21 * u22 / sigma
-    e21 = u11 * u12 * sigma + u21 * u22
-    ell = _mat((u11 * u11 + u21 * u21 / sigma, e12, e21, u12 * u12 * sigma + u22 * u22))
-    offdiag = max(abs(e12), abs(e21)) / (1.0 + ell.maxabs())
-    if not offdiag <= OFFDIAG_TOL:
-        raise OffDiagonalTooLarge(
-            f"longitude off-diagonal residual {offdiag:.3e} > {OFFDIAG_TOL} at n={n}, "
-            f"s={s}, t={t}; the pair does not solve the defining equation"
-        )
-    b = _holonomy(s, t)
-    if not b > 0:
-        raise NumericsError(f"longitude entry B = {b} is not positive at s={s}, t={t}")
-    return ell, HolonomyData(b, offdiag)

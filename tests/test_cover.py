@@ -29,7 +29,7 @@ from twistcover import (
     to_su11,
     unchart,
 )
-from twistcover import cover
+from twistcover import checks, cover
 from twistcover.checks import GRID_N, GRID_S, GRID_SLOPES
 from twistcover.cover import (
     DEFAULT_LIFT_TOL,
@@ -45,7 +45,6 @@ from twistcover.rep import (
     IDENTITY2,
     Mat2,
     gen_matrices,
-    longitude,
     longitude_word,
     max_abs_diff,
     relator_word,
@@ -553,7 +552,7 @@ def statements_executed(run) -> int:
 
 # The certificate's trusted base: the statements that one certificate per
 # pair of GRID_N x every 7th GRID_SLOPES entry executes, refusals included.
-CERTIFICATE_STATEMENTS = 282
+CERTIFICATE_STATEMENTS = 233
 
 
 def test_certificate_runs_few_statements():
@@ -637,6 +636,32 @@ def test_certificate_at_large_n(n, p, q):
     assert abs(cert.final_omega) <= DEFAULT_TOL_CERT
 
 
+@pytest.mark.parametrize("n, p, q", [(10**6, 19, 5), (-(10**6), 39, 11)])
+def test_certificate_at_a_million_meets_the_acceptance_bound(n, p, q):
+    # at |n| = 10^6 the certificate's B is the sample's closed form, so only
+    # the lift and the closure gate it; these two meet the acceptance
+    # bound, with projection residuals of about 2e-9 and 5e-10
+    cert = certificate(n, p, q)
+    assert checks.projection_residual(cert) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "n, s, text",
+    [
+        (2, 3e7, "generator lift at n=2, s=30000000.0 failed by rounding: matrix determinant"),
+        (2, 8737170239.6701, "generator lift at n=2, s=8737170239.6701 failed by rounding: |gamma| = 1.0"),
+    ],
+)
+def test_lift_of_a_rounded_generator_is_numerics(n, s, text):
+    # gen_matrices' own Y has determinant 1 and lies inside the chart in
+    # exact arithmetic; at large s its float entries miss the determinant
+    # check or round |gamma| onto the unit circle, a numerical failure (exit
+    # 2), not a bad argument
+    with pytest.raises(NumericsError) as exc:
+        lift_generators(n, solve(n, s))
+    assert str(exc.value).startswith(text)
+
+
 def test_lift_rejects_off_variety_input():
     T = 5.8
     fake = RepSolution(
@@ -713,7 +738,6 @@ def test_lifted_longitude_frozen_value():
 
     b = longitude_holonomy(1.0, sol.t)
     want = (b * b - 1.0) / (b * b + 1.0)
-    assert longitude(1, sol)[1].lifted_gamma == want
     assert abs(lt.gamma - want) <= LONGITUDE_GAMMA_TOL
 
 
@@ -755,15 +779,15 @@ def test_certificate_round_slope():
 
 @pytest.mark.parametrize("gamma", [0.99, math.nan])
 def test_certificate_rejects_longitude_gamma_off_holonomy(monkeypatch, gamma):
-    # a holonomy B shifted to lifted gamma 0.99, far from the lifted
+    # the sample's B shifted to lifted gamma 0.99, far from the lifted
     # longitude's at n = 2, r = 1, or to NaN, which matches nothing
-    real = cover.longitude
+    real = cover.invert
 
-    def shifted(n, sol):
-        ell, hol = real(n, sol)
-        return ell, hol._replace(B=math.sqrt((1.0 + gamma) / (1.0 - gamma)))
+    def shifted(n, p, q):
+        smp, report = real(n, p, q)
+        return smp._replace(B=math.sqrt((1.0 + gamma) / (1.0 - gamma))), report
 
-    monkeypatch.setattr(cover, "longitude", shifted)
+    monkeypatch.setattr(cover, "invert", shifted)
     with pytest.raises(NumericsError, match="differs from holonomy"):
         certificate(2, 1, 1)
 

@@ -2,22 +2,18 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from twistcover import (
     DomainError,
-    HolonomyData,
     Mat2,
     NumericsError,
-    OffDiagonalTooLarge,
-    g_eval,
     gen_matrices,
-    longitude,
     longitude_holonomy,
     relation_residual,
     solve,
-    t_from_T,
     w_matrix,
     w_power,
 )
@@ -26,14 +22,12 @@ from twistcover.rep import (
     longitude_word,
     max_abs_diff,
     relator_word,
-    sigma_factor,
-    w_rev_power,
     w_rev_word,
     w_word,
     word_eval,
 )
-from twistcover.checks import grid_solutions, w_rev_fold
-from twistcover.solver import RepSolution
+from twistcover import checks
+from twistcover.checks import _cleared_generators, grid_solutions
 
 
 def test_generator_matrices_at_s1_t4():
@@ -121,31 +115,18 @@ def test_w_power_matches_iterated_product():
 
 
 def test_w_rev_is_sigma_transform():
-    # rho(w_rev) = D rho(w) D^-1 entrywise: flips the off-diagonal by sigma
+    # lemma (a) of the longitude_lemmas suite in floats, for any (s, t) and
+    # n: rho(w_rev^n) = D rho(w^n)^T D^-1 with D = diag(1, sigma)
     for s, t in ((0.7, 3.0), (1.0, 4.0), (2.0, 6.0)):
+        u2 = t - 2.0 + 1.0 / t
+        sigma = s * u2 / (u2 - s)
         X, Y = gen_matrices(s, t)
         for n in (-4, -2, 1, 3, 5):
-            fast = w_rev_power(n, s, t)
+            u11, u12, u21, u22 = word_eval(w_word(n), X, Y)
             slow = word_eval(w_rev_word(n), X, Y)
+            fast = Mat2(u11, u21 / sigma, u12 * sigma, u22)
             scale = 1.0 + slow.maxabs()
             assert max_abs_diff(fast, slow) / scale < 1e-10, (n, s, t)
-
-
-def test_sigma_factor():
-    # s = 1, t the n = 1 root: u^2 = T - 2 = 3/2, sigma = 1.5/0.5 = 3
-    t = solve(1, 1.0).t
-    assert sigma_factor(1.0, t) == pytest.approx(3.0, rel=1e-12)
-    # pole at s = u^2
-    with pytest.raises(DomainError):
-        sigma_factor(2.25, 4.0)
-
-
-def test_longitude_sigma_pole_by_rounding_is_numerics_error():
-    # on the branch u^2 - s = T - s - 2 > 0, but at s ~ 2.5e8 it rounds to 0:
-    # a float limit, not a bad input, so it is not a DomainError
-    smp = g_eval(2, 251188643.1509582)
-    with pytest.raises(NumericsError, match="at n=2, u\\^2 - s = T - s - 2 > 0 rounds to 0"):
-        longitude(2, smp)
 
 
 def test_relation_residual_off_solution():
@@ -154,15 +135,15 @@ def test_relation_residual_off_solution():
 
 
 def test_longitude_is_diagonal_at_solutions():
+    # what the longitude_lemmas suite proves for every n, seen in floats on
+    # the letter-by-letter product: diag(B, 1/B) with B the closed form
     for n in (1, 2, -2, 3, -4):
         sol = solve(n, 1.0)
-        ell, hol = longitude(n, sol)
+        ell = word_eval(longitude_word(n), *gen_matrices(sol.s, sol.t))
+        b = longitude_holonomy(sol.s, sol.t)
         scale = 1.0 + ell.maxabs()
-        assert abs(ell.m12) / scale < 1e-6
-        assert abs(ell.m21) / scale < 1e-6
-        assert ell.m11 * ell.m22 == pytest.approx(1.0, abs=1e-9)
+        assert max_abs_diff(ell, Mat2(b, 0.0, 0.0, 1.0 / b)) / scale < 1e-10, n
         assert 0.0 < ell.m11 < 1.0  # contracting eigenvalue first
-        assert hol.offdiag_residual < 1e-6
 
 
 def test_longitude_holonomy_closed_form():
@@ -170,34 +151,35 @@ def test_longitude_holonomy_closed_form():
     sol = solve(1, 1.0)
     b = longitude_holonomy(1.0, sol.t)
     assert b == pytest.approx(0.22078900754823924, abs=1e-15)
-    ell, hol = longitude(1, sol)
-    assert hol.B == b
-    assert abs(ell.m11 - b) / (1.0 + ell.maxabs()) < 1e-10
 
 
-def test_longitude_rejects_off_variety_input():
-    # hand-built point near but not on the n = 2 variety
-    T = 5.8
-    fake = RepSolution(
-        n=2,
-        s=1.0,
-        T=T,
-        t=t_from_T(T),
-        trace_W=1.0 - (T - 2.0) + 2.0,
-        theta=math.acos((1.0 - (T - 2.0) + 2.0) / 2.0),
-        phi_residual=float("nan"),
-        iterations=0,
-    )
-    with pytest.raises(OffDiagonalTooLarge):
-        longitude(2, fake)
+def test_lemma_generators_are_gen_matrices():
+    # the longitude_lemmas suite proves its identities about these
+    # polynomial matrices; at (m, s) they are gen_matrices(s, m^2)
+    *_, xn, yn = _cleared_generators()
+
+    def at(poly, m, s):
+        return sum(c * s**a * m**b for (a, b), c in poly.coeffs.items())
+
+    for m, s in ((2, 1), (Fraction(3, 2), Fraction(1, 3)), (5, Fraction(7, 2))):
+        v2 = (m * m - 1) ** 2
+        gx, gy = gen_matrices(float(s), float(m * m))
+        got = [at(e, m, s) / m for e in xn] + [at(e, m, s) / (m * v2) for e in yn]
+        for g, w in zip(got, gx + gy):
+            assert abs(float(g) - w) <= 1e-15 * (1.0 + abs(w)), (m, s)
 
 
-@pytest.mark.parametrize("n", [0, -1, True, 2.5])
-def test_longitude_rejects_a_bad_twist_parameter(n):
-    # n = 0 would give the identity and n = -1 an off-diagonal refusal, the
-    # exit-2 class; both are the caller's error
-    with pytest.raises(DomainError, match="n must"):
-        longitude(n, solve(2, 1.0))
+def test_lemma_suite_refuses_a_wrong_generator(monkeypatch):
+    # the proof is not vacuous: with one entry of Yn changed the suite fails
+    real = _cleared_generators()
+
+    def shifted():
+        s, m2, v2, xn, yn = real
+        return s, m2, v2, xn, yn._replace(m12=yn.m12 + s)
+
+    monkeypatch.setattr(checks, "_cleared_generators", shifted)
+    res = checks.check_longitude_lemmas()
+    assert not res.passed and res.worst == 1.0
 
 
 def test_mat2_operations():
@@ -213,25 +195,10 @@ def test_mat2_operations():
 
 
 def test_public_functions_return_the_records():
-    assert HolonomyData(0.5, 0.0).lifted_gamma == (0.25 - 1.0) / (0.25 + 1.0)
-    ell, hol = longitude(2, solve(2, 1.0))
-    assert type(ell) is Mat2 and type(hol) is HolonomyData
     assert {type(m) for m in (*gen_matrices(1.0, 4.0), w_matrix(1.0, 4.0), IDENTITY2)} == {Mat2}
-    assert {type(m) for m in (w_power(3, 1.0, 4.0), w_rev_power(-2, 1.0, 4.0))} == {Mat2}
+    assert type(w_power(3, 1.0, 4.0)) is Mat2
     X, Y = gen_matrices(1.0, 4.0)
     assert {type(m) for m in (X @ Y, X.inverse(), word_eval("xY", X, Y))} == {Mat2}
-
-
-@pytest.mark.parametrize("index", [0, 29, 65])
-def test_w_rev_fold_matches_word_eval(index):
-    # the prefix fold that check_reversed_word_transform reads is the word
-    # evaluation it replaced, exactly
-    _, sol = grid_solutions()[index]
-    X, Y = gen_matrices(sol.s, sol.t)
-    powers = w_rev_fold(X, Y, 6)
-    assert sorted(powers) == list(range(-6, 7))
-    for m in range(-6, 7):
-        assert powers[m] == word_eval(w_rev_word(m), X, Y), (sol.s, m)
 
 
 def test_gen_matrices_rejects_degenerate_params():
@@ -241,7 +208,7 @@ def test_gen_matrices_rejects_degenerate_params():
         gen_matrices(1.0, 1.0)
 
 
-@pytest.mark.parametrize("fn", [gen_matrices, w_matrix, sigma_factor, longitude_holonomy])
+@pytest.mark.parametrize("fn", [gen_matrices, w_matrix, longitude_holonomy])
 @pytest.mark.parametrize("t", [math.inf, math.nan])
 def test_nonfinite_t_is_a_domain_error(fn, t):
     with pytest.raises(DomainError, match="t must be finite"):
@@ -267,7 +234,7 @@ def test_longitude_holonomy_refuses_what_gen_matrices_refuses(s, t, text):
             fn(s, t)
 
 
-@pytest.mark.parametrize("fn", [w_power, w_rev_power, relation_residual])
+@pytest.mark.parametrize("fn", [w_power, relation_residual])
 def test_non_integer_n_is_a_domain_error(fn):
     with pytest.raises(DomainError, match="n must be an integer"):
         fn(2.5, 1.0, 4.0)

@@ -75,9 +75,9 @@ def test_g_eval_root_matches_solve_bit_for_bit(n, rep_solutions_built, root_call
             "Mat2(m11=1.0, m12=2.0, m21=-0.5, m22=4.0)",
         ),
         (
-            rep.HolonomyData,
-            {"B": 0.25, "offdiag_residual": 1e-12},
-            "HolonomyData(B=0.25, offdiag_residual=1e-12)",
+            cover.CoverElem,
+            {"gamma": 0.5 - 0.25j, "omega": -1.5},
+            "CoverElem(gamma=(0.5-0.25j), omega=-1.5)",
         ),
         (
             cover.SU11Elem,
