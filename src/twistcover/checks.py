@@ -14,8 +14,11 @@ standard grid that tests and benchmarks import; grid_lifts does
 cover.lift_generators on it once.  Most suites test float code on that
 grid; longitude_lemmas instead proves, on exact polynomials, the algebra
 that makes the longitude diag(B, 1/B) at every n, which certificates take
-as given.  Checks are independent and reseed their own RNG, so they run
-in any order or subset.
+as given.  The cover group-law suites draw plain (gamma, omega) pairs and
+compose them with cover._compose, the checked core every certificate uses;
+chart_roundtrip goes through cover.chart, the function it tests.  Checks
+are independent and reseed their own RNG, so they run in any order or
+subset.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import random
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache, wraps
-from math import ceil, cos, gcd, inf, isnan, log2, nan, pi, sin, sqrt, tau, ulp
+from cmath import rect
+from math import ceil, cos, gcd, inf, isnan, log2, nan, pi, sqrt, tau, ulp
 
 from . import cover, exactpoly, rep, slopes, solver
 from .errors import DomainError, NumericsError
@@ -104,11 +108,12 @@ def grid_lifts() -> tuple:
     return tuple(cover.lift_generators(n, sol) for n, sol in grid_solutions())
 
 
-def _random_cover_elem(rng: random.Random, omega_span: float = 10.0) -> cover.CoverElem:
-    r = rng.uniform(0.0, 0.95)
-    th = rng.uniform(0.0, tau)
-    g = complex(r * cos(th), r * sin(th))
-    return cover.CoverElem(g, rng.uniform(-omega_span, omega_span))
+def _random_cover_elem(draw, omega_span: float = 10.0) -> tuple:
+    """A (gamma, omega) pair, |gamma| < 0.95 and |omega| < omega_span, from a
+    bound Random.random; each draw is Random.uniform(lo, hi) written out to
+    the same bits, lo + (hi - lo) * random() as random.py defines it, and
+    gamma = rect(r, theta) is complex(r cos(theta), r sin(theta)) bit for bit."""
+    return rect(0.95 * draw(), tau * draw()), -omega_span + 2.0 * omega_span * draw()
 
 
 @_suite(0.0)
@@ -351,35 +356,36 @@ def check_invert_recheck() -> Cases:
 
 @_suite(1e-10)
 def check_cover_projection_homomorphism() -> Cases:
-    rng = random.Random(SEED)
+    draw = random.Random(SEED).random
     for i in range(1000):
-        a = _random_cover_elem(rng)
-        b = _random_cover_elem(rng)
-        lhs = cover.unchart(cover.cover_mul(a, b))
+        a = _random_cover_elem(draw)
+        b = _random_cover_elem(draw)
+        lhs = cover.unchart(cover._compose(a, b))
         rhs = cover.su11_mul(cover.unchart(a), cover.unchart(b))
         yield cover.su11_dist(lhs, rhs), "case {}", i
 
 
 @_suite(1e-10)
 def check_cover_associativity() -> Cases:
-    rng = random.Random(SEED + 1)
+    draw = random.Random(SEED + 1).random
     for i in range(1000):
-        a, b, c = (_random_cover_elem(rng) for _ in range(3))
-        lhs = cover.cover_mul(cover.cover_mul(a, b), c)
-        rhs = cover.cover_mul(a, cover.cover_mul(b, c))
-        yield max(abs(lhs.gamma - rhs.gamma), abs(lhs.omega - rhs.omega)), "case {}", i
+        a, b, c = (_random_cover_elem(draw) for _ in range(3))
+        g1, w1 = cover._compose(cover._compose(a, b), c)
+        g2, w2 = cover._compose(a, cover._compose(b, c))
+        yield max(abs(g1 - g2), abs(w1 - w2)), "case {}", i
 
 
 @_suite(0.0)
 def check_real_axis_closure() -> Cases:
     """Products of (gamma, 0) with real gamma stay on the real axis with
     omega exactly zero."""
-    rng = random.Random(SEED + 2)
+    draw = random.Random(SEED + 2).random
     for i in range(1000):
-        a = cover.CoverElem(complex(rng.uniform(-0.99, 0.99), 0.0), 0.0)
-        b = cover.CoverElem(complex(rng.uniform(-0.99, 0.99), 0.0), 0.0)
-        prod = cover.cover_mul(a, b)
-        ok = prod.omega == 0.0 and prod.gamma.imag == 0.0 and abs(prod.gamma.real) < 1.0
+        # Random.uniform(-0.99, 0.99) written out, as in _random_cover_elem
+        a = (complex(-0.99 + 1.98 * draw(), 0.0), 0.0)
+        b = (complex(-0.99 + 1.98 * draw(), 0.0), 0.0)
+        g, w = cover._compose(a, b)
+        ok = w == 0.0 and g.imag == 0.0 and abs(g.real) < 1.0
         yield 0.0 if ok else 1.0, "case {}", i
 
 
@@ -387,25 +393,24 @@ def check_real_axis_closure() -> Cases:
 def check_central_commutation() -> Cases:
     rng = random.Random(SEED + 3)
     for i in range(1000):
-        a = _random_cover_elem(rng)
-        c = cover.CoverElem(0j, tau * rng.randint(-3, 3))
-        lhs = cover.cover_mul(c, a)
-        rhs = cover.cover_mul(a, c)
-        if lhs.omega != rhs.omega:
+        a = _random_cover_elem(rng.random)
+        c = (0j, tau * rng.randint(-3, 3))
+        (g1, w1), (g2, w2) = cover._compose(c, a), cover._compose(a, c)
+        if w1 != w2:
             yield inf, "case {} omega", i
-        yield abs(lhs.gamma - rhs.gamma), "case {}", i
+        yield abs(g1 - g2), "case {}", i
 
 
 @_suite(1e-12)
 def check_chart_roundtrip() -> Cases:
-    rng = random.Random(SEED + 4)
+    draw = random.Random(SEED + 4).random
     for i in range(1000):
-        e = _random_cover_elem(rng, omega_span=pi - 1e-9)
+        g, w = e = _random_cover_elem(draw, omega_span=pi - 1e-9)
         u = cover.unchart(e)
         yield abs(u.defect()), "case {} defect", i
         back = cover.chart(u)
-        yield abs(back.gamma - e.gamma), "case {} gamma", i
-        yield abs(back.omega - e.omega), "case {} omega", i
+        yield abs(back.gamma - g), "case {} gamma", i
+        yield abs(back.omega - w), "case {} omega", i
 
 
 @_suite(cover.DEFAULT_LIFT_TOL)

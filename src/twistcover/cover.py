@@ -39,10 +39,10 @@ x^p L^q at the slope-p/q parameter.
 
 from __future__ import annotations
 
-from cmath import isfinite, phase
+from cmath import isfinite, phase, rect
 from collections import namedtuple
 from functools import partial
-from math import cos, inf, sin, sqrt
+from math import inf, sqrt
 
 from . import kernels
 from .errors import (
@@ -154,7 +154,7 @@ def chart(u: SU11Elem) -> CoverElem:
 def unchart(e: CoverElem) -> SU11Elem:
     g, w = e
     norm = sqrt(1.0 - (g.real * g.real + g.imag * g.imag))
-    alpha = complex(cos(w), sin(w)) / norm
+    alpha = rect(1.0, w) / norm
     return _su11((alpha, g * alpha))
 
 
@@ -173,7 +173,7 @@ def _compose(a: tuple, b: tuple) -> tuple:
 def _inv(a: tuple) -> tuple:
     """cover_inv on a (gamma, omega) pair, checked as a CoverElem is."""
     g, w = a
-    ph = complex(cos(2.0 * w), sin(2.0 * w))
+    ph = rect(1.0, 2.0 * w)
     g, w = -g * ph, -w
     _check(g, w)
     return g, w

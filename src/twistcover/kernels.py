@@ -15,7 +15,8 @@ ITP_N0 steps beyond bisection's count.  The kernels take and return plain
 floats and complexes.
 """
 
-from math import acos, acosh, atan2, cos, pi, sin, sinh, ulp
+from cmath import rect
+from math import acos, acosh, atan2, pi, sin, sinh, ulp
 
 # ITP constants of Oliveira & Takahashi: the truncation is
 # ITP_K1 / (hi - lo) * width**ITP_K2, and ITP_N0 is the number of steps it
@@ -172,10 +173,9 @@ def cover_compose(g1, w1, g2, w2):
     The arg term equals the principal log form (1/2i)Log(d/conj(d)) because
     Re(d) > 0 whenever both gammas lie in the unit disk; that positivity is
     asserted on every call so a branch crossing can never pass silently.
+    The phase is rect(1, -2*w2), bit for bit complex(cos, sin) of -2*w2.
     """
-    c = cos(-2.0 * w2)
-    sn = sin(-2.0 * w2)
-    ph = complex(c, sn)
+    ph = rect(1.0, -2.0 * w2)
     den = 1.0 + g1 * g2.conjugate() * ph
     if den.real <= 0.0:
         raise ValueError("principal log branch violated; element outside the unit disk")

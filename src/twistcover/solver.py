@@ -108,12 +108,13 @@ def _branch(n: int) -> tuple[float, float, float, float]:
     cos((n + 1/2) theta) at zero and num_inf = 2 sin(theta/2) sin(n theta) at
     inf_end are the factors of solve's end values.  Each public entry forms
     the record once per call, after its own checks, and hands it down; an n
-    beyond double range is refused by _too_large.
+    beyond double range is refused by _too_large.  n = 1's record, which
+    _root never reads, is formed once, as the constant _BRANCH_ONE.
     """
+    if n == 1:
+        return _BRANCH_ONE
     try:
-        if n == 1:
-            zero, inf_end = 0.0, pi / 3
-        elif n > 1:
+        if n > 1:
             zero, inf_end = pi / n, 3 * pi / (2 * n + 1)
         else:
             zero, inf_end = pi / abs(n), pi / (2 * abs(n) - 1)
@@ -133,6 +134,9 @@ def _branch_terms(n: int, theta: float) -> tuple[float, float, float]:
     branch equation s * cos((n + 1/2) theta) = 2 sin(theta/2) sin(n theta)."""
     h = sin(0.5 * theta)
     return h, 2.0 * h * sin(n * theta), cos((n + 0.5) * theta)
+
+
+_BRANCH_ONE = (0.0, pi / 3, _branch_terms(1, 0.0)[2], _branch_terms(1, pi / 3)[1])
 
 
 def _branch_equation(n: int, s: float):

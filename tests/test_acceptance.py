@@ -154,19 +154,36 @@ def test_surgery_certificates(certificates):
     )
 
 
+COVER_SUITES = (
+    checks.check_cover_projection_homomorphism,
+    checks.check_cover_associativity,
+    checks.check_real_axis_closure,
+    checks.check_central_commutation,
+    checks.check_chart_roundtrip,
+)
+
+
 def test_cover_property_suites():
-    results, elapsed = timed_suites(
-        checks.check_cover_projection_homomorphism,
-        checks.check_cover_associativity,
-        checks.check_real_axis_closure,
-        checks.check_central_commutation,
-    )
+    results, elapsed = timed_suites(*COVER_SUITES)
     assert elapsed < 1.0, f"property suites took {elapsed:.3f}s"
     report(
         "cover property suites",
-        f"4 suites x 1000 cases in {elapsed * 1e3:.0f}ms, "
+        f"{len(COVER_SUITES)} suites x 1000 cases in {elapsed * 1e3:.0f}ms, "
         f"worst {max(r.worst for r in results):.2e}",
     )
+
+
+def test_cover_property_suites_compose_plain_pairs(
+    cover_elems_built, cover_checks, cover_compose_calls
+):
+    # the suites draw plain pairs and compose them with cover._compose, which
+    # checks each result: 8000 compositions, and chart_roundtrip's 1000
+    # charts are the only CoverElems built
+    for suite in COVER_SUITES:
+        assert suite().passed
+    assert cover_compose_calls[0] == 8000
+    assert cover_elems_built[0] == 1000
+    assert cover_checks[0] == 8000 + 1000
 
 
 def test_longitude_lift_level(certificates):

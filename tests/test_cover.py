@@ -416,6 +416,35 @@ def test_each_element_is_checked_once(cover_checks):
     assert cover_checks[0] == 3
 
 
+@pytest.mark.parametrize("span", [10.0, math.pi - 1e-9])
+def test_suite_pairs_are_the_uniform_draws(span):
+    # the group-law suites draw plain pairs from a bound Random.random, with
+    # Random.uniform written out: the same points as its draws, bit for bit
+    old, new = random.Random(checks.SEED), random.Random(checks.SEED)
+    for _ in range(1000):
+        r, th = old.uniform(0.0, 0.95), old.uniform(0.0, math.tau)
+        want = (complex(r * math.cos(th), r * math.sin(th)), old.uniform(-span, span))
+        assert repr(checks._random_cover_elem(new.random, span)) == repr(want)
+
+
+def test_real_axis_closure_composes_the_uniform_draws(monkeypatch):
+    seen = []
+    compose = cover._compose
+
+    def recording(a, b):
+        seen.append((a, b))
+        return compose(a, b)
+
+    monkeypatch.setattr(cover, "_compose", recording)
+    assert checks.check_real_axis_closure().passed
+    rng = random.Random(checks.SEED + 2)
+    want = [
+        tuple((complex(rng.uniform(-0.99, 0.99), 0.0), 0.0) for _ in range(2))
+        for _ in range(1000)
+    ]
+    assert repr(seen) == repr(want)
+
+
 @pytest.mark.parametrize("n, p, q", [(2, 3, 2), (-20, 41, 12)])
 def test_certificate_builds_few_records(n, p, q, cover_elems_built):
     # the lifts of x and y and the longitude: the group law's intermediate
@@ -552,7 +581,7 @@ def statements_executed(run) -> int:
 
 # The certificate's trusted base: the statements that one certificate per
 # pair of GRID_N x every 7th GRID_SLOPES entry executes, refusals included.
-CERTIFICATE_STATEMENTS = 233
+CERTIFICATE_STATEMENTS = 231
 
 
 def test_certificate_runs_few_statements():

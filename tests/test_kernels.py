@@ -2,6 +2,7 @@
 
 import math
 import random
+from cmath import rect
 from fractions import Fraction
 from functools import partial
 from math import acos, acosh, pi, sin, sinh
@@ -182,6 +183,19 @@ def test_cover_compose_rejects_nonprincipal_branch():
     # only fire on invalid input; feed it some to prove it is wired up
     with pytest.raises(ValueError):
         kernels.cover_compose(1.5 + 0j, 0.0, -0.9 + 0j, 0.0)
+
+
+def test_unit_phase_rect_is_complex_of_cos_and_sin():
+    # cover_compose (at -2 w), cover._inv (at 2 w) and cover.unchart (at w)
+    # form e^(i phi) as cmath.rect(1, phi): CPython's rect is 1*cos(phi),
+    # 1*sin(phi), and (1, phi) at phi == 0, so the bits are complex(cos, sin)'s
+    rng = random.Random(17)
+    ws = [0.0, -0.0, 1e300, -1e300, 5e-324, pi, -pi, 1e-9, 1e9]
+    ws += [rng.uniform(-50.0, 50.0) for _ in range(2000)]
+    ws += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-20.0, 20.0) for _ in range(1000)]
+    for w in ws:
+        for phi in (w, -2.0 * w, 2.0 * w):
+            assert repr(rect(1.0, phi)) == repr(complex(math.cos(phi), math.sin(phi))), phi
 
 
 def _cheb_ratio(m, x):

@@ -85,6 +85,17 @@ def test_solve_n1_closed_form():
         assert sol.iterations == 0
 
 
+def test_n1_branch_record_is_formed_once():
+    # the record the other n form per call, formed at import for n = 1
+    # (ends 0 and pi/3), the same bits
+    want = (
+        0.0, math.pi / 3, math.cos(1.5 * 0.0),
+        2.0 * math.sin(0.5 * (math.pi / 3)) * math.sin(math.pi / 3),
+    )
+    assert solver._branch(1) is solver._branch(1)
+    assert repr(solver._branch(1)) == repr(want)
+
+
 def test_solve_quadratic_cases():
     assert solve(2, 1.0).T == pytest.approx((17 + math.sqrt(17)) / 4, abs=1e-10)
     assert solve(-2, 1.0).T == pytest.approx((7 + math.sqrt(5)) / 2, abs=1e-10)
