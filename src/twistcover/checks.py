@@ -197,7 +197,10 @@ def check_solve_grid_soundness() -> Cases:
 def check_bisection_iteration_bound() -> Cases:
     """iterations <= ceil(log2(window/tol)) + 2, the theta window against
     kernels.itp's own tol = 4 ulp(hi): a measured gate, tighter than itp's
-    guarantee of kernels.ITP_N0 steps beyond bisection."""
+    guarantee of n0 steps beyond bisection.  solve runs ITP untruncated
+    (solver.ROOT_K1 = 0) with n0 = solver.ROOT_N0 = 4, since its branch
+    equation is smooth with closed-form end values; only invert, whose
+    g - p/q is steep near both ends, keeps kernels.ITP_K1 and ITP_N0 = 3."""
     for n, sol in grid_solutions():
         if n == 1:
             continue

@@ -10,17 +10,22 @@ the end that stayed put is scaled (Anderson-Bjorck), so neither end goes
 stale.  A step of itp that would land on an end of its bracket moves tol/4
 inside that end (tol = 4 ulp(hi), itp's own), not to the midpoint, so a
 root pinned to an end within rounding ends the search in a step instead of
-twenty or so halvings.  Whatever the interpolant does, the worst case stays
-ITP_N0 steps beyond bisection's count.  The kernels take and return plain
-floats and complexes.
+twenty or so halvings.  Each search passes its own ITP constants: the
+truncation k1 and the slack n0.  Whatever the interpolant does, the worst
+case stays n0 steps beyond bisection's count.  The kernels take and return
+plain floats and complexes.
 """
 
 from cmath import rect
 from math import acos, acosh, atan2, pi, sin, sinh, ulp
 
 # ITP constants of Oliveira & Takahashi: the truncation is
-# ITP_K1 / (hi - lo) * width**ITP_K2, and ITP_N0 is the number of steps it
-# may take beyond bisection's count; ITP_MAX_ITER caps the steps of one search
+# k1 / (hi - lo) * width**ITP_K2, and n0 is the number of steps a search may
+# take beyond bisection's count; ITP_MAX_ITER caps the steps of one search.
+# ITP_K1 and ITP_N0 are itp's defaults, the constants of slopes.invert,
+# where g - p/q is steep near both branch ends: without the truncation the
+# grid's mean falls from 9.79 to 8.83 evaluations, but (2, 399999999/10^8)
+# takes 55 against its gate of 52.  solve runs solver.ROOT_K1 and ROOT_N0.
 ITP_K1 = 0.004
 ITP_K2 = 2
 ITP_N0 = 3
@@ -68,16 +73,24 @@ def phi_delta(n, s, delta):
     return hi - (1.0 + delta / s) * lo
 
 
-def itp(f, lo, hi, f_lo, f_hi):
+def itp(f, lo, hi, f_lo, f_hi, k1=ITP_K1, n0=ITP_N0):
     """Locate f's sign change on [lo, hi] by ITP; returns (root, iterations, capped).
 
     ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS
     47(1), 2020) steps to the regula falsi point, nudged toward the midpoint
-    by ITP_K1 / (hi - lo) * width**ITP_K2 and kept within a slack r of the
+    by k1 / (hi - lo) * width**ITP_K2 and kept within a slack r of the
     midpoint.  The caller supplies a certified bracket: f_lo and f_hi are f
     at lo and hi, nonzero with opposite signs, so f is called once per step
     and never at an end.  A step point x with f(x) == 0.0 is returned at
     once.
+
+    k1 and n0 are the search's constants, ITP_K1 and ITP_N0 unless given.
+    The truncation guards a search whose f is steep near an end of the
+    bracket, as slopes.invert's g - p/q is near both.  On a smooth f with
+    closed-form end values, as solve's branch equation, the two-sided
+    interpolation below already keeps both ends fresh and the truncation
+    only costs steps: solver passes k1 = 0, and the loop then skips the
+    truncation, bit for bit the formula's zero nudge.
 
     The interpolation is two-sided (Anderson & Bjorck, BIT 13 (1973), a
     relative of the Pegasus method of Dowell & Jarratt, BIT 12 (1972)).
@@ -94,10 +107,15 @@ def itp(f, lo, hi, f_lo, f_hi):
     below tol/2 = 2 ulp(hi), float resolution, and returns the midpoint, as
     bisection does, so the midpoint sits within tol/4 of the bracketed root.
     Bisection needs floor(log2((hi-lo)/tol)) + 2 halvings for that.  The
-    slack r keeps the width after j steps at most (hi-lo) * 2**(ITP_N0 - j),
-    whatever the interpolant, so in exact arithmetic ITP stops within
-    ITP_N0 steps more than bisection: at most
-    ceil(log2((hi-lo)/tol)) + ITP_N0 + 1 unless the ratio is a power of two.
+    slack r keeps the width after j steps at most (hi-lo) * 2**(n0 - j),
+    whatever the interpolant, so in exact arithmetic ITP stops within n0
+    steps more than bisection: at most ceil(log2((hi-lo)/tol)) + n0 + 1
+    unless the ratio is a power of two.  The slack is all the room the
+    interpolant has: r = (hi-lo) * 2**(n0 - j - 1) - width/2 shrinks as
+    bisection would, so early steps that hug one end, shrinking the bracket
+    by less than half, spend it.  Once r reaches 0 every step is the
+    midpoint, and the search ends as bisection, up to n0 steps beyond its
+    count (solve(3, 1e-6) took 23 steps at k1 = 0 and n0 = 3, 4 at n0 = 4).
     A midpoint that is no longer strictly interior means float resolution
     was reached first (the root lies where floats are coarser than at hi);
     that too ends the search.  Only reaching ITP_MAX_ITER steps sets capped.
@@ -115,9 +133,9 @@ def itp(f, lo, hi, f_lo, f_hi):
     """
     tol = 4.0 * ulp(hi)
     target = 0.5 * tol
-    k1 = ITP_K1 / (hi - lo)
+    k1 /= hi - lo
     # halved before each step, it is the width that step may leave
-    slack_width = (hi - lo) * 2.0**ITP_N0
+    slack_width = (hi - lo) * 2.0**n0
     lo_pos = f_lo > 0.0
     # -1 when lo moved last, 1 when hi did, 0 before the first step
     moved = 0
@@ -129,17 +147,17 @@ def itp(f, lo, hi, f_lo, f_hi):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return mid, iters, False
-        # interpolate (regula falsi), truncate toward the midpoint, project
-        # into the slack r around it; sigma is the sign of mid - x_f, so
-        # sigma * (mid - x) is |mid - x| for each x on x_f's side of mid
-        x_f = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        sigma = 1.0 if x_f < mid else -1.0
-        trunc = k1 * width**ITP_K2
-        x = x_f + sigma * trunc if trunc <= sigma * (mid - x_f) else mid
+        # interpolate (regula falsi), truncate toward the midpoint unless k1
+        # is 0, project into the slack r around it; sigma is the sign of mid
+        # minus the regula falsi point, so sigma * (mid - x) is |mid - x|
+        # for each x on that point's side of mid
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        sigma = 1.0 if x < mid else -1.0
+        if k1:
+            trunc = k1 * width**ITP_K2
+            x = x + sigma * trunc if trunc <= sigma * (mid - x) else mid
         slack_width *= 0.5
-        r = slack_width - 0.5 * width
-        if r < 0.0:
-            r = 0.0
+        r = slack_width - 0.5 * width if slack_width > 0.5 * width else 0.0
         if sigma * (mid - x) > r:
             x = mid - sigma * r
         if x <= lo or x >= hi:

@@ -10,11 +10,15 @@ trace W = 2 - d = 2 cos(theta) and T = s + 2 + d/s: phi_n = 0 reads
 and s runs strictly monotonically between 0 and inf as theta crosses the
 open interval branch_interval(n).  branch_point evaluates it; solve finds
 the theta of a given s by ITP (kernels.itp: two-sided regula falsi,
-truncated and projected so that it never takes more than kernels.ITP_N0
-steps beyond bisection's count) on the same equation with the denominator
-cleared, and slopes.invert walks the whole branch in theta with it.  Both
-reach ITP through _branch_root on the _branch(n) record of which end is
-s -> 0, formed once per public call and handed down, not cached.
+projected so that it never takes more than n0 steps beyond bisection's
+count) on the same equation with the denominator cleared, and slopes.invert
+walks the whole branch in theta with it.  Both reach ITP through
+_branch_root on the _branch(n) record of which end is s -> 0, formed once
+per public call and handed down, not cached.  Each runs its own ITP
+constants: solve's equation is smooth with closed-form end values, so it
+runs ROOT_K1 = 0 (no truncation toward the midpoint) and ROOT_N0 = 4;
+invert's g - p/q is steep near both ends and keeps kernels.itp's truncated
+defaults, ITP_K1 and ITP_N0 = 3.
 n = 1 keeps its closed form T = s + 2 + 1/(s+1): its branch has d -> 0 as
 s -> 0, where theta's absolute resolution would cost T its digits.
 solve's root runs in _root on plain floats, which slopes.g_eval calls too,
@@ -32,6 +36,15 @@ from .errors import (
     DomainError, NonConvergence, NumericsError, _too_large, as_float, check_n,
     check_positive, is_int,
 )
+
+# ITP constants of solve's search (invert keeps kernels.ITP_K1/ITP_N0): the
+# branch equation is smooth with closed-form end values, and the two-sided
+# regula falsi keeps both ends fresh, so a truncation toward the midpoint
+# only costs steps (5.80 -> 4.68 per root on the scan window at n != 1);
+# n0 = 4 leaves room for early steps that hug the s -> 0 end, where n0 = 3
+# spends the slack and ends as bisection (23 steps at solve(3, 1e-6))
+ROOT_K1 = 0.0
+ROOT_N0 = 4
 
 
 class RepSolution(
@@ -195,9 +208,11 @@ def _branch_point(n: int, theta: float, branch: tuple) -> tuple[float, float, fl
     return s, T, 0.5 * (T + sqrt(T * T - 4.0))
 
 
-def _branch_root(branch: tuple, f, f_zero: float, f_inf: float) -> tuple[float, int, bool]:
+def _branch_root(
+    branch: tuple, f, f_zero: float, f_inf: float, k1=kernels.ITP_K1, n0=kernels.ITP_N0
+) -> tuple[float, int, bool]:
     """kernels.itp on f across the theta interval of branch, the _branch(n)
-    record: (theta, iterations, capped).
+    record, with ITP constants k1 and n0: (theta, iterations, capped).
 
     f_zero and f_inf are f's values at the ends where s -> 0 and s -> inf,
     nonzero with opposite signs; ITP never evaluates an end, and it stops at
@@ -205,8 +220,8 @@ def _branch_root(branch: tuple, f, f_zero: float, f_inf: float) -> tuple[float, 
     """
     zero, inf_end, _, _ = branch
     if zero < inf_end:
-        return kernels.itp(f, zero, inf_end, f_zero, f_inf)
-    return kernels.itp(f, inf_end, zero, f_inf, f_zero)
+        return kernels.itp(f, zero, inf_end, f_zero, f_inf, k1, n0)
+    return kernels.itp(f, inf_end, zero, f_inf, f_zero, k1, n0)
 
 
 def _root(n: int, s: float, branch: tuple) -> tuple[float, float, float, float, int]:
@@ -214,11 +229,11 @@ def _root(n: int, s: float, branch: tuple) -> tuple[float, float, float, float, 
 
     The root core on plain floats, for solve and slopes.g_eval, which
     validate n and s, form the _branch(n) record and build the one record
-    their caller receives.  _branch_root runs ITP on f = s cos((n + 1/2)
-    theta) - 2 sin(theta/2) sin(n theta), the branch equation with its
-    denominator cleared.  Its end values, s cos((n + 1/2) theta) < 0 where
-    s -> 0 and -2 sin(theta/2) sin(n theta) > 0 where s -> inf, are read
-    from the record, so no end is evaluated.
+    their caller receives.  _branch_root runs ITP, at ROOT_K1 and ROOT_N0,
+    on f = s cos((n + 1/2) theta) - 2 sin(theta/2) sin(n theta), the branch
+    equation with its denominator cleared.  Its end values,
+    s cos((n + 1/2) theta) < 0 where s -> 0 and -2 sin(theta/2) sin(n theta)
+    > 0 where s -> inf, are read from the record, so no end is evaluated.
     delta = 4 sin^2(theta/2) then gives T = s + 2 + delta/s >= 2, trace W =
     2 - delta and t, t_from_T's root written out as in _branch_point.  A
     root makes no phi_delta call; solve evaluates the residual.
@@ -233,7 +248,7 @@ def _root(n: int, s: float, branch: tuple) -> tuple[float, float, float, float, 
     else:
         _, _, den_zero, num_inf = branch
         theta, iters, capped = _branch_root(
-            branch, _branch_equation(n, s), s * den_zero, -num_inf
+            branch, _branch_equation(n, s), s * den_zero, -num_inf, ROOT_K1, ROOT_N0
         )
         if capped:
             raise NonConvergence(

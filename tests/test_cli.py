@@ -347,7 +347,7 @@ GOLDEN_STDOUT = {
   "trace_W": -0.28077640640441537,
   "theta": 1.7116498168299654,
   "phi_residual": 8.881784197001252e-16,
-  "iterations": 8
+  "iterations": 7
 }
 """,
     "slope --n 2 --r 3/2": """\
@@ -432,7 +432,7 @@ t = 5.08408414656533
 trace_W = -0.28077640640441537
 theta = 1.7116498168299654
 phi_residual = 8.881784197001252e-16
-iterations = 8
+iterations = 7
 """,
 }
 

@@ -1,11 +1,10 @@
 """Universal cover of SL2(R): chart arithmetic, lifts, certificates."""
 
-import ast
 import math
 import random
-import sys
 
 import pytest
+from bench_counts import certify_sample, statements_executed
 
 from twistcover import (
     CertificateFailed,
@@ -522,78 +521,13 @@ def test_certificate_agrees_with_its_recheck_bit_for_bit():
     assert SurgeryCertificate in outcomes and CertificateFailed in outcomes
 
 
-def _statement_of_line(path: str) -> dict:
-    """line -> (first line, column) of the innermost statement holding it; a
-    function's statement holds its decorators too."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    owner = {}
-    # ast.walk goes breadth first, so an inner statement overwrites the
-    # lines of the statements that hold it
-    for node in ast.walk(tree):
-        if isinstance(node, ast.stmt):
-            first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
-            for line in range(first, node.end_lineno + 1):
-                owner[line] = (node.lineno, node.col_offset)
-    return owner
-
-
-def statements_executed(run) -> int:
-    """Distinct statements of the twistcover package that run() executes.
-
-    Each sys.settrace line event counts the innermost ast.stmt holding its
-    line, so the count does not depend on how a Python version splits a
-    statement's line events; each call counts the def statement of the
-    function entered, at the code's first line.  Every functools cache in
-    the package is cleared first, so a warm cache hides no body.
-    """
-    owners = {}
-    for modname, mod in list(sys.modules.items()):
-        if mod is None or not modname.startswith("twistcover"):
-            continue
-        owners[mod.__file__] = _statement_of_line(mod.__file__)
-        for value in list(vars(mod).values()):
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
-    hit = set()
-
-    def local(frame, event, arg):
-        if event == "line":
-            path = frame.f_code.co_filename
-            hit.add((path, owners[path][frame.f_lineno]))
-        return local
-
-    def start(frame, event, arg):
-        code = frame.f_code
-        if code.co_filename not in owners:
-            return None
-        hit.add((code.co_filename, owners[code.co_filename][code.co_firstlineno]))
-        return local
-
-    previous = sys.gettrace()
-    sys.settrace(start)
-    try:
-        run()
-    finally:
-        sys.settrace(previous)
-    return len(hit)
-
-
 # The certificate's trusted base: the statements that one certificate per
 # pair of GRID_N x every 7th GRID_SLOPES entry executes, refusals included.
 CERTIFICATE_STATEMENTS = 231
 
 
 def test_certificate_runs_few_statements():
-    def certify_all():
-        for n in GRID_N:
-            for p, q in GRID_SLOPES[::7]:
-                try:
-                    certificate(n, p, q)
-                except NumericsError:
-                    pass
-
-    assert 0 < statements_executed(certify_all) <= CERTIFICATE_STATEMENTS
+    assert 0 < statements_executed(certify_sample) <= CERTIFICATE_STATEMENTS
 
 
 def test_lift_generators_at_solution():

@@ -9,8 +9,8 @@ from math import acos, acosh, pi, sin, sinh
 
 import pytest
 
-from twistcover import kernels, solver
-from twistcover.checks import GRID_N
+from twistcover import kernels, slopes, solver
+from twistcover.checks import GRID_N, GRID_SLOPES
 from twistcover.exactpoly import tau_exact
 
 
@@ -176,6 +176,135 @@ def test_itp_steps_inside_an_end_it_reaches(n, s):
                 f_lo *= m if m > 0.0 else 0.5
             hi, f_hi, moved = x, fx, 1
     assert insets >= 1
+
+
+def _itp_truncating(f, lo, hi, f_lo, f_hi, k1, n0):
+    """kernels.itp's loop with the truncation formula and the clamp of the
+    slack r written out in full at every step, whatever k1: the reference
+    for the loop that skips the truncation when k1 is 0."""
+    tol = 4.0 * math.ulp(hi)
+    target = 0.5 * tol
+    k1 = k1 / (hi - lo)
+    slack_width = (hi - lo) * 2.0**n0
+    lo_pos = f_lo > 0.0
+    moved = 0
+    iters = 0
+    while hi - lo >= target:
+        if iters >= kernels.ITP_MAX_ITER:
+            return 0.5 * (lo + hi), iters, True
+        width = hi - lo
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid, iters, False
+        x_f = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        sigma = 1.0 if x_f < mid else -1.0
+        trunc = k1 * width**kernels.ITP_K2
+        x = x_f + sigma * trunc if trunc <= sigma * (mid - x_f) else mid
+        slack_width *= 0.5
+        r = slack_width - 0.5 * width
+        if r < 0.0:
+            r = 0.0
+        if sigma * (mid - x) > r:
+            x = mid - sigma * r
+        if x <= lo or x >= hi:
+            x = lo + 0.25 * tol if x <= lo else hi - 0.25 * tol
+            if not lo < x < hi:
+                x = mid
+        fx = f(x)
+        iters += 1
+        if fx == 0.0:
+            return x, iters, False
+        if (fx > 0.0) == lo_pos:
+            if moved < 0:
+                m = 1.0 - fx / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo, moved = x, fx, -1
+        else:
+            if moved > 0:
+                m = 1.0 - fx / f_hi
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi, moved = x, fx, 1
+    return 0.5 * (lo + hi), iters, False
+
+
+def _solve_search(n, s):
+    """(f, lo, hi, f_lo, f_hi) of solve's theta search at (n, s), oriented
+    as solver._branch_root orients it."""
+    zero, inf_end, den_zero, num_inf = solver._branch(n)
+    f = solver._branch_equation(n, s)
+    if zero < inf_end:
+        return f, zero, inf_end, s * den_zero, -num_inf
+    return f, inf_end, zero, -num_inf, s * den_zero
+
+
+def _solve_points():
+    """A seeded sample of (n, s) over the grid's n, +-10, +-20 and +-1000."""
+    rng = random.Random(4242)
+    ns = [n for n in GRID_N if n != 1] + [10, -10, 20, -20, 1000, -1000]
+    return [(rng.choice(ns), 10.0 ** rng.uniform(-8.0, 12.0)) for _ in range(600)]
+
+
+def _solve_searches():
+    return [_solve_search(n, s) for n, s in _solve_points()]
+
+
+def _invert_searches():
+    """invert's theta search for every 9th grid slope at each grid n."""
+    out = []
+    for n in GRID_N:
+        branch = solver._branch(n)
+        for p, q in GRID_SLOPES[::9]:
+
+            def g_minus_r(theta, n=n, branch=branch, r=p / q):
+                s, _, t = solver._branch_point(n, theta, branch)
+                return slopes._slope(n, s, t)[1] - r
+
+            zero, inf_end, _, _ = branch
+            f_zero, f_inf = -p / q, 4.0 - p / q
+            if zero < inf_end:
+                out.append((g_minus_r, zero, inf_end, f_zero, f_inf))
+            else:
+                out.append((g_minus_r, inf_end, zero, f_inf, f_zero))
+    return out
+
+
+def _synthetic_searches():
+    d_lo, d_hi, _, _ = DELTA_WINDOWS[2, 1.0]
+    phi = partial(kernels.phi_delta, 2, 1.0)
+    yield phi, d_lo, d_hi, phi(d_lo), phi(d_hi)
+    yield (lambda x: -1.0 if x < -1.25 else 1.0), -3.0, 2.0**-1000, -1.0, 1.0
+    yield (lambda x: x**3 + 2.0), -3.0, 2.0**-1000, -25.0, 2.0
+    for f, lo, hi in [
+        (lambda x: x**8 - 0.5, 0.0, 2.0), (lambda x: x * x - 2.0, 0.0, 10.0),
+        (lambda x: x**3 - 2.0, 0.0, 10.0), (lambda x: math.exp(x) - 2.0, 0.0, 20.0),
+        (lambda x: x**10 - 1.0, 0.0, 4.0),
+    ]:
+        yield f, lo, hi, f(lo), f(hi)
+
+
+@pytest.mark.parametrize("searches", [_solve_searches, _invert_searches, _synthetic_searches])
+def test_itp_skips_a_zero_truncation_bit_for_bit(searches):
+    # at k1 = 0 the loop skips the truncation; the full formula gives a zero
+    # truncation, and both return the same root, steps and cap, at solve's
+    # n0 and at kernels.ITP_N0.  At the default constants, invert's, the
+    # loop is the full formula's too, on invert's own searches as well.
+    for f, lo, hi, f_lo, f_hi in searches():
+        for n0 in (solver.ROOT_N0, kernels.ITP_N0):
+            got = kernels.itp(f, lo, hi, f_lo, f_hi, 0.0, n0)
+            want = _itp_truncating(f, lo, hi, f_lo, f_hi, 0.0, n0)
+            assert repr(got) == repr(want), (lo, hi, n0)
+        got = kernels.itp(f, lo, hi, f_lo, f_hi)
+        want = _itp_truncating(f, lo, hi, f_lo, f_hi, kernels.ITP_K1, kernels.ITP_N0)
+        assert repr(got) == repr(want), (lo, hi)
+
+
+def test_solve_runs_itp_at_its_own_constants():
+    # solve's root is kernels.itp at solver.ROOT_K1 and ROOT_N0 on the
+    # search that test_itp_skips_a_zero_truncation_bit_for_bit replays
+    for n, s in _solve_points():
+        theta, iters, _ = kernels.itp(*_solve_search(n, s), solver.ROOT_K1, solver.ROOT_N0)
+        sol = solver.solve(n, s)
+        assert (repr(sol.theta), sol.iterations) == (repr(theta), iters), (n, s)
 
 
 def test_cover_compose_rejects_nonprincipal_branch():

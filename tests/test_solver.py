@@ -200,9 +200,10 @@ def test_solve_iterations_on_the_inversion_grid():
     # bisection_iteration_bound suite, a measured gate of one step beyond
     # bisection: the theta window against solve's tol = 4 ulp(hi).  The grid
     # is the scan workload's 400-point log window over [1e-6, 1e8]; measured
-    # mean 5.276 steps with n = 1's zeros, max 9 (7.023 and 11 with plain
-    # regula falsi, 9.073 and 32 when a step that reached an end fell back
-    # to the midpoint).
+    # mean 4.2507 steps with n = 1's zeros, max 8, at solve's constants
+    # k1 = 0, n0 = 4 (5.276 and 9 truncated at invert's k1 = 0.004, n0 = 3;
+    # 7.023 and 11 with plain regula falsi, 9.073 and 32 when a step that
+    # reached an end fell back to the midpoint).
     xs = slopes._log_grid(1e-6, 1e8, 400)
     iterations = []
     for n in GRID_N:
@@ -213,8 +214,17 @@ def test_solve_iterations_on_the_inversion_grid():
             iterations.append(sol.iterations)
             assert sol.iterations <= allowed, (n, s)
     mean = sum(iterations) / len(iterations)
-    assert mean <= 5.28, mean
-    assert max(iterations) <= 9
+    assert mean <= 4.2507, mean
+    assert max(iterations) <= 8
+
+
+@pytest.mark.parametrize("n, s", [(3, 1e-6), (2, 1.1753722651306371e-06)])
+def test_solve_keeps_its_slack_near_the_zero_end(n, s):
+    # the first regula falsi steps hug the s -> 0 end; with no truncation
+    # and n0 = 3 they spend the slack there and every later step is the
+    # midpoint (23 and 24 steps), with solve's n0 = 4 the slack outlasts
+    # them (4 steps each)
+    assert solve(n, s).iterations <= 9
 
 
 @pytest.mark.parametrize(
