@@ -6,7 +6,7 @@ holonomy (rep), the slope map g and its inversion (slopes), and lifting to
 the universal cover with surgery certificates (cover).  checks bundles the
 runtime invariant suites, the exact proof of the longitude lemmas among
 them; cli is the command line frontend, and the one module that formats
-output.  kernels holds the four hot inner loops that solver, rep and cover
+output.  kernels holds the four hot inner loops that solver and cover
 call.
 """
 
@@ -37,14 +37,7 @@ from .errors import (
     SlopeOutOfRange,
 )
 from .exactpoly import TRACE_POLY, BivarPoly, riley_poly, tau_poly
-from .rep import (
-    Mat2,
-    gen_matrices,
-    longitude_holonomy,
-    relation_residual,
-    w_matrix,
-    w_power,
-)
+from .rep import Mat2, gen_matrices, longitude_holonomy
 from .slopes import SlopeSample, g_eval, invert, scan
 from .solver import RepSolution, phi_num, solve, t_from_T, tau_num
 

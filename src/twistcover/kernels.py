@@ -13,11 +13,11 @@ root pinned to an end within rounding ends the search in a step instead of
 twenty or so halvings.  Each search passes its own ITP constants: the
 truncation k1 and the slack n0.  Whatever the interpolant does, the worst
 case stays n0 steps beyond bisection's count.  The kernels take and return
-plain floats and complexes.
+plain floats and complexes; cheb_pair's trace lies in [-2, 2].
 """
 
 from cmath import rect
-from math import acos, acosh, atan2, pi, sin, sinh, ulp
+from math import acos, atan2, pi, sin, ulp
 
 # ITP constants of Oliveira & Takahashi: the truncation is
 # k1 / (hi - lo) * width**ITP_K2, and n0 is the number of steps a search may
@@ -35,32 +35,23 @@ ITP_MAX_ITER = 200
 def cheb_pair(m, x):
     """(U(m + 1), U(m)) for U(k) = (z^k - z^-k)/(z - z^-1), z + z^-1 = x.
 
-    Valid for any real x and integer m; the two values share one acos (or
-    acosh) and one sine (or sinh).  On [-2, 2], U(k) is sin(k*theta)/sin(theta)
-    with x = 2*cos(theta); the removable singularities at x = +-2 take the
-    limit values k and (-1)^(k-1) * k.  Outside [-2, 2] the sinh form applies.
+    Its domain is x in [-2, 2], for any integer m: phi_delta takes delta in
+    [0, 4], and solver.tau_num snaps a trace within 1e-12 of +-2 onto it and
+    refuses the rest.  There U(k) is sin(k*theta)/sin(theta) with x =
+    2*cos(theta), and the two values share one acos and one sine; the
+    removable singularities at x = +-2 take the limit values k and
+    (-1)^(k-1) * k.  An x outside the domain is acos's ValueError.
     """
-    if abs(x) <= 2.0:
-        theta = acos(0.5 * x)
-        if theta < 1e-8:
-            return float(m + 1), float(m)
-        if pi - theta < 1e-8:
-            # (-1)^(k-1) * k at k = m + 1 and k = m: exactly one is negated
-            if m % 2 == 0:
-                return float(m + 1), float(-m)
-            return float(-(m + 1)), float(m)
-        st = sin(theta)
-        return sin((m + 1) * theta) / st, sin(m * theta) / st
-    xi = acosh(0.5 * abs(x))
-    sh = sinh(xi)
-    hi = sinh((m + 1) * xi) / sh
-    lo = sinh(m * xi) / sh
-    if x < 0.0:
-        if m % 2 != 0:
-            hi = -hi
-        else:
-            lo = -lo
-    return hi, lo
+    theta = acos(0.5 * x)
+    if theta < 1e-8:
+        return float(m + 1), float(m)
+    if pi - theta < 1e-8:
+        # (-1)^(k-1) * k at k = m + 1 and k = m: exactly one is negated
+        if m % 2 == 0:
+            return float(m + 1), float(-m)
+        return float(-(m + 1)), float(m)
+    st = sin(theta)
+    return sin((m + 1) * theta) / st, sin(m * theta) / st
 
 
 def phi_delta(n, s, delta):

@@ -7,9 +7,9 @@ Generators (meridians) for parameters s > 0, t > 1, writing u = sqrt(t) - 1/sqrt
 
 The commutator word is w = x y^-1 x^-1 y; its reversal w_rev = y x^-1 y^-1 x.
 Words are strings in SnapPy convention: lowercase is a generator, uppercase
-its inverse, so w = "xYXy".  Powers of W = rho(w) come from the trace
-recursion (u_11 = w_11 tau_n - tau_{n-1} and so on) rather than repeated
-multiplication; repeated multiplication is kept only as the test oracle.
+its inverse, so w = "xYXy".  No W = rho(w) or power of it is formed
+here: word_eval, the left fold of a word's letters, is the tests' float
+oracle.
 
 The longitude is rho(w_rev^n w^n).  At a solution of the defining equation
 it is diag(B, 1/B) with B = (t-s-1)/((1+s)t - 1), for every n (Riley, Quart.
@@ -28,8 +28,7 @@ from collections import namedtuple
 from functools import partial
 from math import sqrt
 
-from . import kernels
-from .errors import DomainError, _too_large, check_positive, is_int
+from .errors import DomainError, check_positive, is_int
 
 
 class Mat2(namedtuple("Mat2", "m11 m12 m21 m22")):
@@ -92,19 +91,6 @@ def gen_matrices(s: float, t: float) -> tuple[Mat2, Mat2]:
     return gx, gy
 
 
-def w_matrix(s: float, t: float) -> Mat2:
-    """Closed form of W = rho(x y^-1 x^-1 y)."""
-    s, t = _check_params(s, t)
-    rt = sqrt(t)
-    u2 = t - 2.0 + 1.0 / t
-    # 1 + s - s*t + s^2*t/(t-1), factored to keep the cancellation mild
-    w11 = 1.0 + s + s * t * (s + 1.0 - t) / (t - 1.0)
-    w12 = (t - 1.0 + s * t) / rt * (u2 - s) / u2
-    w21 = s * (1.0 + s - t) / rt
-    w22 = 1.0 + s - s * s / (t - 1.0) - s / t
-    return _mat((w11, w12, w21, w22))
-
-
 def word_eval(word: str, gen_x: Mat2, gen_y: Mat2) -> Mat2:
     """Left-to-right product of a word in x, y; uppercase means inverse."""
     table = {"x": gen_x, "X": gen_x.inverse(), "y": gen_y, "Y": gen_y.inverse()}
@@ -138,37 +124,6 @@ def longitude_word(n: int) -> str:
 def relator_word(n: int) -> str:
     """w^n x w^-n y^-1, trivial in the knot group."""
     return w_word(n) + "x" + w_word(-n) + "Y"
-
-
-def w_power(n: int, s: float, t: float) -> Mat2:
-    """W^n through the trace recursion, for any integer n; an n or a W^n
-    beyond double range (cheb_pair's sinh form at |trace W| > 2) is refused."""
-    if not is_int(n):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    if n == 0:
-        return IDENTITY2
-    w11, w12, w21, w22 = w_matrix(s, t)
-    tr = w11 + w22
-    try:
-        tnp, tn = kernels.cheb_pair(n, tr)
-        tnm = kernels.cheb_pair(n - 1, tr)[1]
-    except OverflowError:
-        raise _too_large("n", n) from None
-    return _mat((w11 * tn - tnm, w12 * tn, w21 * tn, tnp - w11 * tn))
-
-
-def relation_residual(n: int, s: float, t: float) -> float:
-    """Max-abs entrywise difference of rho(w^n x) and rho(y w^n), scaled by
-    1 + the larger entry norm, which is the meaningful reading once entries
-    grow with s and t.
-
-    Zero exactly when (s, t) solves the defining equation.
-    """
-    gx, gy = gen_matrices(s, t)
-    wn = w_power(n, s, t)
-    lhs = wn @ gx
-    rhs = gy @ wn
-    return max_abs_diff(lhs, rhs) / (1.0 + max(lhs.maxabs(), rhs.maxabs()))
 
 
 def _holonomy(s: float, t: float) -> float:

@@ -99,7 +99,9 @@ def scan(n: int, s_min: float, s_max: float, samples: int) -> list[SlopeSample]:
     s_min, s_max = as_float("s_min", s_min), as_float("s_max", s_max)
     if not 0.0 < s_min < s_max < inf:
         raise DomainError(f"need 0 < s_min < s_max < inf, got {s_min}, {s_max}")
-    if not isinstance(samples, int) or samples < 2:
+    # as_float refuses a samples beyond double range, which _log_grid's
+    # float step and a refusal's repr would both raise on
+    if not isinstance(samples, int) or as_float("samples", samples) < 2:
         raise DomainError(f"samples must be an integer of at least 2, got {samples!r}")
     check_n(n)
     branch = solver._branch(n)

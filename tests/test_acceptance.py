@@ -252,7 +252,7 @@ def test_every_suite_is_declared_once_in_source_order():
         for node in ast.parse(source).body
         if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
     ]
-    assert len(defined) == 24
+    assert len(defined) == 21
     assert [fn.__name__ for fn in checks.ALL_CHECKS] == defined
     assert [getattr(checks, name) for name in defined] == list(checks.ALL_CHECKS)
     results = checks.run_all()

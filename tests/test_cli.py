@@ -208,6 +208,15 @@ REFUSALS = (
     ),
     # t - s - 1 cancels, so B's numerator rounds below 0 (s = 1e16 gives g = 4.0)
     (("slope", "--n", "2", "--s", "3e16"), "B = -1.111111111111111e-33 not positive at n=2, s=3e+16"),
+    # samples = +-10^400 does not convert to a float either, and scan's log
+    # grid divides by it
+    *(
+        (
+            ("scan", "--n", "2", "--s-min", "1", "--s-max", "2", "--samples", big),
+            "samples is too large for double precision: |samples| has 1329 bits",
+        )
+        for big in ("1" + "0" * 400, "-1" + "0" * 400)
+    ),
 )
 
 
@@ -568,7 +577,7 @@ def test_verify_reports_every_suite_when_one_raises(capsys, monkeypatch):
     assert code == 2
     data = json.loads(out, parse_constant=_reject_constant)
     results = {r["name"]: r for r in data["results"]}
-    assert len(data["results"]) == len(results) == len(checks.ALL_CHECKS) == 24
+    assert len(data["results"]) == len(results) == len(checks.ALL_CHECKS) == 21
     lift = results["lift_relator_residual"]
     assert not lift["passed"] and lift["worst"] is None and lift["bound"] is None
     assert lift["where"].startswith("RelatorNotCentral: lifted relator at n=")
@@ -576,7 +585,7 @@ def test_verify_reports_every_suite_when_one_raises(capsys, monkeypatch):
     assert data["all_passed"] is False
     code, out, _ = run(capsys, "verify")
     lines = out.splitlines()
-    assert code == 2 and len(lines) == 25
+    assert code == 2 and len(lines) == 22
     assert "FAIL  lift_relator_residual: worst inf vs bound nan  [RelatorNotCentral" in out
     assert lines[0].startswith("PASS  tau_three_term")
 

@@ -44,16 +44,13 @@ CONTRACT = {
     solver.branch_point: (dict(n=2, theta=1.7), "n theta", ""),
     solver.solve: (dict(n=2, s=1.0), "n s", ""),
     slopes.g_eval: (dict(n=2, s=1.0), "n s", ""),
-    slopes.scan: (dict(n=2, s_min=0.5, s_max=2.0, samples=3), "n s_min s_max", "samples"),
+    slopes.scan: (dict(n=2, s_min=0.5, s_max=2.0, samples=3), "n s_min s_max samples", ""),
     slopes.invert: (dict(n=2, p=3, q=2), "n p q", ""),
     rep.gen_matrices: (dict(s=1.0, t=3.0), "s t", ""),
-    rep.w_matrix: (dict(s=1.0, t=3.0), "s t", ""),
     rep.w_word: (dict(n=2), "", "n"),
     rep.w_rev_word: (dict(n=2), "", "n"),
     rep.longitude_word: (dict(n=2), "", "n"),
     rep.relator_word: (dict(n=2), "", "n"),
-    rep.w_power: (dict(n=2, s=1.0, t=3.0), "n s t", ""),
-    rep.relation_residual: (dict(n=2, s=1.0, t=3.0), "n s t", ""),
     rep.longitude_holonomy: (dict(s=1.0, t=3.0), "s t", ""),
     cover.cover_pow: (dict(a=_XT, k=3), "k", ""),
     cover.lift_generators: (dict(n=2, sol=_SOL), "n", ""),
@@ -98,7 +95,8 @@ def _calls():
 
 
 def test_each_call_returns_or_refuses_by_the_contract():
-    # about 460 calls, most of them refusals: a few milliseconds in all
+    # 389 calls, most of them refusals: a few milliseconds in all; the count
+    # is exact, so a row that stops yielding its calls is seen
     calls = 0
     for fn, kwargs in _calls():
         try:
@@ -108,7 +106,7 @@ def test_each_call_returns_or_refuses_by_the_contract():
         except Exception as exc:
             pytest.fail(f"{fn.__module__}.{fn.__name__}(**{kwargs!r}) raised {exc!r}")
         calls += 1
-    assert calls > 450
+    assert calls == 389
 
 
 def test_arguments_beyond_double_range_have_one_refusal():
@@ -122,8 +120,7 @@ def test_arguments_beyond_double_range_have_one_refusal():
         (lambda: solver.solve(-n, 1.0), "n"),
         (lambda: solver.solve(2, n), "s"),
         (lambda: slopes.scan(2, 1.0, n, 3), "s_max"),
-        (lambda: rep.w_power(-n, 1.0, 3.0), "n"),
-        (lambda: rep.relation_residual(n, 1.0, 3.0), "n"),
+        (lambda: slopes.scan(2, 1.0, 2.0, n), "samples"),
         (lambda: rep.longitude_holonomy(1.0, n), "t"),
     ):
         with pytest.raises(NumericsError) as exc:

@@ -9,13 +9,9 @@ import pytest
 from twistcover import (
     DomainError,
     Mat2,
-    NumericsError,
     gen_matrices,
     longitude_holonomy,
-    relation_residual,
     solve,
-    w_matrix,
-    w_power,
 )
 from twistcover.rep import (
     IDENTITY2,
@@ -38,12 +34,10 @@ def test_generator_matrices_at_s1_t4():
 
 
 def test_w_matrix_at_s1_t4():
-    W = w_matrix(1.0, 4.0)
+    # the letter-by-letter product rho(xYXy) against W's hand-computed entries
+    W = word_eval(w_word(1), *gen_matrices(1.0, 4.0))
     want = Mat2(-2.0 / 3.0, 35.0 / 18.0, -1.0, 17.0 / 12.0)
     assert max_abs_diff(W, want) < 1e-14
-    # matches the letter-by-letter product
-    X, Y = gen_matrices(1.0, 4.0)
-    assert max_abs_diff(W, word_eval(w_word(1), X, Y)) < 1e-14
 
 
 def test_determinants_are_one():
@@ -51,20 +45,9 @@ def test_determinants_are_one():
     for _ in range(50):
         s = 10.0 ** rng.uniform(-2, 2)
         t = 1.0 + 10.0 ** rng.uniform(-2, 2)
-        X, Y = gen_matrices(s, t)
-        for M in (X, Y, w_matrix(s, t)):
+        for M in gen_matrices(s, t):
             scale = 1.0 + abs(M.m11 * M.m22) + abs(M.m12 * M.m21)
             assert abs(M.det() - 1.0) <= 1e-10 * scale
-
-
-def test_trace_of_w_closed_form():
-    rng = random.Random(101)
-    for _ in range(50):
-        s = 10.0 ** rng.uniform(-2, 2)
-        t = 1.0 + 10.0 ** rng.uniform(-2, 2)
-        T = t + 1.0 / t
-        want = s * s - (T - 2.0) * s + 2.0
-        assert w_matrix(s, t).trace() == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_word_builders():
@@ -105,15 +88,6 @@ def test_word_eval_is_the_left_fold_of_matmul():
             assert word_eval(word, X, Y) == folded, (sol.s, word)
 
 
-def test_w_power_matches_iterated_product():
-    X, Y = gen_matrices(0.7, 3.0)
-    for n in (-7, -3, -1, 0, 1, 2, 5, 8):
-        fast = w_power(n, 0.7, 3.0)
-        slow = word_eval(w_word(n), X, Y) if n else IDENTITY2
-        scale = 1.0 + slow.maxabs()
-        assert max_abs_diff(fast, slow) / scale < 1e-12, n
-
-
 def test_w_rev_is_sigma_transform():
     # lemma (a) of the longitude_lemmas suite in floats, for any (s, t) and
     # n: rho(w_rev^n) = D rho(w^n)^T D^-1 with D = diag(1, sigma)
@@ -127,11 +101,6 @@ def test_w_rev_is_sigma_transform():
             fast = Mat2(u11, u21 / sigma, u12 * sigma, u22)
             scale = 1.0 + slow.maxabs()
             assert max_abs_diff(fast, slow) / scale < 1e-10, (n, s, t)
-
-
-def test_relation_residual_off_solution():
-    # (s, t) = (1, 4) is not on the n = 1 variety; the defect is visible
-    assert relation_residual(1, 1.0, 4.0) > 0.01
 
 
 def test_longitude_is_diagonal_at_solutions():
@@ -169,17 +138,27 @@ def test_lemma_generators_are_gen_matrices():
             assert abs(float(g) - w) <= 1e-15 * (1.0 + abs(w)), (m, s)
 
 
+def test_lemma_suite_proves_the_float_suites_claims():
+    # det Y = 1, tr W's closed form, c, and the relation W^n X = Y W^n as
+    # lemma (b), each proved exactly: every case present at residual 0.0
+    cases = {name: res for res, _, name in checks.check_longitude_lemmas.__wrapped__()}
+    names = ["det Y = 1", "tr W", "c"] + [f"(b) entry {ij}" for ij in ("11", "12", "21", "22")]
+    assert {name: cases.get(name) for name in names} == dict.fromkeys(names, 0.0)
+
+
 def test_lemma_suite_refuses_a_wrong_generator(monkeypatch):
-    # the proof is not vacuous: with one entry of Yn changed the suite fails
-    real = _cleared_generators()
-
-    def shifted():
-        s, m2, v2, xn, yn = real
-        return s, m2, v2, xn, yn._replace(m12=yn.m12 + s)
-
-    monkeypatch.setattr(checks, "_cleared_generators", shifted)
-    res = checks.check_longitude_lemmas()
-    assert not res.passed and res.worst == 1.0
+    # the proof is not vacuous: with one entry of Yn changed the suite fails,
+    # and with one entry of Xn changed the relation, lemma (b), fails too
+    s, m2, v2, xn, yn = _cleared_generators()
+    for mutant, failing in (
+        ((s, m2, v2, xn, yn._replace(m12=yn.m12 + s)), ""),
+        ((s, m2, v2, xn._replace(m22=xn.m22 + s), yn), "(b) entry"),
+    ):
+        monkeypatch.setattr(checks, "_cleared_generators", lambda m=mutant: m)
+        res = checks.check_longitude_lemmas()
+        assert not res.passed and res.worst == 1.0
+        bad = [name for res, _, name in checks.check_longitude_lemmas.__wrapped__() if res]
+        assert any(name.startswith(failing) for name in bad), bad
 
 
 def test_mat2_operations():
@@ -195,8 +174,7 @@ def test_mat2_operations():
 
 
 def test_public_functions_return_the_records():
-    assert {type(m) for m in (*gen_matrices(1.0, 4.0), w_matrix(1.0, 4.0), IDENTITY2)} == {Mat2}
-    assert type(w_power(3, 1.0, 4.0)) is Mat2
+    assert {type(m) for m in (*gen_matrices(1.0, 4.0), IDENTITY2)} == {Mat2}
     X, Y = gen_matrices(1.0, 4.0)
     assert {type(m) for m in (X @ Y, X.inverse(), word_eval("xY", X, Y))} == {Mat2}
 
@@ -208,7 +186,7 @@ def test_gen_matrices_rejects_degenerate_params():
         gen_matrices(1.0, 1.0)
 
 
-@pytest.mark.parametrize("fn", [gen_matrices, w_matrix, longitude_holonomy])
+@pytest.mark.parametrize("fn", [gen_matrices, longitude_holonomy])
 @pytest.mark.parametrize("t", [math.inf, math.nan])
 def test_nonfinite_t_is_a_domain_error(fn, t):
     with pytest.raises(DomainError, match="t must be finite"):
@@ -232,20 +210,3 @@ def test_longitude_holonomy_refuses_what_gen_matrices_refuses(s, t, text):
     for fn in (longitude_holonomy, gen_matrices):
         with pytest.raises(DomainError, match=text):
             fn(s, t)
-
-
-@pytest.mark.parametrize("fn", [w_power, relation_residual])
-def test_non_integer_n_is_a_domain_error(fn):
-    with pytest.raises(DomainError, match="n must be an integer"):
-        fn(2.5, 1.0, 4.0)
-    # bool subclasses int, and W^True would pass for W^1
-    with pytest.raises(DomainError, match="n must be an integer"):
-        fn(True, 1.0, 4.0)
-
-
-def test_w_power_beyond_double_range_is_numerics():
-    # at trace W = -95.01 cheb_pair takes its sinh form, which overflows at
-    # |n| acosh(|trace|/2) > 710: a bare OverflowError, now the refusal of an
-    # integer argument beyond double range
-    with pytest.raises(NumericsError, match=r"n is too large for double precision: \|n\| has 11 bits"):
-        w_power(2000, 1.0, 100.0)

@@ -14,6 +14,9 @@ and a new one goes last, so the file reads oldest first.  The counts are:
 - invert_evaluations: InvertReport.evaluations of invert over GRID_N x
   GRID_SLOPES, and the pairs it refuses;
 - grid_verdicts: certificate's verdict class on GRID_N x GRID_SLOPES;
+- projection_misses: the certified pairs among those whose
+  checks.projection_residual, the certificate pushed down to a matrix,
+  exceeds certificate_soundness's bound of 1e-8 (ROADMAP F1);
 - certificate_statements: the distinct statements of the package that one
   certificate per pair of GRID_N x every 7th GRID_SLOPES entry executes.
 
@@ -107,21 +110,37 @@ def certify_sample() -> None:
                 pass
 
 
-def grid_verdicts() -> dict:
-    """certified, or the refusal's class, at every pair of GRID_N x
-    GRID_SLOPES, counted."""
+def _grid_certificates():
+    """certificate(n, p, q), or the NumericsError that refuses it, at every
+    pair of GRID_N x GRID_SLOPES."""
     from twistcover import NumericsError, certificate
     from twistcover.checks import GRID_N, GRID_SLOPES
 
-    verdicts = Counter()
     for n in GRID_N:
         for p, q in GRID_SLOPES:
             try:
-                certificate(n, p, q)
-                verdicts["certified"] += 1
+                yield certificate(n, p, q)
             except NumericsError as exc:
-                verdicts[type(exc).__name__] += 1
+                yield exc
+
+
+def grid_verdicts() -> dict:
+    """certified, or the refusal's class, at every pair of GRID_N x
+    GRID_SLOPES, counted."""
+    verdicts = Counter(
+        type(c).__name__ if isinstance(c, Exception) else "certified" for c in _grid_certificates()
+    )
     return dict(sorted(verdicts.items()))
+
+
+def projection_misses() -> int:
+    """The certificates on GRID_N x GRID_SLOPES whose projection residual
+    exceeds 1e-8, certificate_soundness's bound."""
+    from twistcover.checks import projection_residual
+
+    return sum(
+        projection_residual(c) > 1e-8 for c in _grid_certificates() if not isinstance(c, Exception)
+    )
 
 
 def solve_steps() -> dict:
@@ -166,6 +185,7 @@ def counts() -> dict:
         "solve_steps": solve_steps(),
         "invert_evaluations": invert_evaluations(),
         "grid_verdicts": grid_verdicts(),
+        "projection_misses": projection_misses(),
         "certificate_statements": statements_executed(certify_sample),
     }
 
