@@ -18,7 +18,11 @@ as given.  The cover group-law suites draw plain (gamma, omega) pairs and
 compose them with cover._compose, the checked core every certificate uses;
 chart_roundtrip goes through cover.chart, the function it tests.  Checks
 are independent and reseed their own RNG, so they run in any order or
-subset.
+subset.  audit is the one recheck of a certificate: it rebuilds x^p L^q
+from the certificate's n, p, q and s*, and its record gives the slope
+miss, the closure, the projection residual against PROJECTION_TOL and the
+first bound missed; certificate_soundness, the tests and the work counts
+all read it.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ GRID_SLOPES = tuple(sorted(
     key=lambda pq: pq[0] / pq[1],
 ))
 SEED = 1729
+# x^p L^q rebuilt from a certificate and pushed down to a matrix must be
+# the identity to this entry distance: the acceptance bound, tighter than
+# the chart closure of cover.DEFAULT_TOL_CERT
+PROJECTION_TOL = 1e-8
 
 # (residual, fmt, *parts): where is fmt.format(*parts)
 Cases = Iterator[tuple]
@@ -414,22 +422,52 @@ def check_deck_shift_invariance() -> Cases:
             yield d, "n={}, shifts ({}, {})", n, kx, ky
 
 
-def projection_residual(cert: cover.SurgeryCertificate) -> float:
-    """Rebuild x^p L^q from a fresh solve at s*, push it back down to a
-    matrix and return its largest entry distance to the identity."""
-    sol = solver.solve(cert.n, cert.s_star)
-    xt, yt, _ = cover.lift_generators(cert.n, sol)
-    lt = cover.lifted_longitude(cert.n, xt, yt)
-    final = cover.cover_mul(cover.cover_pow(xt, cert.p), cover.cover_pow(lt, cert.q))
-    return rep.max_abs_diff(cover.from_su11(cover.unchart(final)), rep.IDENTITY2)
+class Audit(namedtuple("Audit", "slope gamma omega projection verdict")):
+    """audit's record: slope is |g(s*) - p/q|; gamma (|gamma|) and omega are
+    the chart closure of the rebuilt x^p L^q; projection is its entry
+    distance to the identity downstairs; verdict names the first bound
+    missed, "slope", "closure" or "projection", or is "ok"."""
+
+    __slots__ = ()
 
 
-@_suite(1e-8)
+def audit(cert) -> Audit:
+    """Recheck a certificate from its n, p, q and s_star alone: the one
+    rebuild of x^p L^q outside cover.
+
+    One root serves both halves.  slopes.g_eval at s* gives the slope miss
+    against slopes.DEFAULT_TOL_G, and its sample is what lift_generators
+    lifts (it reads only s and t).  x^p L^q is then formed by cover_pow and
+    cover_mul, its closure held to cover.DEFAULT_TOL_CERT, and pushed down
+    through unchart and from_su11 to meet the identity within PROJECTION_TOL.
+    A refusal in the rebuild is raised, as the library raised it.  Every
+    comparison fails closed on a NaN.
+    """
+    n, p, q = cert.n, cert.p, cert.q
+    smp = slopes.g_eval(n, cert.s_star)
+    xt, yt, _ = cover.lift_generators(n, smp)
+    lt = cover.lifted_longitude(n, xt, yt)
+    final = cover.cover_mul(cover.cover_pow(xt, p), cover.cover_pow(lt, q))
+    slope = abs(smp.g - p / q)
+    gamma, omega = abs(final.gamma), final.omega
+    projection = rep.max_abs_diff(cover.from_su11(cover.unchart(final)), rep.IDENTITY2)
+    if not slope <= slopes.DEFAULT_TOL_G:
+        verdict = "slope"
+    elif not (gamma <= cover.DEFAULT_TOL_CERT and abs(omega) <= cover.DEFAULT_TOL_CERT):
+        verdict = "closure"
+    elif not projection <= PROJECTION_TOL:
+        verdict = "projection"
+    else:
+        verdict = "ok"
+    return Audit(slope, gamma, omega, projection, verdict)
+
+
+@_suite(PROJECTION_TOL)
 def check_certificate_soundness() -> Cases:
-    """One full certificate, with the final element pushed back down to a
-    matrix and compared against the identity."""
+    """One full certificate, audited: its x^p L^q rebuilt, pushed back down
+    to a matrix and compared against the identity."""
     cert = cover.certificate(2, 1, 1)
-    yield projection_residual(cert), "n=2, r=1/1 projection"
+    yield audit(cert).projection, "n=2, r=1/1 projection"
 
 
 def run_all() -> list[CheckResult]:

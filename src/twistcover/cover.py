@@ -51,6 +51,7 @@ from .errors import (
     LongitudeOmegaNonzero,
     NumericsError,
     RelatorNotCentral,
+    _int_text,
     check_n,
     is_int,
 )
@@ -286,14 +287,16 @@ def _lift(n: int, s: float, t: float) -> tuple:
     except DomainError as exc:
         # the matrices are gen_matrices' own, of determinant 1 and inside
         # the chart in exact arithmetic, so this refusal is rounding
-        raise NumericsError(f"generator lift at n={n}, s={s} failed by rounding: {exc}") from exc
+        raise NumericsError(
+            f"generator lift at n={_int_text(n)}, s={s} failed by rounding: {exc}"
+        ) from exc
     xi, yi = _inv(xt), _inv(yt)
     wn = _pow(_commutator(xt, yt, xi, yi), n)
     g, w = _compose(_compose(_compose(wn, xt), _inv(wn)), yi)
     residual = max(abs(g), abs(w))
     if not residual <= DEFAULT_LIFT_TOL:
         raise RelatorNotCentral(
-            f"lifted relator at n={n}, s={s} is ({g}, {w}), "
+            f"lifted relator at n={_int_text(n)}, s={s} is ({g}, {w}), "
             f"residual {residual:.3e} > {DEFAULT_LIFT_TOL}; the parameters do "
             f"not satisfy the group relation"
         )
@@ -308,7 +311,7 @@ def _longitude(n: int, xt: tuple, yt: tuple, xi: tuple, yi: tuple, wn: tuple) ->
     if not abs(w) <= DEFAULT_TOL_CERT:
         raise LongitudeOmegaNonzero(
             f"lifted longitude has omega = {w}, "
-            f"|omega| > {DEFAULT_TOL_CERT} at n={n}"
+            f"|omega| > {DEFAULT_TOL_CERT} at n={_int_text(n)}"
         )
     return _box((g, w))
 
@@ -373,8 +376,18 @@ _cert = partial(tuple.__new__, SurgeryCertificate)
 
 
 def _closure_stage(n: int, p: int, q: int, s_star: float) -> str:
-    """The closure stage a failed certificate names; formatted on failure only."""
-    return f"closure of x^{p} L^{q} at n={n}, r={p}/{q}, s*={s_star}"
+    """The closure stage a failed certificate names; formatted on failure only.
+
+    The integers go through str, as an f-string would format them, unless
+    one is past 64 bits: then through errors._int_text, which names an
+    integer past str's digit limit by its bit length.  The choice sits in
+    the return expression, so an ordinary refusal runs no statement of
+    _int_text and adds none to the statements a certificate runs
+    (CERTIFICATE_STATEMENTS in tests/test_cover.py).
+    """
+    return "closure of x^{1} L^{2} at n={0}, r={1}/{2}, s*={3}".format(
+        *map(_int_text if max(abs(n), p, q) >> 64 else str, (n, p, q)), s_star
+    )
 
 
 def certificate(n: int, p: int, q: int) -> SurgeryCertificate:

@@ -5,8 +5,9 @@ certified interval, malformed rationals); the CLI maps it to exit code 1.
 NumericsError covers runtime numerical failures (lost convergence, residuals
 above tolerance); the CLI maps it to exit code 2.  The checks every module
 applies to its arguments live here too: is_int and check_n for integers,
-as_float and check_positive for floats, and _too_large, the one refusal of
-an integer beyond double range.
+as_float and check_positive for floats, _too_large, the one refusal of an
+integer beyond double range, and _int_text, which names an integer argument
+of any size in a refusal.
 """
 
 from math import inf
@@ -63,6 +64,16 @@ def _too_large(name: str, k: int) -> NumericsError:
     |k|'s bit length, since str(k) itself raises above 4300 digits."""
     bits = int(k).bit_length()
     return NumericsError(f"{name} is too large for double precision: |{name}| has {bits} bits")
+
+
+def _int_text(k: int) -> str:
+    """str(k) for a refusal's message; where str refuses k, beyond Python's
+    limit of 4300 digits for integer string conversion, k's sign and bit
+    length instead, as _too_large gives them."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"{'-' if k < 0 else ''}<integer of {k.bit_length()} bits>"
 
 
 def as_float(name: str, value: float) -> float:

@@ -21,8 +21,8 @@ from math import exp, gcd, inf, log
 
 from . import kernels, solver
 from .errors import (
-    DomainError, NonConvergence, NumericsError, SlopeOutOfRange, as_float, check_n,
-    check_positive, is_int,
+    DomainError, NonConvergence, NumericsError, SlopeOutOfRange, _int_text, as_float,
+    check_n, check_positive, is_int,
 )
 from .rep import _holonomy
 
@@ -108,6 +108,12 @@ def scan(n: int, s_min: float, s_max: float, samples: int) -> list[SlopeSample]:
     return [_sample(n, s, branch) for s in _log_grid(s_min, s_max, samples)]
 
 
+def _fraction(p: int, q: int) -> str:
+    """p/q as a refusal names it: each integer by errors._int_text, so a p or
+    q past str's digit limit is refused with a library error all the same."""
+    return f"{_int_text(p)}/{_int_text(q)}"
+
+
 def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     """Find s with |g(s) - p/q| <= DEFAULT_TOL_G; p/q must be reduced and in
     (0, 4).
@@ -132,18 +138,18 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     if not (is_int(p) and is_int(q)):
         raise DomainError(f"p and q must be integers, got {p!r}, {q!r}")
     if q < 1:
-        raise DomainError(f"q must be a positive integer, got {q}")
+        raise DomainError(f"q must be a positive integer, got {_int_text(q)}")
     if gcd(p, q) != 1:
-        raise DomainError(f"p/q must be in lowest terms, got {p}/{q}")
+        raise DomainError(f"p/q must be in lowest terms, got {_fraction(p, q)}")
     # decided on the integers: p / q may overflow or round onto an end
     if not 0 < p < 4 * q:
         raise SlopeOutOfRange(
-            f"slope {p}/{q} is outside the certified open interval (0, 4)"
+            f"slope {_fraction(p, q)} is outside the certified open interval (0, 4)"
         )
     r = p / q
     if not 0.0 < r < 4.0:
         raise NumericsError(
-            f"slope {p}/{q} lies in (0, 4) but rounds to {r} in double precision"
+            f"slope {_fraction(p, q)} lies in (0, 4) but rounds to {r} in double precision"
         )
 
     branch = solver._branch(n)
@@ -156,14 +162,16 @@ def invert(n: int, p: int, q: int) -> tuple[SlopeSample, InvertReport]:
     try:
         smp = _sample(n, solver._branch_point(n, theta, branch)[0], branch)
     except NumericsError as exc:
-        raise type(exc)(f"slope {p}/{q}: {exc}") from exc
+        raise type(exc)(f"slope {_fraction(p, q)}: {exc}") from exc
     if abs(smp.g - r) <= DEFAULT_TOL_G:
         return smp, InvertReport(iters + 1)
     if capped:
         cap = kernels.ITP_MAX_ITER
-        raise NonConvergence(f"slope root finding hit the {cap}-iteration cap for n={n}, {p}/{q}")
+        raise NonConvergence(
+            f"slope root finding hit the {cap}-iteration cap for n={n}, {_fraction(p, q)}"
+        )
     raise NonConvergence(
-        f"bracket around s = {smp.s} collapsed at n={n} with |g - {p}/{q}| = "
+        f"bracket around s = {smp.s} collapsed at n={n} with |g - {_fraction(p, q)}| = "
         f"{abs(smp.g - r):.3e} > tol = {DEFAULT_TOL_G}; g jumps across the target "
         f"(branch discontinuity) or tol is below attainable resolution"
     )

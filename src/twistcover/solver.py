@@ -181,7 +181,9 @@ def branch_point(n: int, theta: float) -> tuple[float, float, float]:
     check_n(n)
     branch = _branch(n)
     lo, hi = sorted(branch[:2])
-    if not lo < theta < hi:
+    # as_float refuses an integer theta beyond double range, which the
+    # message below could not format
+    if not lo < as_float("theta", theta) < hi:
         raise DomainError(f"theta must lie in n={n}'s branch interval ({lo}, {hi}), got {theta}")
     return _branch_point(n, theta, branch)
 

@@ -23,8 +23,10 @@ import twistcover.slopes as slopes
 import twistcover.solver as solver
 from twistcover import DomainError, NumericsError
 
-BAD_VALUES = (math.nan, math.inf, -math.inf, 0, -1, 2.5, True, 10**400, -(10**400))
-HUGE = (10**400, -(10**400))
+# 10^5000 is past the 4300 digits at which str() of an int raises, so a
+# refusal that formats it with str would escape as a bare ValueError
+HUGE = (10**400, -(10**400), 10**5000, -(10**5000))
+BAD_VALUES = (math.nan, math.inf, -math.inf, 0, -1, 2.5, True) + HUGE
 
 _SOL = solver.solve(2, 1.0)
 _XT, _YT, _ = cover.lift_generators(2, _SOL)
@@ -95,7 +97,7 @@ def _calls():
 
 
 def test_each_call_returns_or_refuses_by_the_contract():
-    # 389 calls, most of them refusals: a few milliseconds in all; the count
+    # 463 calls, most of them refusals: a few milliseconds in all; the count
     # is exact, so a row that stops yielding its calls is seen
     calls = 0
     for fn, kwargs in _calls():
@@ -106,7 +108,7 @@ def test_each_call_returns_or_refuses_by_the_contract():
         except Exception as exc:
             pytest.fail(f"{fn.__module__}.{fn.__name__}(**{kwargs!r}) raised {exc!r}")
         calls += 1
-    assert calls == 389
+    assert calls == 463
 
 
 def test_arguments_beyond_double_range_have_one_refusal():
@@ -122,12 +124,61 @@ def test_arguments_beyond_double_range_have_one_refusal():
         (lambda: slopes.scan(2, 1.0, n, 3), "s_max"),
         (lambda: slopes.scan(2, 1.0, 2.0, n), "samples"),
         (lambda: rep.longitude_holonomy(1.0, n), "t"),
+        (lambda: solver.branch_point(2, n), "theta"),
     ):
         with pytest.raises(NumericsError) as exc:
             call()
         assert str(exc.value) == (
             f"{name} is too large for double precision: |{name}| has 1329 bits"
         )
+
+
+BEYOND_STR = 10**5000
+
+
+@pytest.mark.parametrize(
+    "n, p, q, cls, text",
+    [
+        (2, 1, BEYOND_STR, NumericsError,
+         "slope 1/<integer of 16610 bits> lies in (0, 4) but rounds to 0.0"),
+        (2, BEYOND_STR, 3, DomainError,
+         "slope <integer of 16610 bits>/3 is outside the certified open interval"),
+        (2, 1, -BEYOND_STR, DomainError,
+         "q must be a positive integer, got -<integer of 16610 bits>"),
+        (2, 2 * BEYOND_STR, 2, DomainError,
+         "p/q must be in lowest terms, got <integer of 16611 bits>/2"),
+    ],
+    # pytest's own ids would format the integers with str
+    ids=["rounds to 0", "outside (0, 4)", "q negative", "not reduced"],
+)
+def test_integers_beyond_str_are_named_by_bit_length(n, p, q, cls, text):
+    # str() of an int past 4300 digits raises ValueError; the refusals of
+    # invert, and so of certificate, name such an integer by its bit length
+    for fn in (slopes.invert, cover.certificate):
+        with pytest.raises(cls) as exc:
+            fn(n, p, q)
+        assert str(exc.value).startswith(text), fn
+
+
+def test_the_closure_stage_names_a_huge_slope_by_bit_length():
+    # invert accepts r = 1 + 10^-5000, which rounds to 1.0; x^p then leaves
+    # the chart, and the closure stage names p and q by their bit lengths
+    with pytest.raises(NumericsError) as exc:
+        cover.certificate(2, BEYOND_STR + 1, BEYOND_STR)
+    assert str(exc.value).startswith(
+        "closure of x^<integer of 16610 bits> L^<integer of 16610 bits> at n=2, "
+        "r=<integer of 16610 bits>/<integer of 16610 bits>, s*="
+    )
+
+
+def test_ordinary_integers_keep_their_digits():
+    # the closure stage formats by str unless an integer is past 64 bits
+    big = 2**64 + 1
+    assert errors._int_text(-(10**400)) == str(-(10**400))
+    assert errors._int_text(-BEYOND_STR) == "-<integer of 16610 bits>"
+    assert cover._closure_stage(-3, 7, 2, 0.5) == "closure of x^7 L^2 at n=-3, r=7/2, s*=0.5"
+    want = f"closure of x^{big} L^1 at n=2, r={big}/1, s*=0.5"
+    assert cover._closure_stage(2, big, 1, 0.5) == want
 
 
 def test_the_package_caches_are_the_tau_memo_and_the_grid_work():

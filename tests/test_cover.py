@@ -1,7 +1,12 @@
 """Universal cover of SL2(R): chart arithmetic, lifts, certificates."""
 
+import importlib.util
 import math
 import random
+import sys
+from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from bench_counts import certify_sample, statements_executed
@@ -474,29 +479,21 @@ def test_certificate_work_counts(n, p, q, cover_compose_calls, cover_inv_calls):
     assert (cover_compose_calls[0], cover_inv_calls[0]) == CERTIFICATE_WORK[n, p, q]
 
 
-def _rebuild(n: int, p: int, q: int, s: float) -> tuple:
-    """The recheck of a certificate at s: a fresh solve, the public lifts,
-    x^p L^q by cover_pow and cover_mul, and the closure bound.  Returns the
-    five fields it rebuilds, or the class of its refusal."""
-    try:
-        xt, yt, rel_res = lift_generators(n, solve(n, s))
-        lt = lifted_longitude(n, xt, yt)
-        final = cover_mul(cover_pow(xt, p), cover_pow(lt, q))
-    except NumericsError as exc:
-        return type(exc)
-    final_gamma_abs = abs(final.gamma)
-    if not (final_gamma_abs <= DEFAULT_TOL_CERT and abs(final.omega) <= DEFAULT_TOL_CERT):
-        return CertificateFailed
-    return lt.gamma.real, rel_res, lt.omega, final_gamma_abs, final.omega
-
-
 RECHECK_POINTS = [
     (n, p, q) for n in sorted(GRID_N + (-20, -10, 10, 20)) for p, q in GRID_SLOPES[::7]
 ]
 
 
+def _audit_or_refusal(record):
+    """checks.audit's record, or the class of the library error it raises."""
+    try:
+        return checks.audit(record)
+    except NumericsError as exc:
+        return type(exc)
+
+
 def test_certificate_agrees_with_its_recheck_bit_for_bit():
-    # a recheck that misses the certificate by a rounding would count a
+    # an audit that misses the certificate by a rounding would count a
     # returned certificate as wrong, so the two paths must agree exactly
     outcomes = set()
     for n, p, q in RECHECK_POINTS:
@@ -509,16 +506,54 @@ def test_certificate_agrees_with_its_recheck_bit_for_bit():
                 # refused before the lift: invert refuses the same way
                 assert type(inv_exc) is type(exc), (n, p, q)
                 continue
-            assert _rebuild(n, p, q, smp.s) is type(exc), (n, p, q)
+            # audit reads n, p, q and s_star alone; at invert's sample it
+            # misses the closure where certificate did, or refuses alike
+            got = _audit_or_refusal(SimpleNamespace(n=n, p=p, q=q, s_star=smp.s))
+            if type(exc) is CertificateFailed:
+                assert got.verdict == "closure", (n, p, q)
+            else:
+                assert got is type(exc), (n, p, q)
             outcomes.add(type(exc))
             continue
-        fields = (
-            cert.gamma_L, cert.relator_residual, cert.longitude_omega,
-            cert.final_gamma_abs, cert.final_omega,
-        )
-        assert _rebuild(n, p, q, cert.s_star) == fields, (n, p, q)
+        checked = checks.audit(cert)
+        assert (checked.gamma, checked.omega) == (cert.final_gamma_abs, cert.final_omega), (n, p, q)
+        assert checked.verdict in ("ok", "projection"), (n, p, q)
         outcomes.add(SurgeryCertificate)
     assert SurgeryCertificate in outcomes and CertificateFailed in outcomes
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, imported by path: the benchmark's own recheck."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_audit_verdict_matches_the_benchmark_recheck():
+    # perfbench's certify check counts a certificate as ok, a projection miss,
+    # or a failed recheck; audit must sort every certified pair the same way,
+    # a slope or closure miss and a refused rebuild being the recheck class
+    workload = _perfbench_workloads().Certify(1)
+    as_benchmark = {
+        "ok": "ok", "projection": "projection", "slope": "recheck", "closure": "recheck",
+    }
+    seen = Counter()
+    for item in RECHECK_POINTS:
+        try:
+            cert = certificate(*item)
+        except NumericsError:
+            continue
+        verdict = workload.check(item, cert)
+        benchmark = next(iter(verdict.reasons), "ok")
+        got = _audit_or_refusal(cert)
+        ours = "recheck" if isinstance(got, type) else as_benchmark[got.verdict]
+        assert ours == benchmark, (item, got, verdict)
+        seen[ours] += 1
+    assert seen["ok"] and seen["projection"], seen
 
 
 # The certificate's trusted base: the statements that one certificate per
@@ -603,9 +638,10 @@ def test_certificate_at_large_n(n, p, q):
 def test_certificate_at_a_million_meets_the_acceptance_bound(n, p, q):
     # at |n| = 10^6 the certificate's B is the sample's closed form, so only
     # the lift and the closure gate it; these two meet the acceptance
-    # bound, with projection residuals of about 2e-9 and 5e-10
-    cert = certificate(n, p, q)
-    assert checks.projection_residual(cert) <= 1e-8
+    # bound, with projection residuals of about 2e-9 and 5e-10: the audit
+    # finds slope, closure and projection all within their bounds
+    checked = checks.audit(certificate(n, p, q))
+    assert checked.verdict == "ok", checked
 
 
 @pytest.mark.parametrize(

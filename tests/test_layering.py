@@ -3,6 +3,8 @@
 errors and kernels sit at the bottom; exactpoly and rep use errors alone,
 solver both; slopes sits above solver and rep, cover above slopes, and
 checks and cli at the top.  A new sibling import has to be added here on purpose.
+A certificate's x^p L^q is rebuilt in one place: outside cover itself, only
+checks.audit calls cover_pow or from_su11.
 """
 
 import ast
@@ -11,6 +13,7 @@ from pathlib import Path
 import twistcover
 
 PACKAGE = Path(twistcover.__file__).parent
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 LAYERS = {
     "_version": set(),
@@ -43,3 +46,35 @@ def sibling_imports(path: Path) -> set:
 def test_every_module_imports_only_its_layers():
     graph = {path.stem: sibling_imports(path) for path in PACKAGE.glob("*.py")}
     assert graph == LAYERS
+
+
+# the cover functions that rebuild and push down x^p L^q, and the one
+# function outside cover.py that may call them
+REBUILD_CALLS = {"cover_pow", "from_su11"}
+REBUILD_HOME = ("checks.py", "audit")
+
+
+def rebuild_callers(path: Path) -> set:
+    """(file name, outermost function) of each call to a REBUILD_CALLS name
+    in path, by plain name or as an attribute; None outside any function."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in REBUILD_CALLS:
+                found.add((path.name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return found
+
+
+def test_only_the_audit_rebuilds_a_certificate():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TOOLS.glob("*.py"))
+    callers = set().union(*(rebuild_callers(path) for path in paths if path.name != "cover.py"))
+    assert callers == {REBUILD_HOME}

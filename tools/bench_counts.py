@@ -14,9 +14,10 @@ and a new one goes last, so the file reads oldest first.  The counts are:
 - invert_evaluations: InvertReport.evaluations of invert over GRID_N x
   GRID_SLOPES, and the pairs it refuses;
 - grid_verdicts: certificate's verdict class on GRID_N x GRID_SLOPES;
-- projection_misses: the certified pairs among those whose
-  checks.projection_residual, the certificate pushed down to a matrix,
-  exceeds certificate_soundness's bound of 1e-8 (ROADMAP F1);
+- projection_misses: the certified pairs among those whose checks.audit
+  projection residual, the rebuilt x^p L^q pushed down to a matrix, exceeds
+  checks.PROJECTION_TOL = 1e-8 (ROADMAP F1); one pass over the grid gives
+  both of these counts;
 - certificate_statements: the distinct statements of the package that one
   certificate per pair of GRID_N x every 7th GRID_SLOPES entry executes.
 
@@ -110,37 +111,26 @@ def certify_sample() -> None:
                 pass
 
 
-def _grid_certificates():
-    """certificate(n, p, q), or the NumericsError that refuses it, at every
-    pair of GRID_N x GRID_SLOPES."""
+def grid_counts() -> tuple[dict, int]:
+    """(grid_verdicts, projection_misses), from one certificate(n, p, q) per
+    pair of GRID_N x GRID_SLOPES: certified or the refusal's class,
+    counted, and the certified pairs whose checks.audit projection residual
+    exceeds checks.PROJECTION_TOL."""
     from twistcover import NumericsError, certificate
-    from twistcover.checks import GRID_N, GRID_SLOPES
+    from twistcover.checks import GRID_N, GRID_SLOPES, PROJECTION_TOL, audit
 
+    verdicts = Counter()
+    misses = 0
     for n in GRID_N:
         for p, q in GRID_SLOPES:
             try:
-                yield certificate(n, p, q)
+                cert = certificate(n, p, q)
             except NumericsError as exc:
-                yield exc
-
-
-def grid_verdicts() -> dict:
-    """certified, or the refusal's class, at every pair of GRID_N x
-    GRID_SLOPES, counted."""
-    verdicts = Counter(
-        type(c).__name__ if isinstance(c, Exception) else "certified" for c in _grid_certificates()
-    )
-    return dict(sorted(verdicts.items()))
-
-
-def projection_misses() -> int:
-    """The certificates on GRID_N x GRID_SLOPES whose projection residual
-    exceeds 1e-8, certificate_soundness's bound."""
-    from twistcover.checks import projection_residual
-
-    return sum(
-        projection_residual(c) > 1e-8 for c in _grid_certificates() if not isinstance(c, Exception)
-    )
+                verdicts[type(exc).__name__] += 1
+                continue
+            verdicts["certified"] += 1
+            misses += audit(cert).projection > PROJECTION_TOL
+    return dict(sorted(verdicts.items())), misses
 
 
 def solve_steps() -> dict:
@@ -181,11 +171,12 @@ def invert_evaluations() -> dict:
 
 def counts() -> dict:
     """Every count of an entry, from the twistcover on sys.path."""
+    verdicts, misses = grid_counts()
     return {
         "solve_steps": solve_steps(),
         "invert_evaluations": invert_evaluations(),
-        "grid_verdicts": grid_verdicts(),
-        "projection_misses": projection_misses(),
+        "grid_verdicts": verdicts,
+        "projection_misses": misses,
         "certificate_statements": statements_executed(certify_sample),
     }
 
