@@ -52,6 +52,7 @@ from .errors import (
     NumericsError,
     RelatorNotCentral,
     _int_text,
+    _str_digit_limit,
     check_n,
     is_int,
 )
@@ -378,15 +379,21 @@ _cert = partial(tuple.__new__, SurgeryCertificate)
 def _closure_stage(n: int, p: int, q: int, s_star: float) -> str:
     """The closure stage a failed certificate names; formatted on failure only.
 
-    The integers go through str, as an f-string would format them, unless
-    one is past 64 bits: then through errors._int_text, which names an
-    integer past str's digit limit by its bit length.  The choice sits in
-    the return expression, so an ordinary refusal runs no statement of
-    _int_text and adds none to the statements a certificate runs
-    (CERTIFICATE_STATEMENTS in tests/test_cover.py).
+    An integer that str may refuse, one of more digits than Python's limit
+    (errors._str_digit_limit), is named through errors._int_text.  Any
+    such integer has more than 3 bits per digit of that limit, since a
+    decimal digit holds log2(10) bits; every other one goes through str,
+    whose text _int_text would give too.  The choice sits in the return
+    expression, so an ordinary refusal runs no statement of _int_text and
+    adds none to the statements a certificate runs (CERTIFICATE_STATEMENTS
+    in tests/test_cover.py), which one statement keeps at 231.
     """
     return "closure of x^{1} L^{2} at n={0}, r={1}/{2}, s*={3}".format(
-        *map(_int_text if max(abs(n), p, q) >> 64 else str, (n, p, q)), s_star
+        *map(
+            _int_text if max(abs(n), p, q).bit_length() > 3 * _str_digit_limit() else str,
+            (n, p, q),
+        ),
+        s_star,
     )
 
 

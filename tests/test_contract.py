@@ -172,13 +172,30 @@ def test_the_closure_stage_names_a_huge_slope_by_bit_length():
 
 
 def test_ordinary_integers_keep_their_digits():
-    # the closure stage formats by str unless an integer is past 64 bits
+    # the closure stage names every integer that str formats by its digits
     big = 2**64 + 1
     assert errors._int_text(-(10**400)) == str(-(10**400))
     assert errors._int_text(-BEYOND_STR) == "-<integer of 16610 bits>"
     assert cover._closure_stage(-3, 7, 2, 0.5) == "closure of x^7 L^2 at n=-3, r=7/2, s*=0.5"
     want = f"closure of x^{big} L^1 at n=2, r={big}/1, s*=0.5"
     assert cover._closure_stage(2, big, 1, 0.5) == want
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit"
+)
+def test_the_closure_stage_follows_the_digit_limit():
+    # with str's limit lowered to 640 digits, an integer of 700 digits is
+    # named by its bit length and one of 600 digits still by its digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        over = cover._closure_stage(2, 10**700, 1, 0.5)
+        under = cover._closure_stage(2, 10**600, 1, 0.5)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert over.startswith("closure of x^<integer of 2326 bits> L^1 at n=2, r=<integer")
+    assert under == f"closure of x^{10**600} L^1 at n=2, r={10**600}/1, s*=0.5"
 
 
 def test_the_package_caches_are_the_tau_memo_and_the_grid_work():

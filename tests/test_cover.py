@@ -517,6 +517,11 @@ def test_certificate_agrees_with_its_recheck_bit_for_bit():
             continue
         checked = checks.audit(cert)
         assert (checked.gamma, checked.omega) == (cert.final_gamma_abs, cert.final_omega), (n, p, q)
+        # the longitude fields the certificate records, lifted afresh at s*
+        xt, yt, rel_res = lift_generators(n, solve(n, cert.s_star))
+        lt = lifted_longitude(n, xt, yt)
+        fields = (cert.gamma_L, cert.relator_residual, cert.longitude_omega)
+        assert (lt.gamma.real, rel_res, lt.omega) == fields, (n, p, q)
         assert checked.verdict in ("ok", "projection"), (n, p, q)
         outcomes.add(SurgeryCertificate)
     assert SurgeryCertificate in outcomes and CertificateFailed in outcomes

@@ -4,7 +4,8 @@
     python tools/bench_counts.py --src ../other-checkout/src --label "..."
 
 computes the counts of the package under --src (default: this repository's
-src/) and writes them to BENCH_pipeline.json at the repository root, as the
+src/; the tree must have checks.audit, which the grid's projection misses
+are read from, so a checkout from before it cannot be counted) and writes them to BENCH_pipeline.json at the repository root, as the
 entry named --label: an entry of that label is replaced, any other is kept,
 and a new one goes last, so the file reads oldest first.  The counts are:
 
@@ -193,7 +194,8 @@ def record(entries: list, label: str, entry_counts: dict) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="directory holding the twistcover package to count")
+                        help="directory holding the twistcover package to count; "
+                        "it must have checks.audit")
     parser.add_argument("--label", required=True, help="name of the entry to write")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
