@@ -14,9 +14,13 @@ standard grid that tests and benchmarks import; grid_lifts does
 cover.lift_generators on it once.  Most suites test float code on that
 grid; longitude_lemmas instead proves, on exact polynomials, the algebra
 that makes the longitude diag(B, 1/B) at every n, which certificates take
-as given.  The cover group-law suites draw plain (gamma, omega) pairs and
-compose them with cover._compose, the checked core every certificate uses;
-chart_roundtrip goes through cover.chart, the function it tests.  Checks
+as given.  The exact layer is checked where the grid reaches it,
+riley_poly's degree and phi_exact against the float phi; the tau recursion
+is its definition and has no suite of its own.  The cover group-law suites
+draw plain (gamma, omega) pairs and compose them with cover._compose, the
+checked core every certificate uses; chart_roundtrip goes through
+cover.chart, the function it tests, and deck_shift_invariance shifts the
+generators under lifted_longitude, the longitude certificates form.  Checks
 are independent and reseed their own RNG, so they run in any order or
 subset.  audit is the one recheck of a certificate: it rebuilds x^p L^q
 from the certificate's n, p, q and s*, and its record gives the slope
@@ -122,25 +126,6 @@ def _random_cover_elem(draw, omega_span: float = 10.0) -> tuple:
     the same bits, lo + (hi - lo) * random() as random.py defines it, and
     gamma = rect(r, theta) is complex(r cos(theta), r sin(theta)) bit for bit."""
     return rect(0.95 * draw(), tau * draw()), -omega_span + 2.0 * omega_span * draw()
-
-
-@_suite(0.0)
-def check_tau_three_term() -> Cases:
-    """tau(m+1) - K tau(m) + tau(m-1) = 0 as exact polynomials, |m| <= 30."""
-    for m in range(-30, 31):
-        expr = (
-            exactpoly.tau_poly(m + 1)
-            - exactpoly.TRACE_POLY * exactpoly.tau_poly(m)
-            + exactpoly.tau_poly(m - 1)
-        )
-        yield 0.0 if not expr else 1.0, "m={}", m
-
-
-@_suite(0.0)
-def check_tau_odd_symmetry() -> Cases:
-    for m in range(0, 31):
-        ok = exactpoly.tau_poly(-m) == -exactpoly.tau_poly(m)
-        yield 0.0 if ok else 1.0, "m={}", m
 
 
 @_suite(0.0)
@@ -410,14 +395,16 @@ def check_longitude_lift_level() -> Cases:
 @_suite(1e-10)
 def check_deck_shift_invariance() -> Cases:
     """The longitude word has zero exponent sum in each generator, so
-    shifting both lifted generators by deck transformations leaves it fixed."""
+    shifting both lifted generators by deck transformations leaves it fixed:
+    checked on lifted_longitude, the product by squaring that certificates
+    take."""
     for n, sol in ((2, solver.solve(2, 1.0)), (-3, solver.solve(-3, 0.5))):
         xt, yt, _ = cover.lift_generators(n, sol)
-        base = cover.cover_word(rep.longitude_word(n), xt, yt)
+        base = cover.lifted_longitude(n, xt, yt)
         for kx, ky in ((1, 1), (1, -1), (-2, 3)):
             xs = cover.CoverElem(xt.gamma, xt.omega + tau * kx)
             ys = cover.CoverElem(yt.gamma, yt.omega + tau * ky)
-            shifted = cover.cover_word(rep.longitude_word(n), xs, ys)
+            shifted = cover.lifted_longitude(n, xs, ys)
             d = max(abs(shifted.gamma - base.gamma), abs(shifted.omega - base.omega))
             yield d, "n={}, shifts ({}, {})", n, kx, ky
 

@@ -84,11 +84,14 @@ def _int_text(k: int) -> str:
 
 
 def as_float(name: str, value: float) -> float:
-    """float(value), refusing an integer beyond double range with _too_large."""
+    """float(value), refusing an integer beyond double range with _too_large
+    and a value that float rejects, such as None or 1j, with DomainError."""
     try:
         return float(value)
     except OverflowError:
         raise _too_large(name, value) from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
 
 
 def check_positive(name: str, value: float) -> float:

@@ -13,8 +13,8 @@ ground truth against which the floating evaluation is checked.  tau_poly and
 riley_poly expand the recursion into coefficients; tau_exact and phi_exact run
 it on the exact value of the trace at one point, in O(|n|) integer steps over
 one common denominator, and form a single Fraction at the end.  All of them
-share one walk with two live terms; tau_poly keeps a memo for |m| <= 64, since
-the identity suites ask for the same tau_m often.
+share one walk with two live terms, _tau_pair, for every m of either sign;
+nothing is cached.
 
 Representation: one Python int per T-degree j (Kronecker substitution in s).
 Row j is sum_a c_{a,j} * 2^(w*a), with balanced digits |c| < 2^(w-1), so
@@ -36,7 +36,6 @@ through int.to_bytes in O(size).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import zip_longest
 from math import isfinite
 
@@ -263,34 +262,11 @@ _SHIFT = BivarPoly({(0, 1): 1, (0, 0): -1, (1, 0): -1})
 _ONE = BivarPoly.const(1)
 
 
-# memoized for m <= 64 (tau_poly walks past that): the identity suites ask
-# for the same tau_m with m <= 31 again and again, and a cold verify pass
-# takes 2.7x longer with tau_poly walking on every call (median 91 -> 249 ms
-# over 9 alternating cold checks.run_all() passes, Python 3.11.7, 2-core Xeon VM)
-@lru_cache(maxsize=None)
-def _tau_nonneg(m: int) -> BivarPoly:
-    if m == 0:
-        return BivarPoly.zero()
-    if m == 1:
-        return _ONE
-    return TRACE_POLY * _tau_nonneg(m - 1) - _tau_nonneg(m - 2)
-
-
 def tau_poly(m: int) -> BivarPoly:
     """m-th trace recursion polynomial; tau_{-m} = -tau_m."""
     if not is_int(m):
         raise DomainError(f"m must be an integer, got {m!r}")
-    k = abs(m)
-    if k > 64:
-        # a memo this far out would keep O(k^3) coefficients alive
-        p = _tau_pair(k, TRACE_POLY, BivarPoly.zero(), _ONE)[0]
-    else:
-        # fill the memo from the bottom, so that each call below recurses
-        # one level deep however large |m| is
-        for j in range(2, k):
-            _tau_nonneg(j)
-        p = _tau_nonneg(k)
-    return p if m >= 0 else -p
+    return _tau_pair(m, TRACE_POLY, BivarPoly.zero(), _ONE)[0]
 
 
 def _tau_pair(m: int, K, zero, one, D2=1):
@@ -323,10 +299,14 @@ def _scaled_pair(m: int, K: Fraction) -> tuple[int, int, int]:
 
 def _exact(name: str, value) -> Fraction:
     """value as a Fraction, at a float's exact binary value; DomainError for
-    a NaN or infinite float, which has none."""
+    a NaN or infinite float, which has none, and for a value that Fraction
+    rejects, such as None or 1j."""
     if isinstance(value, float) and not isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
 
 
 def tau_exact(m: int, K) -> Fraction:
@@ -340,9 +320,9 @@ def tau_exact(m: int, K) -> Fraction:
 def riley_poly(n: int) -> BivarPoly:
     """Defining polynomial phi_n = tau_{n+1} - (T-1-s)*tau_n.
 
-    It walks the recursion with two live terms, as phi_exact does, and not
-    through tau_poly's memo, which would keep every tau_j with j <= |n|:
-    O(n^2) terms in memory instead of O(n^3).
+    It walks the recursion with two live terms, as tau_poly and phi_exact
+    do, so it keeps O(n^2) terms in memory, not the O(n^3) of every tau_j
+    with j <= |n|.
     """
     check_n(n)
     tn, tnp = _tau_pair(n, TRACE_POLY, BivarPoly.zero(), _ONE)
@@ -363,7 +343,3 @@ def phi_exact(n: int, s, T) -> Fraction:
     u, v = shift.numerator, shift.denominator
     return Fraction(y * v - u * x, v * d)
 
-
-def clear_cache() -> None:
-    """Drop memoized tau polynomials (used by timing tests)."""
-    _tau_nonneg.cache_clear()

@@ -577,17 +577,17 @@ def test_verify_reports_every_suite_when_one_raises(capsys, monkeypatch):
     assert code == 2
     data = json.loads(out, parse_constant=_reject_constant)
     results = {r["name"]: r for r in data["results"]}
-    assert len(data["results"]) == len(results) == len(checks.ALL_CHECKS) == 21
+    assert len(data["results"]) == len(results) == len(checks.ALL_CHECKS) == 19
     lift = results["lift_relator_residual"]
     assert not lift["passed"] and lift["worst"] is None and lift["bound"] is None
     assert lift["where"].startswith("RelatorNotCentral: lifted relator at n=")
-    assert results["tau_three_term"]["passed"]
+    assert results["riley_T_degree"]["passed"]
     assert data["all_passed"] is False
     code, out, _ = run(capsys, "verify")
     lines = out.splitlines()
-    assert code == 2 and len(lines) == 22
+    assert code == 2 and len(lines) == 20
     assert "FAIL  lift_relator_residual: worst inf vs bound nan  [RelatorNotCentral" in out
-    assert lines[0].startswith("PASS  tau_three_term")
+    assert lines[0].startswith("PASS  riley_T_degree")
 
 
 def test_entry_point_subprocess():

@@ -26,7 +26,9 @@ from twistcover import DomainError, NumericsError
 # 10^5000 is past the 4300 digits at which str() of an int raises, so a
 # refusal that formats it with str would escape as a bare ValueError
 HUGE = (10**400, -(10**400), 10**5000, -(10**5000))
-BAD_VALUES = (math.nan, math.inf, -math.inf, 0, -1, 2.5, True) + HUGE
+# "abc", None and 1j are no numbers at all: float() and Fraction() raise a
+# bare ValueError or TypeError for them
+BAD_VALUES = (math.nan, math.inf, -math.inf, 0, -1, 2.5, True, "abc", None, 1j) + HUGE
 
 _SOL = solver.solve(2, 1.0)
 _XT, _YT, _ = cover.lift_generators(2, _SOL)
@@ -69,7 +71,7 @@ CONTRACT = {
 NO_NUMERIC_ARGUMENT = {
     rep.max_abs_diff, rep.word_eval, cover.to_su11, cover.from_su11,
     cover.su11_mul, cover.su11_dist, cover.chart, cover.unchart,
-    cover.cover_mul, cover.cover_inv, cover.cover_word, exactpoly.clear_cache,
+    cover.cover_mul, cover.cover_inv, cover.cover_word,
 }
 
 
@@ -97,7 +99,7 @@ def _calls():
 
 
 def test_each_call_returns_or_refuses_by_the_contract():
-    # 463 calls, most of them refusals: a few milliseconds in all; the count
+    # 598 calls, most of them refusals: a few milliseconds in all; the count
     # is exact, so a row that stops yielding its calls is seen
     calls = 0
     for fn, kwargs in _calls():
@@ -108,7 +110,7 @@ def test_each_call_returns_or_refuses_by_the_contract():
         except Exception as exc:
             pytest.fail(f"{fn.__module__}.{fn.__name__}(**{kwargs!r}) raised {exc!r}")
         calls += 1
-    assert calls == 463
+    assert calls == 598
 
 
 def test_arguments_beyond_double_range_have_one_refusal():
@@ -198,9 +200,10 @@ def test_the_closure_stage_follows_the_digit_limit():
     assert under == f"closure of x^{10**600} L^1 at n=2, r={10**600}/1, s*=0.5"
 
 
-def test_the_package_caches_are_the_tau_memo_and_the_grid_work():
+def test_the_package_caches_are_the_grid_work():
     # the branch record and the lift frame are formed per call and handed
-    # down; the caches left hold exact tau polynomials and verify's grids
+    # down, and tau_poly walks afresh on every call; the caches left hold
+    # verify's grids
     for info in pkgutil.iter_modules(twistcover.__path__):
         importlib.import_module(f"twistcover.{info.name}")
     cached = set()
@@ -210,7 +213,6 @@ def test_the_package_caches_are_the_tau_memo_and_the_grid_work():
                 if callable(getattr(value, "cache_clear", None)):
                     cached.add(f"{value.__module__}.{value.__qualname__}")
     assert cached == {
-        "twistcover.exactpoly._tau_nonneg",
         "twistcover.checks.grid_solutions",
         "twistcover.checks.grid_lifts",
     }

@@ -20,7 +20,7 @@ import pytest
 import twistcover
 from twistcover import BivarPoly, DomainError, TRACE_POLY, riley_poly, solve, tau_num, tau_poly
 from twistcover.checks import SEED, grid_solutions
-from twistcover.exactpoly import _pack, _tau_nonneg, _unpack, clear_cache, phi_exact, tau_exact
+from twistcover.exactpoly import _pack, _unpack, phi_exact, tau_exact
 
 # phi_1 = T^2 ... in (s_deg, T_deg) form: s^2 + 3s + 3 - (s+1)T
 PHI_1 = {(1, 1): -1, (0, 1): -1, (2, 0): 1, (1, 0): 3, (0, 0): 3}
@@ -169,13 +169,13 @@ def _stack_depth() -> int:
     return depth
 
 
-def test_tau_memo_builds_without_deep_recursion():
-    # the memo fills from the bottom, so depth does not grow with |m|
+def test_tau_walk_builds_without_deep_recursion():
+    # tau_poly and riley_poly walk two live terms in a loop, so the stack
+    # depth does not grow with |m|
     want_tau, want_phi = tau_poly(60), riley_poly(-60)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 50)
     try:
-        clear_cache()
         got_tau, got_phi = tau_poly(60), riley_poly(-60)
     finally:
         sys.setrecursionlimit(limit)
@@ -192,9 +192,9 @@ def test_riley_poly_is_the_memo_free_walk():
 
 
 def test_riley_poly_memory():
-    # through tau_poly's memo, which keeps every tau_j with j <= |n| (O(n^3)
-    # terms), riley_poly(100) grew a fresh interpreter's peak RSS by 54 MB;
-    # the two-live-term walk grows it by about 6 MB
+    # through a memo of every tau_j with j <= |n| (O(n^3) terms),
+    # riley_poly(100) grew a fresh interpreter's peak RSS by 54 MB; the
+    # two-live-term walk grows it by about 6 MB
     code = (
         "import resource, sys\n"
         "from twistcover import riley_poly\n"
@@ -262,8 +262,8 @@ DIGESTS = {
     ("riley", 9): "1b3f7d986fc61d03c0d4d196d9dbd6fe699c4263c8623a505f728837798ad5ed",
     ("riley", 40): "ab11c2276fa7a41cc46dabd1f7b389dfe6c38c784ca2eb42018d2335c4848a36",
     ("tau", 60): "07a87e7780d0272b2f54b8dbd5b0670a84db7ab9454a2cfb0680c5d7241f9490",
+    ("tau", 200): "9ba8f98c8c41201434edc09ae97f64502bb4b1fffeeb7ee8915160d2f0695402",
 }
-TAU_200_DIGEST = "9ba8f98c8c41201434edc09ae97f64502bb4b1fffeeb7ee8915160d2f0695402"
 
 
 def _digest(p: BivarPoly) -> str:
@@ -274,14 +274,6 @@ def _digest(p: BivarPoly) -> str:
 def test_pinned_coefficient_digests(which, n):
     build = riley_poly if which == "riley" else tau_poly
     assert _digest(build(n)) == DIGESTS[which, n]
-
-
-def test_tau_memo_is_bounded():
-    # past |m| = 64 tau_poly walks two live terms instead of filling the memo
-    clear_cache()
-    p = tau_poly(200)
-    assert _tau_nonneg.cache_info().currsize <= 65
-    assert _digest(p) == TAU_200_DIGEST
 
 
 # the sparse-dict arithmetic that the packed rows replaced, kept as the

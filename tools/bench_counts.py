@@ -5,8 +5,9 @@
 
 computes the counts of the package under --src (default: this repository's
 src/; the tree must have checks.audit, which the grid's projection misses
-are read from, so a checkout from before it cannot be counted) and writes them to BENCH_pipeline.json at the repository root, as the
-entry named --label: an entry of that label is replaced, any other is kept,
+are read from, so a checkout from before it cannot be counted) and writes
+them to BENCH_pipeline.json at the repository root, as the entry named
+--label: an entry of that label is replaced, any other is kept,
 and a new one goes last, so the file reads oldest first.  The counts are:
 
 - solve_steps: ITP steps of solve over the scan benchmark's window, the
@@ -20,7 +21,10 @@ and a new one goes last, so the file reads oldest first.  The counts are:
   checks.PROJECTION_TOL = 1e-8 (ROADMAP F1); one pass over the grid gives
   both of these counts;
 - certificate_statements: the distinct statements of the package that one
-  certificate per pair of GRID_N x every 7th GRID_SLOPES entry executes.
+  certificate per pair of GRID_N x every 7th GRID_SLOPES entry executes;
+- verify_statements and verify_suites: the distinct statements that one
+  cold checks.run_all() pass executes, verify's trusted base, and the
+  number of suites it runs, len(checks.ALL_CHECKS).
 
 They repeat exactly on one platform, so tests/test_bench_counts.py gates the
 last entry against a fresh count.  The Python version is recorded beside
@@ -172,6 +176,8 @@ def invert_evaluations() -> dict:
 
 def counts() -> dict:
     """Every count of an entry, from the twistcover on sys.path."""
+    from twistcover import checks
+
     verdicts, misses = grid_counts()
     return {
         "solve_steps": solve_steps(),
@@ -179,6 +185,8 @@ def counts() -> dict:
         "grid_verdicts": verdicts,
         "projection_misses": misses,
         "certificate_statements": statements_executed(certify_sample),
+        "verify_statements": statements_executed(checks.run_all),
+        "verify_suites": len(checks.ALL_CHECKS),
     }
 
 
