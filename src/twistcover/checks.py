@@ -10,23 +10,23 @@ by run_all: a NaN counts as infinite, and a DomainError or NumericsError
 raised in it is a FAIL with worst inf, bound nan and the refusal as its
 where.  The CLI `verify` runs them all, and the acceptance tests run each
 one as a gate.  GRID_N, GRID_S, GRID_SLOPES and grid_solutions are the one
-standard grid that tests and benchmarks import; grid_lifts does
-cover.lift_generators on it once.  Most suites test float code on that
-grid; longitude_lemmas instead proves, on exact polynomials, the algebra
-that makes the longitude diag(B, 1/B) at every n, which certificates take
-as given.  The exact layer is checked where the grid reaches it,
-riley_poly's degree and phi_exact against the float phi; the tau recursion
-is its definition and has no suite of its own.  The cover group-law suites
-draw plain (gamma, omega) pairs and compose them with cover._compose, the
-checked core every certificate uses; chart_roundtrip goes through
-cover.chart, the function it tests, and deck_shift_invariance shifts the
-generators under lifted_longitude, the longitude certificates form.  Checks
-are independent and reseed their own RNG, so they run in any order or
-subset.  audit is the one recheck of a certificate: it rebuilds x^p L^q
-from the certificate's n, p, q and s*, and its record gives the slope
-miss, the closure, the projection residual against PROJECTION_TOL and the
-first bound missed; certificate_soundness, the tests and the work counts
-all read it.
+standard grid that tests and benchmarks import; grid_lifts caches on it
+the cover._lift frames that certificates run.  Most suites test float code
+on that grid; longitude_lemmas instead proves, on exact polynomials, the
+algebra that makes the longitude diag(B, 1/B) at every n, which
+certificates take as given.  The exact layer is checked where the grid
+reaches it, riley_poly's degree and phi_exact against the float phi; the
+tau recursion is its definition and has no suite of its own.  The cover
+group-law suites draw plain (gamma, omega) pairs and compose them with
+cover._compose, the checked core every certificate uses; chart_roundtrip
+goes through cover.chart, the function it tests, and deck_shift_invariance
+shifts the generators under lifted_longitude, which forms the longitude
+certificates form.  Checks are independent and reseed their own RNG, so
+they run in any order or subset.  audit is the one recheck of a
+certificate: it replays the certificate's closure, cover._closure, at a
+fresh g_eval(s*), and its record gives the slope miss, the closure, the
+projection residual against PROJECTION_TOL and the first bound missed;
+certificate_soundness, the tests and the work counts all read it.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def grid_solutions() -> tuple:
 
 @lru_cache(maxsize=None)
 def grid_lifts() -> tuple:
-    """cover.lift_generators at each grid solution, in grid_solutions() order."""
-    return tuple(cover.lift_generators(n, sol) for n, sol in grid_solutions())
+    """cover._lift's frame at each grid solution, in grid_solutions() order."""
+    return tuple(cover._lift(n, sol.s, sol.t) for n, sol in grid_solutions())
 
 
 def _random_cover_elem(draw, omega_span: float = 10.0) -> tuple:
@@ -374,8 +374,8 @@ def check_chart_roundtrip() -> Cases:
 
 @_suite(cover.DEFAULT_LIFT_TOL)
 def check_lift_relator_residual() -> Cases:
-    for (n, sol), (_, _, res) in zip(grid_solutions(), grid_lifts()):
-        yield res, "n={}, s={}", n, sol.s
+    for (n, sol), frame in zip(grid_solutions(), grid_lifts()):
+        yield frame[5], "n={}, s={}", n, sol.s
 
 
 @_suite(cover.DEFAULT_TOL_CERT)
@@ -384,8 +384,8 @@ def check_longitude_lift_level() -> Cases:
     within 1e-7 of the holonomy value (wider than cover.LONGITUDE_GAMMA_TOL:
     the grid reaches B ~ 1e-4, where gamma sits within ulps of the unit
     circle)."""
-    for (n, sol), (xt, yt, _) in zip(grid_solutions(), grid_lifts()):
-        lt = cover.lifted_longitude(n, xt, yt)
+    for (n, sol), frame in zip(grid_solutions(), grid_lifts()):
+        lt = cover._longitude(n, *frame[:5])
         b = rep.longitude_holonomy(sol.s, sol.t)
         if not abs(lt.gamma - (b * b - 1.0) / (b * b + 1.0)) <= 1e-7:
             yield inf, "n={}, s={} gamma", n, sol.s
@@ -419,25 +419,22 @@ class Audit(namedtuple("Audit", "slope gamma omega projection verdict")):
 
 
 def audit(cert) -> Audit:
-    """Recheck a certificate from its n, p, q and s_star alone: the one
-    rebuild of x^p L^q outside cover.
+    """Recheck a certificate from its n, p, q and s_star alone.
 
     One root serves both halves.  slopes.g_eval at s* gives the slope miss
-    against slopes.DEFAULT_TOL_G, and its sample is what lift_generators
-    lifts (it reads only s and t).  x^p L^q is then formed by cover_pow and
-    cover_mul, its closure held to cover.DEFAULT_TOL_CERT, and pushed down
-    through unchart and from_su11 to meet the identity within PROJECTION_TOL.
-    A refusal in the rebuild is raised, as the library raised it.  Every
-    comparison fails closed on a NaN.
+    against slopes.DEFAULT_TOL_G, and its s, t and B go to cover._closure,
+    the frame certificate runs, so x^p L^q is formed as certificate forms
+    it; its closure is held to cover.DEFAULT_TOL_CERT and pushed down
+    through unchart and from_su11 to meet the identity within
+    PROJECTION_TOL.  A refusal in the rebuild is raised, as certificate
+    raises it.  Every comparison fails closed on a NaN.
     """
     n, p, q = cert.n, cert.p, cert.q
     smp = slopes.g_eval(n, cert.s_star)
-    xt, yt, _ = cover.lift_generators(n, smp)
-    lt = cover.lifted_longitude(n, xt, yt)
-    final = cover.cover_mul(cover.cover_pow(xt, p), cover.cover_pow(lt, q))
+    *_, g, omega = cover._closure(n, p, q, smp.s, smp.t, smp.B)
     slope = abs(smp.g - p / q)
-    gamma, omega = abs(final.gamma), final.omega
-    projection = rep.max_abs_diff(cover.from_su11(cover.unchart(final)), rep.IDENTITY2)
+    gamma = abs(g)
+    projection = rep.max_abs_diff(cover.from_su11(cover.unchart((g, omega))), rep.IDENTITY2)
     if not slope <= slopes.DEFAULT_TOL_G:
         verdict = "slope"
     elif not (gamma <= cover.DEFAULT_TOL_CERT and abs(omega) <= cover.DEFAULT_TOL_CERT):

@@ -24,11 +24,12 @@ addition, gamma'' = (gamma1 + gamma2)/(1 + gamma1 gamma2) with omega staying
 zero imaginary parts and e^(-2i omega) = 1 - 0i, every cross term of the
 complex law is +-0.
 
-A certificate forms each lifted word once, in one frame, with no state kept
-between calls: _lift forms x, y, their inverses, w^n and the relator, and
-_longitude forms w_rev^n w^n from them (w and w_rev are _commutator at
-(x, y) and at (y, x)).  The closure x^p L^q is composed on plain pairs, so
-a certificate boxes three CoverElems: x, y and the longitude.
+_closure is the one place x^p L^q is formed, for certificate and
+checks.audit alike, each lifted word once in one frame with no state kept
+between calls: _lift forms x, y, their inverses, w^n and the relator,
+_longitude w_rev^n w^n from them (w and w_rev are _commutator at (x, y)
+and at (y, x)), and the closure is composed on plain pairs, so it boxes
+three CoverElems: x, y and the longitude.
 
 The point of the chart: the kernel of the covering map is {(0, 2 m pi)}, so
 proving that a lifted word equals (0, 0) on the nose, and not just up to a
@@ -62,9 +63,9 @@ from .slopes import DEFAULT_TOL_G, invert
 DEFAULT_TOL_CERT = 1e-6
 # Relator and longitude products keep intermediate |gamma| within ~1/norm^2
 # of the unit circle, and the final collapse divides by that margin, so lift
-# residuals scale like norm^2 * eps.  On the standard grid the worst case
-# (n = -6, s = 100) reaches 1.1e-6; the lift tolerance sits above that
-# envelope while still catching non-solutions, whose residuals are O(1).
+# residuals scale like norm^2 * eps: at most 1.1e-6 on the standard grid
+# (n = -6, s = 100), but above this bound on solve's own roots from s = 300
+# on, so a refusal does not show that the point is off the group relation.
 DEFAULT_LIFT_TOL = 1e-5
 LONGITUDE_GAMMA_TOL = 1e-8
 
@@ -298,8 +299,7 @@ def _lift(n: int, s: float, t: float) -> tuple:
     if not residual <= DEFAULT_LIFT_TOL:
         raise RelatorNotCentral(
             f"lifted relator at n={_int_text(n)}, s={s} is ({g}, {w}), "
-            f"residual {residual:.3e} > {DEFAULT_LIFT_TOL}; the parameters do "
-            f"not satisfy the group relation"
+            f"residual {residual:.3e} > DEFAULT_LIFT_TOL = {DEFAULT_LIFT_TOL}"
         )
     return xt, yt, xi, yi, wn, residual
 
@@ -333,9 +333,8 @@ def lift_generators(n: int, sol) -> tuple[CoverElem, CoverElem, float]:
     lift on the wrong level would leave a residual near 2 pi and raise
     RelatorNotCentral.
 
-    This runs the lift frame _lift and keeps x, y and the residual; the
-    frame's inverses and w^n are dropped, so lifted_longitude forms them
-    again.  certificate runs the frame itself and passes them along.
+    It keeps x, y and the residual of _lift's frame; lifted_longitude forms
+    the frame's inverses and w^n again, where _closure forms w^n once.
     """
     check_n(n)
     xt, yt, _, _, _, residual = _lift(n, sol.s, sol.t)
@@ -397,44 +396,47 @@ def _closure_stage(n: int, p: int, q: int, s_star: float) -> str:
     )
 
 
-def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
-    """Full pipeline: invert the slope map at p/q, lift, and certify.
-
-    Finds s* with g(s*) = p/q, lifts the representation there, and verifies
-    that the lifted x^p L^q lands on (0, 0) within DEFAULT_TOL_CERT.  It
-    lifts at invert's own sample, whose s and t come from the one root at
-    s* (invert's steps evaluate the branch in closed form).
-    The longitude's holonomy is the sample's B, the closed form of
-    rep.longitude_holonomy: on the root the longitude is diag(B, 1/B) by
-    the lemmas that checks.longitude_lemmas proves exactly, so no matrix
-    is formed here.  The lifted longitude's gamma must match the value
-    that gives, (B^2 - 1)/(B^2 + 1), to LONGITUDE_GAMMA_TOL.
-    """
-    smp, _ = invert(n, p, q)
-    b = smp.B
+def _closure(n: int, p: int, q: int, s: float, t: float, b: float) -> tuple:
+    """(x, L, relator residual, gamma, omega) of x^p L^q at (s, t), for an n
+    that has passed check_n.  L's gamma must match the holonomy value of
+    the longitude entry b, (b^2 - 1)/(b^2 + 1), to LONGITUDE_GAMMA_TOL, and
+    a composition that leaves the chart names the closure stage."""
     want = (b * b - 1.0) / (b * b + 1.0)
-    xt, yt, xi, yi, wn, rel_res = _lift(n, smp.s, smp.t)
+    xt, yt, xi, yi, wn, rel_res = _lift(n, s, t)
     lt = _longitude(n, xt, yt, xi, yi, wn)
-    err = abs(lt.gamma - want)
-    if not err <= LONGITUDE_GAMMA_TOL:
+    if not abs(lt.gamma - want) <= LONGITUDE_GAMMA_TOL:
         raise NumericsError(
             f"lifted longitude gamma = {lt.gamma} differs from holonomy "
-            f"value {want} by {err:.3e} > {LONGITUDE_GAMMA_TOL}"
+            f"value {want} by {abs(lt.gamma - want):.3e} > {LONGITUDE_GAMMA_TOL}"
         )
     try:
         g, w = _compose(_pow(xt, p), _pow(lt, q))
     except NumericsError as exc:
-        raise NumericsError(f"{_closure_stage(n, p, q, smp.s)} failed: {exc}") from exc
+        raise NumericsError(f"{_closure_stage(n, p, q, s)} failed: {exc}") from exc
+    return xt, lt, rel_res, g, w
+
+
+def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
+    """Full pipeline: invert the slope map at p/q, lift, and certify.
+
+    Finds s* with g(s*) = p/q and verifies that _closure's x^p L^q at
+    invert's own sample, whose s and t come from the one root at s*, lands
+    on (0, 0) within DEFAULT_TOL_CERT.  The longitude's holonomy is the
+    sample's B, the closed form of rep.longitude_holonomy: on the root the
+    longitude is diag(B, 1/B) by the lemmas that checks.longitude_lemmas
+    proves exactly, so no matrix is formed here.
+    """
+    smp, _ = invert(n, p, q)
+    xt, lt, rel_res, g, w = _closure(n, p, q, smp.s, smp.t, smp.B)
     final_gamma_abs = abs(g)
     if not (final_gamma_abs <= DEFAULT_TOL_CERT and abs(w) <= DEFAULT_TOL_CERT):
-        stage = _closure_stage(n, p, q, smp.s)
         raise CertificateFailed(
-            f"{stage} failed: lifted word is ({g}, {w}); "
+            f"{_closure_stage(n, p, q, smp.s)} failed: lifted word is ({g}, {w}); "
             f"|gamma| = {final_gamma_abs:.3e}, |omega| = {abs(w):.3e} "
             f"exceed tol = {DEFAULT_TOL_CERT} "
             f"(relator residual {rel_res:.3e}, longitude omega {lt.omega:.3e})"
         )
     return _cert((
-        n, p, q, smp.s, smp.t, b, xt.gamma.real, lt.gamma.real, rel_res,
+        n, p, q, smp.s, smp.t, smp.B, xt.gamma.real, lt.gamma.real, rel_res,
         lt.omega, final_gamma_abs, w, DEFAULT_TOL_G, DEFAULT_TOL_CERT,
     ))

@@ -32,7 +32,7 @@ class NonConvergence(NumericsError):
 
 
 class RelatorNotCentral(NumericsError):
-    """Lifted relator is not a deck transformation; (s, t) is not a solution."""
+    """Lifted relator misses (0, 0) by more than cover.DEFAULT_LIFT_TOL."""
 
 
 class LongitudeOmegaNonzero(NumericsError):

@@ -183,12 +183,24 @@ def test_tau_walk_builds_without_deep_recursion():
 
 
 def test_riley_poly_is_the_memo_free_walk():
-    # riley_poly walks two live terms; its coefficients are tau_poly's
-    shift = BivarPoly({(0, 1): 1, (0, 0): -1, (1, 0): -1})
+    # an oracle independent of exactpoly's walk: the recursion tau_{j+1} =
+    # K tau_j - tau_{j-1} from tau_0 = 0, tau_1 = 1, run upward and, for
+    # negative j, downward as tau_{j-1} = K tau_j - tau_{j+1}, in the
+    # sparse-dict reference arithmetic below; riley_poly(n) is then
+    # tau_{n+1} - (T - 1 - s) tau_n
+    trace, shift = TRACE_POLY.coeffs, {(0, 1): 1, (0, 0): -1, (1, 0): -1}
+    ref = {0: {}, 1: {(0, 0): 1}}
+    for j in range(1, 26):
+        ref[j + 1] = _ref_add(_ref_mul(trace, ref[j]), _ref_neg(ref[j - 1]))
+    for j in range(0, -25, -1):
+        ref[j - 1] = _ref_add(_ref_mul(trace, ref[j]), _ref_neg(ref[j + 1]))
+    for m in range(-25, 26):
+        assert tau_poly(m).coeffs == ref[m], m
     for n in range(-20, 21):
         if n in (0, -1):
             continue
-        assert riley_poly(n) == tau_poly(n + 1) - shift * tau_poly(n), n
+        phi = _ref_add(ref[n + 1], _ref_neg(_ref_mul(shift, ref[n])))
+        assert riley_poly(n).coeffs == phi, n
 
 
 def test_riley_poly_memory():

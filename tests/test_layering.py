@@ -3,8 +3,10 @@
 errors and kernels sit at the bottom; exactpoly and rep use errors alone,
 solver both; slopes sits above solver and rep, cover above slopes, and
 checks and cli at the top.  A new sibling import has to be added here on purpose.
-A certificate's x^p L^q is rebuilt in one place: outside cover itself, only
-checks.audit calls cover_pow or from_su11.
+A certificate's x^p L^q is formed in one place, cover._closure, which only
+certificate and checks.audit call: outside cover itself nothing powers or
+multiplies in the cover, and only checks.audit pushes a closure down with
+from_su11.
 """
 
 import ast
@@ -48,15 +50,24 @@ def test_every_module_imports_only_its_layers():
     assert graph == LAYERS
 
 
-# the cover functions that rebuild and push down x^p L^q, and the one
-# function outside cover.py that may call them
-REBUILD_CALLS = {"cover_pow", "from_su11"}
-REBUILD_HOME = ("checks.py", "audit")
+# each cover function that forms or pushes down x^p L^q, and the (file name,
+# outermost function) pairs in src/ and tools/ that may call it; cover.py
+# is searched for _closure and from_su11 only, since its own group law
+# powers and multiplies
+CLOSURE_CALLERS = {
+    "_closure": {("cover.py", "certificate"), ("checks.py", "audit")},
+    "from_su11": {("checks.py", "audit")},
+    "_pow": set(),
+    "cover_pow": set(),
+    "cover_mul": set(),
+}
+COVER_OWN = {"_pow", "cover_pow", "cover_mul"}
 
 
-def rebuild_callers(path: Path) -> set:
-    """(file name, outermost function) of each call to a REBUILD_CALLS name
-    in path, by plain name or as an attribute; None outside any function."""
+def closure_callers(path: Path) -> set:
+    """(called name, file name, outermost function) of each call to a
+    CLOSURE_CALLERS name in path, by plain name or as an attribute; None
+    outside any function."""
     found = set()
 
     def visit(node, owner):
@@ -65,8 +76,8 @@ def rebuild_callers(path: Path) -> set:
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in REBUILD_CALLS:
-                found.add((path.name, owner))
+            if name in CLOSURE_CALLERS and not (path.name == "cover.py" and name in COVER_OWN):
+                found.add((name, path.name, owner))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
@@ -76,5 +87,6 @@ def rebuild_callers(path: Path) -> set:
 
 def test_only_the_audit_rebuilds_a_certificate():
     paths = sorted(PACKAGE.glob("*.py")) + sorted(TOOLS.glob("*.py"))
-    callers = set().union(*(rebuild_callers(path) for path in paths if path.name != "cover.py"))
-    assert callers == {REBUILD_HOME}
+    found = set().union(*(closure_callers(path) for path in paths))
+    allowed = {(name, *at) for name, where in CLOSURE_CALLERS.items() for at in where}
+    assert found == allowed
