@@ -6,8 +6,8 @@ holonomy (rep), the slope map g and its inversion (slopes), and lifting to
 the universal cover with surgery certificates (cover).  checks bundles the
 runtime invariant suites, the exact proof of the longitude lemmas among
 them; cli is the command line frontend, and the one module that formats
-output.  kernels holds the four hot inner loops that solver and cover
-call.
+output.  kernels holds the three hot inner loops of the solver; the cover
+group law lives in cover.
 """
 
 from ._version import __version__

@@ -304,15 +304,6 @@ def check_large_s_limits() -> Cases:
         yield (4.0 - smp.g) / 0.005, "n={} g limit", n
 
 
-@_suite(slopes.DEFAULT_TOL_G)
-def check_invert_recheck() -> Cases:
-    """Inversion results re-verified by an independent slope evaluation."""
-    for n, p, q in ((1, 1, 1), (2, 3, 2), (-2, 1, 2)):
-        smp, _ = slopes.invert(n, p, q)
-        again = slopes.g_eval(n, smp.s)
-        yield abs(again.g - p / q), "n={}, r={}/{}", n, p, q
-
-
 @_suite(1e-10)
 def check_cover_projection_homomorphism() -> Cases:
     draw = random.Random(SEED).random

@@ -8,21 +8,22 @@ by cover_mul, which tracks om along the continuous branch: the correction
 atan2 term is safe because its argument 1 + g1 conj(g2) e^{-2i om2} always
 has positive real part.
 
-A CoverElem is a (gamma, omega) tuple, checked once where it is built.  The
-group law's steps (_compose, _inv, _pow, _word) form plain pairs, each checked
-as it is formed, so saturation is caught where it happens; cover_mul,
-cover_inv, cover_pow and cover_word box the result with _box, unchecked.
-SU11Elem and SurgeryCertificate are slotted namedtuples too, boxed the same
-way by _su11 and _cert.
+A CoverElem that a caller builds is checked by _check, where |gamma| >= 1
+is a DomainError.  The group law's steps (_compose, _inv, _pow, _word) form
+plain pairs, and _compose, _inv and _tanh_add each check the element they
+form, so saturation is caught where it happens and is always a
+NumericsError, _off_chart's; cover_mul, cover_inv, cover_pow and cover_word
+box the result with _box, unchecked.  SU11Elem and SurgeryCertificate are
+slotted namedtuples too, boxed the same way by _su11 and _cert.
 
 _pow is one squaring loop, accumulate then square, whose step is _compose,
 or _tanh_add on the real gammas for an element on the real axis (omega ==
 0, real gamma; the lifted meridian x).  Such an element lies in a
 hyperbolic one-parameter subgroup, gamma = tanh(u), where the law is tanh
 addition, gamma'' = (gamma1 + gamma2)/(1 + gamma1 gamma2) with omega staying
-0.  That is bit for bit the real part of cover_compose on such pairs: with
-zero imaginary parts and e^(-2i omega) = 1 - 0i, every cross term of the
-complex law is +-0.
+0.  That is bit for bit the real part of _compose's gamma on such pairs:
+with zero imaginary parts and e^(-2i omega) = 1 - 0i, every cross term of
+the complex law is +-0.
 
 _closure is the one place x^p L^q is formed, for certificate and
 checks.audit alike, each lifted word once in one frame with no state kept
@@ -43,9 +44,8 @@ from __future__ import annotations
 from cmath import isfinite, phase, rect
 from collections import namedtuple
 from functools import partial
-from math import inf, sqrt
+from math import atan2, inf, sqrt
 
-from . import kernels
 from .errors import (
     CertificateFailed,
     DomainError,
@@ -53,7 +53,6 @@ from .errors import (
     NumericsError,
     RelatorNotCentral,
     _int_text,
-    _str_digit_limit,
     check_n,
     is_int,
 )
@@ -70,6 +69,17 @@ DEFAULT_LIFT_TOL = 1e-5
 LONGITUDE_GAMMA_TOL = 1e-8
 
 
+def _off_chart(gamma: complex, omega: float) -> NumericsError:
+    """The refusal of a pair that the group law forms outside the chart, and
+    of any non-finite pair: the exact element lies in the chart, so this is
+    rounding or overflow."""
+    return NumericsError(
+        f"cover composition left the chart: |gamma| = {abs(gamma)} is not < 1"
+        if isfinite(gamma) and isfinite(omega)
+        else f"cover element ({gamma}, {omega}) is not finite"
+    )
+
+
 def _check(gamma: complex, omega: float) -> None:
     """CoverElem's checks on a (gamma, omega) pair."""
     # abs() of a NaN or infinite gamma is never below 1, so this accepts
@@ -78,9 +88,8 @@ def _check(gamma: complex, omega: float) -> None:
         return
     # a non-finite coordinate is a numerical breakdown, not a bad input
     if not (isfinite(gamma) and isfinite(omega)):
-        raise NumericsError(f"cover element ({gamma}, {omega}) is not finite")
-    if not abs(gamma) < 1.0:
-        raise DomainError(f"|gamma| = {abs(gamma)} is not < 1")
+        raise _off_chart(gamma, omega)
+    raise DomainError(f"|gamma| = {abs(gamma)} is not < 1")
 
 
 class CoverElem(namedtuple("CoverElem", "gamma omega")):
@@ -162,24 +171,39 @@ def unchart(e: CoverElem) -> SU11Elem:
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
-    """cover_mul on (gamma, omega) pairs, checked as a CoverElem is."""
-    g1, w1 = a
-    g2, w2 = b
-    try:
-        g, w = kernels.cover_compose(g1, w1, g2, w2)
-        _check(g, w)
-    except ValueError as exc:  # DomainError from _check included
-        raise NumericsError(f"cover composition left the chart: {exc}") from exc
-    return g, w
+    """cover_mul on (gamma, omega) pairs, the group law of the cover:
+
+    gamma'' = (gamma2 + gamma1 e^(-2i w2)) / (1 + gamma1 conj(gamma2) e^(-2i w2))
+    omega'' = w1 + w2 + arg(1 + gamma1 conj(gamma2) e^(-2i w2))
+
+    The arg term equals the principal log form (1/2i) Log(d/conj(d)) because
+    Re(d) > 0 whenever both gammas lie in the unit disk; that positivity is
+    checked on every call, so a branch crossing never passes silently, and
+    so is the result, as _off_chart refuses it.  The phase is rect(1, -2 w2),
+    bit for bit complex(cos, sin) of -2 w2.
+    """
+    (g1, w1), (g2, w2) = a, b
+    ph = rect(1.0, -2.0 * w2)
+    den = 1.0 + g1 * g2.conjugate() * ph
+    if den.real <= 0.0:
+        raise NumericsError(
+            "cover composition left the chart: "
+            "principal log branch violated; element outside the unit disk"
+        )
+    g = (g2 + g1 * ph) / den
+    w = w1 + w2 + atan2(den.imag, den.real)
+    if abs(g) < 1.0 and -inf < w < inf:
+        return g, w
+    raise _off_chart(g, w)
 
 
 def _inv(a: tuple) -> tuple:
-    """cover_inv on a (gamma, omega) pair, checked as a CoverElem is."""
+    """cover_inv on a (gamma, omega) pair, refused as _compose refuses."""
     g, w = a
-    ph = rect(1.0, 2.0 * w)
-    g, w = -g * ph, -w
-    _check(g, w)
-    return g, w
+    g, w = -g * rect(1.0, 2.0 * w), -w
+    if abs(g) < 1.0 and -inf < w < inf:
+        return g, w
+    raise _off_chart(g, w)
 
 
 def _tanh_add(u: float, v: float) -> float:
@@ -187,9 +211,9 @@ def _tanh_add(u: float, v: float) -> float:
     addition (u + v)/(1 + u v), refused as _compose refuses it when it
     rounds onto the unit circle."""
     g = (u + v) / (1.0 + u * v)
-    if not abs(g) < 1.0:
-        raise NumericsError(f"cover composition left the chart: |gamma| = {abs(g)} is not < 1")
-    return g
+    if abs(g) < 1.0:
+        return g
+    raise _off_chart(g, 0.0)
 
 
 def _pow(a: tuple, k: int) -> tuple:
@@ -281,20 +305,22 @@ def _lift(n: int, s: float, t: float) -> tuple:
     residual is the lifted relator w^n x w^-n y^-1's distance from (0, 0),
     and RelatorNotCentral refuses it above DEFAULT_LIFT_TOL.  A generator
     matrix that rounding carries off determinant 1 or onto the unit circle
-    of the chart is a NumericsError naming n and s."""
+    of the chart, or a frame element that it carries out of the chart, is a
+    NumericsError naming n and s."""
     gen_x, gen_y = gen_matrices(s, t)
     try:
         xt = chart(to_su11(gen_x))
         yt = chart(to_su11(gen_y))
-    except DomainError as exc:
+        xi, yi = _inv(xt), _inv(yt)
+        wn = _pow(_commutator(xt, yt, xi, yi), n)
+        g, w = _compose(_compose(_compose(wn, xt), _inv(wn)), yi)
+    except (DomainError, NumericsError) as exc:
         # the matrices are gen_matrices' own, of determinant 1 and inside
-        # the chart in exact arithmetic, so this refusal is rounding
+        # the chart in exact arithmetic, and so is every element formed
+        # from them, so this refusal is rounding
         raise NumericsError(
             f"generator lift at n={_int_text(n)}, s={s} failed by rounding: {exc}"
         ) from exc
-    xi, yi = _inv(xt), _inv(yt)
-    wn = _pow(_commutator(xt, yt, xi, yi), n)
-    g, w = _compose(_compose(_compose(wn, xt), _inv(wn)), yi)
     residual = max(abs(g), abs(w))
     if not residual <= DEFAULT_LIFT_TOL:
         raise RelatorNotCentral(
@@ -376,23 +402,9 @@ _cert = partial(tuple.__new__, SurgeryCertificate)
 
 
 def _closure_stage(n: int, p: int, q: int, s_star: float) -> str:
-    """The closure stage a failed certificate names; formatted on failure only.
-
-    An integer that str may refuse, one of more digits than Python's limit
-    (errors._str_digit_limit), is named through errors._int_text.  Any
-    such integer has more than 3 bits per digit of that limit, since a
-    decimal digit holds log2(10) bits; every other one goes through str,
-    whose text _int_text would give too.  The choice sits in the return
-    expression, so an ordinary refusal runs no statement of _int_text and
-    adds none to the statements a certificate runs (CERTIFICATE_STATEMENTS
-    in tests/test_cover.py), which one statement keeps at 231.
-    """
+    """The closure stage a failed certificate names; formatted on failure only."""
     return "closure of x^{1} L^{2} at n={0}, r={1}/{2}, s*={3}".format(
-        *map(
-            _int_text if max(abs(n), p, q).bit_length() > 3 * _str_digit_limit() else str,
-            (n, p, q),
-        ),
-        s_star,
+        *map(_int_text, (n, p, q)), s_star
     )
 
 

@@ -7,11 +7,9 @@ above tolerance); the CLI maps it to exit code 2.  The checks every module
 applies to its arguments live here too: is_int and check_n for integers,
 as_float and check_positive for floats, _too_large, the one refusal of an
 integer beyond double range, and _int_text, which names an integer argument
-of any size in a refusal (_str_digit_limit reads the digit limit past which
-str refuses one).
+of any size in a refusal.
 """
 
-import sys
 from math import inf
 
 
@@ -66,11 +64,6 @@ def _too_large(name: str, k: int) -> NumericsError:
     |k|'s bit length, since str(k) itself raises above 4300 digits."""
     bits = int(k).bit_length()
     return NumericsError(f"{name} is too large for double precision: |{name}| has {bits} bits")
-
-
-# str's digit limit for integers, read at each call (0: no limit, as on a
-# Python from before the limit)
-_str_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _int_text(k: int) -> str:

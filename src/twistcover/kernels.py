@@ -1,23 +1,21 @@
 """Hot kernels.
 
-These four functions are the inner loops of the solver and the cover
-arithmetic: cheb_pair, the one float evaluation of the trace recursion (two
-consecutive Chebyshev ratios); phi_delta, the defining function in the
-offset coordinate d = (T - s - 2)*s; itp, the bracketing root finder; and
-cover_compose, the cover group law.  itp interpolates by two-sided regula
-falsi: when the same end of its bracket moves twice in a row, the value of
-the end that stayed put is scaled (Anderson-Bjorck), so neither end goes
-stale.  A step of itp that would land on an end of its bracket moves tol/4
-inside that end (tol = 4 ulp(hi), itp's own), not to the midpoint, so a
-root pinned to an end within rounding ends the search in a step instead of
-twenty or so halvings.  Each search passes its own ITP constants: the
-truncation k1 and the slack n0.  Whatever the interpolant does, the worst
-case stays n0 steps beyond bisection's count.  The kernels take and return
-plain floats and complexes; cheb_pair's trace lies in [-2, 2].
+These three functions are the inner loops of the solver: cheb_pair, the
+one float evaluation of the trace recursion (two consecutive Chebyshev
+ratios); phi_delta, the defining function in the offset coordinate
+d = (T - s - 2)*s; and itp, the bracketing root finder.  itp interpolates
+by two-sided regula falsi: when the same end of its bracket moves twice in
+a row, the value of the end that stayed put is scaled (Anderson-Bjorck), so
+neither end goes stale.  A step of itp that would land on an end of its
+bracket moves tol/4 inside that end (tol = 4 ulp(hi), itp's own), not to
+the midpoint, so a root pinned to an end within rounding ends the search in
+a step instead of twenty or so halvings.  Each search passes its own ITP
+constants: the truncation k1 and the slack n0.  Whatever the interpolant
+does, the worst case stays n0 steps beyond bisection's count.  The kernels
+take and return plain floats; cheb_pair's trace lies in [-2, 2].
 """
 
-from cmath import rect
-from math import acos, atan2, pi, sin, ulp
+from math import acos, pi, sin, ulp
 
 # ITP constants of Oliveira & Takahashi: the truncation is
 # k1 / (hi - lo) * width**ITP_K2, and n0 is the number of steps a search may
@@ -171,23 +169,3 @@ def itp(f, lo, hi, f_lo, f_hi, k1=ITP_K1, n0=ITP_N0):
                 f_lo *= m if m > 0.0 else 0.5
             hi, f_hi, moved = x, fx, 1
     return 0.5 * (lo + hi), iters, False
-
-
-def cover_compose(g1, w1, g2, w2):
-    """Group law of the universal cover in the (gamma, omega) chart.
-
-    gamma'' = (gamma2 + gamma1*e^(-2i*w2)) / (1 + gamma1*conj(gamma2)*e^(-2i*w2))
-    omega'' = w1 + w2 + arg(1 + gamma1*conj(gamma2)*e^(-2i*w2))
-
-    The arg term equals the principal log form (1/2i)Log(d/conj(d)) because
-    Re(d) > 0 whenever both gammas lie in the unit disk; that positivity is
-    asserted on every call so a branch crossing can never pass silently.
-    The phase is rect(1, -2*w2), bit for bit complex(cos, sin) of -2*w2.
-    """
-    ph = rect(1.0, -2.0 * w2)
-    den = 1.0 + g1 * g2.conjugate() * ph
-    if den.real <= 0.0:
-        raise ValueError("principal log branch violated; element outside the unit disk")
-    g = (g2 + g1 * ph) / den
-    w = w1 + w2 + atan2(den.imag, den.real)
-    return g, w

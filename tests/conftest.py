@@ -77,7 +77,9 @@ def phi_delta_calls(monkeypatch):
 
 @pytest.fixture
 def cover_compose_calls(monkeypatch):
-    return _count_calls(monkeypatch, kernels, "cover_compose")
+    # cover._compose holds the group law; cover_mul, _pow, _word and the
+    # lifts all compose through it
+    return _count_calls(monkeypatch, cover, "_compose")
 
 
 @pytest.fixture
@@ -100,4 +102,6 @@ def cover_elems_built(monkeypatch):
 
 @pytest.fixture
 def cover_checks(monkeypatch):
+    # cover._check runs for a CoverElem a caller builds, not for the
+    # elements the group law forms
     return _count_calls(monkeypatch, cover, "_check")

@@ -127,6 +127,13 @@ def test_cover_mul_saturation_is_numerics():
         cover_mul(a, a)
 
 
+def test_compose_rejects_nonprincipal_branch():
+    # inside the disk |g1*conj(g2)| < 1 keeps Re(den) > 0, so the guard can
+    # only fire on invalid input; feed it some to prove it is wired up
+    with pytest.raises(NumericsError, match="principal log branch violated"):
+        cover._compose((1.5 + 0j, 0.0), (-0.9 + 0j, 0.0))
+
+
 @pytest.mark.parametrize(
     "gamma, omega",
     [
@@ -406,18 +413,25 @@ def test_cover_elem_is_the_pair():
 
 
 def test_each_element_is_checked_once(cover_checks):
+    # _check runs on a CoverElem a caller builds; the group law's steps check
+    # the elements they form themselves, so boxing a result checks it no more
     rng = random.Random(53)
+    cover_checks[0] = 0
     a, b = rand_elem(rng), rand_elem(rng)
+    assert cover_checks[0] == 2
     cover_checks[0] = 0
     cover_mul(a, b)
-    assert cover_checks[0] == 1
-    cover_checks[0] = 0
     cover_inv(a)
-    assert cover_checks[0] == 1
-    # a power checks each of its compositions, and its result no more
-    cover_checks[0] = 0
-    cover_pow(a, 5)  # a^2, a^4, a * a^4
-    assert cover_checks[0] == 3
+    cover_pow(a, 5)
+    cover_word("xYXy", a, b)
+    assert cover_checks[0] == 0
+    # so each step refuses its own result: an inverse rounded onto the unit
+    # circle is a NumericsError, as a product is, not _check's DomainError
+    inside = CoverElem(0.555966646855693 - 0.8312046003145297j, 1.0)
+    with pytest.raises(NumericsError, match="left the chart: [|]gamma[|] = 1.0 is not < 1"):
+        cover._inv(inside)
+    with pytest.raises(NumericsError, match="is not finite"):
+        cover._inv((complex(math.nan, 0.0), 0.0))
 
 
 @pytest.mark.parametrize("span", [10.0, math.pi - 1e-9])
@@ -457,7 +471,7 @@ def test_certificate_builds_few_records(n, p, q, cover_elems_built):
     assert 0 < cover_elems_built[0] <= 3
 
 
-# (n, p, q) -> cover_compose and cover._inv calls of one certificate.  The
+# (n, p, q) -> cover._compose and cover._inv calls of one certificate.  The
 # lift frame takes 10 + 2 (bit_length + popcount - 2) compositions of |n|
 # (test_lift_compositions_grow_with_log_n) and three inverses, x^-1, y^-1 and w^-n, plus one per power of a negative n; x^p on
 # the real axis takes none; L^q one per squaring and further set bit; the
@@ -654,13 +668,20 @@ def test_certificate_at_a_million_meets_the_acceptance_bound(n, p, q):
     [
         (2, 3e7, "generator lift at n=2, s=30000000.0 failed by rounding: matrix determinant"),
         (2, 8737170239.6701, "generator lift at n=2, s=8737170239.6701 failed by rounding: |gamma| = 1.0"),
+        (
+            2,
+            8118952.489356739,
+            "generator lift at n=2, s=8118952.489356739 failed by rounding: "
+            "cover composition left the chart: |gamma| = 1.0 is not < 1",
+        ),
     ],
 )
 def test_lift_of_a_rounded_generator_is_numerics(n, s, text):
     # gen_matrices' own Y has determinant 1 and lies inside the chart in
-    # exact arithmetic; at large s its float entries miss the determinant
-    # check or round |gamma| onto the unit circle, a numerical failure (exit
-    # 2), not a bad argument
+    # exact arithmetic, and so does every element of the lift frame formed
+    # from x and y; at large s the float entries miss the determinant check
+    # or round |gamma| onto the unit circle, as the relator's w^-n does at
+    # s = 8118952.489356739, a numerical failure (exit 2), not a bad argument
     with pytest.raises(NumericsError) as exc:
         lift_generators(n, solve(n, s))
     assert str(exc.value).startswith(text)

@@ -310,15 +310,8 @@ def test_solve_runs_itp_at_its_own_constants():
         assert (repr(sol.theta), sol.iterations) == (repr(theta), iters), (n, s)
 
 
-def test_cover_compose_rejects_nonprincipal_branch():
-    # inside the disk |g1*conj(g2)| < 1 keeps Re(den) > 0, so the guard can
-    # only fire on invalid input; feed it some to prove it is wired up
-    with pytest.raises(ValueError):
-        kernels.cover_compose(1.5 + 0j, 0.0, -0.9 + 0j, 0.0)
-
-
 def test_unit_phase_rect_is_complex_of_cos_and_sin():
-    # cover_compose (at -2 w), cover._inv (at 2 w) and cover.unchart (at w)
+    # cover._compose (at -2 w), cover._inv (at 2 w) and cover.unchart (at w)
     # form e^(i phi) as cmath.rect(1, phi): CPython's rect is 1*cos(phi),
     # 1*sin(phi), and (1, phi) at phi == 0, so the bits are complex(cos, sin)'s
     rng = random.Random(17)

@@ -25,7 +25,7 @@ LAYERS = {
     "solver": {"kernels", "errors"},
     "rep": {"errors"},
     "slopes": {"kernels", "solver", "rep", "errors"},
-    "cover": {"kernels", "rep", "slopes", "errors"},
+    "cover": {"rep", "slopes", "errors"},
     "checks": {"cover", "exactpoly", "rep", "slopes", "solver", "errors"},
     "cli": {"checks", "cover", "exactpoly", "slopes", "solver", "errors", "_version"},
     "__init__": {"_version", "cover", "errors", "exactpoly", "rep", "slopes", "solver"},
