@@ -10,20 +10,12 @@ has positive real part.
 
 A CoverElem that a caller builds is checked by _check, where |gamma| >= 1
 is a DomainError.  The group law's steps (_compose, _inv, _pow, _word) form
-plain pairs, and _compose, _inv and _tanh_add each check the element they
-form, so saturation is caught where it happens and is always a
-NumericsError, _off_chart's; cover_mul, cover_inv, cover_pow and cover_word
-box the result with _box, unchecked.  SU11Elem and SurgeryCertificate are
-slotted namedtuples too, boxed the same way by _su11 and _cert.
-
-_pow is one squaring loop, accumulate then square, whose step is _compose,
-or _tanh_add on the real gammas for an element on the real axis (omega ==
-0, real gamma; the lifted meridian x).  Such an element lies in a
-hyperbolic one-parameter subgroup, gamma = tanh(u), where the law is tanh
-addition, gamma'' = (gamma1 + gamma2)/(1 + gamma1 gamma2) with omega staying
-0.  That is bit for bit the real part of _compose's gamma on such pairs:
-with zero imaginary parts and e^(-2i omega) = 1 - 0i, every cross term of
-the complex law is +-0.
+plain pairs, and _compose and _inv each check the element they form, so
+saturation is caught where it happens and is always a NumericsError,
+_off_chart's; cover_mul, cover_inv, cover_pow and cover_word box the
+result with _box, unchecked.  SU11Elem is a slotted namedtuple too, boxed
+the same way by _su11.  _pow is one squaring loop, accumulate then square,
+whose every step is _compose, the lifted meridian x's powers included.
 
 _closure is the one place x^p L^q is formed, for certificate and
 checks.audit alike, each lifted word once in one frame with no state kept
@@ -206,42 +198,20 @@ def _inv(a: tuple) -> tuple:
     raise _off_chart(g, w)
 
 
-def _tanh_add(u: float, v: float) -> float:
-    """_compose's gamma for two elements on the real axis: the tanh
-    addition (u + v)/(1 + u v), refused as _compose refuses it when it
-    rounds onto the unit circle."""
-    g = (u + v) / (1.0 + u * v)
-    if abs(g) < 1.0:
-        return g
-    raise _off_chart(g, 0.0)
-
-
 def _pow(a: tuple, k: int) -> tuple:
-    """cover_pow on a (gamma, omega) pair: accumulate, then square, one
-    step per bit.  On the real axis the step is _tanh_add on the real
-    gammas, elsewhere it is _compose.
-
-    On the axis the result keeps a's zero imaginary part and omega, as
-    _compose does for the lifted meridian (gamma > 0 with omega = +0);
-    elsewhere on the axis the two may differ in the sign of a zero.
-    """
+    """cover_pow on a (gamma, omega) pair: accumulate, then square, each
+    step one _compose."""
     if k < 0:
         a = _inv(a)
         k = -k
-    g, w = a
-    real_axis = w == 0.0 and g.imag == 0.0
-    a, step = (g.real, _tanh_add) if real_axis else (a, _compose)
     acc = None
     while True:
         if k & 1:
-            acc = a if acc is None else step(acc, a)
+            acc = a if acc is None else _compose(acc, a)
         k >>= 1
         if not k:
-            break
-        a = step(a, a)
-    if acc is None:
-        return IDENTITY_COVER
-    return (complex(acc, g.imag), w) if real_axis else acc
+            return IDENTITY_COVER if acc is None else acc
+        a = _compose(a, a)
 
 
 def _word(word: str, x: tuple, y: tuple) -> tuple:
@@ -274,9 +244,7 @@ def cover_pow(a: CoverElem, k: int) -> CoverElem:
     compositions: at most 2 floor(log2 |k|), against |k| for a fold.
 
     The product is reassociated, so it matches the left fold, its test
-    oracle, only to rounding.  An a on the real axis is powered by the tanh
-    addition chain on floats (see the module docstring), with the same gamma
-    and the same refusals.  k must be an integer (not a bool).
+    oracle, only to rounding.  k must be an integer (not a bool).
     """
     if not is_int(k):
         raise DomainError(f"k must be an integer, got {k!r}")
@@ -398,9 +366,6 @@ class SurgeryCertificate(
     __slots__ = ()
 
 
-_cert = partial(tuple.__new__, SurgeryCertificate)
-
-
 def _closure_stage(n: int, p: int, q: int, s_star: float) -> str:
     """The closure stage a failed certificate names; formatted on failure only."""
     return "closure of x^{1} L^{2} at n={0}, r={1}/{2}, s*={3}".format(
@@ -411,20 +376,21 @@ def _closure_stage(n: int, p: int, q: int, s_star: float) -> str:
 def _closure(n: int, p: int, q: int, s: float, t: float, b: float) -> tuple:
     """(x, L, relator residual, gamma, omega) of x^p L^q at (s, t), for an n
     that has passed check_n.  L's gamma must match the holonomy value of
-    the longitude entry b, (b^2 - 1)/(b^2 + 1), to LONGITUDE_GAMMA_TOL, and
-    a composition that leaves the chart names the closure stage."""
+    the longitude entry b, (b^2 - 1)/(b^2 + 1), to LONGITUDE_GAMMA_TOL.  A
+    refusal of the longitude or of the closure names the closure stage and
+    keeps its class."""
     want = (b * b - 1.0) / (b * b + 1.0)
     xt, yt, xi, yi, wn, rel_res = _lift(n, s, t)
-    lt = _longitude(n, xt, yt, xi, yi, wn)
-    if not abs(lt.gamma - want) <= LONGITUDE_GAMMA_TOL:
-        raise NumericsError(
-            f"lifted longitude gamma = {lt.gamma} differs from holonomy "
-            f"value {want} by {abs(lt.gamma - want):.3e} > {LONGITUDE_GAMMA_TOL}"
-        )
     try:
+        lt = _longitude(n, xt, yt, xi, yi, wn)
+        if not abs(lt.gamma - want) <= LONGITUDE_GAMMA_TOL:
+            raise NumericsError(
+                f"lifted longitude gamma = {lt.gamma} differs from holonomy "
+                f"value {want} by {abs(lt.gamma - want):.3e} > {LONGITUDE_GAMMA_TOL}"
+            )
         g, w = _compose(_pow(xt, p), _pow(lt, q))
     except NumericsError as exc:
-        raise NumericsError(f"{_closure_stage(n, p, q, s)} failed: {exc}") from exc
+        raise type(exc)(f"{_closure_stage(n, p, q, s)} failed: {exc}") from exc
     return xt, lt, rel_res, g, w
 
 
@@ -448,7 +414,7 @@ def certificate(n: int, p: int, q: int) -> SurgeryCertificate:
             f"exceed tol = {DEFAULT_TOL_CERT} "
             f"(relator residual {rel_res:.3e}, longitude omega {lt.omega:.3e})"
         )
-    return _cert((
+    return SurgeryCertificate(
         n, p, q, smp.s, smp.t, smp.B, xt.gamma.real, lt.gamma.real, rel_res,
         lt.omega, final_gamma_abs, w, DEFAULT_TOL_G, DEFAULT_TOL_CERT,
-    ))
+    )

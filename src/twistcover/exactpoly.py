@@ -220,13 +220,7 @@ class BivarPoly:
         for a, bc in by_a.items():
             xs = [row << (w * a) for row in big._rows] if a else big._rows
             for b, c in bc:
-                acc = out[b : b + n]
-                if c == 1:
-                    out[b : b + n] = [o + x for o, x in zip(acc, xs)]
-                elif c == -1:
-                    out[b : b + n] = [o - x for o, x in zip(acc, xs)]
-                else:
-                    out[b : b + n] = [o + c * x for o, x in zip(acc, xs)]
+                out[b : b + n] = [o + c * x for o, x in zip(out[b : b + n], xs)]
         return _new(tuple(out), w, mag)
 
     __rmul__ = __mul__

@@ -16,7 +16,6 @@ those two limits as the values at the branch's open ends; each step gets its
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 from math import exp, gcd, inf, log
 
 from . import kernels, solver
@@ -33,10 +32,6 @@ class SlopeSample(namedtuple("SlopeSample", "s T t B g")):
     """One evaluated point of the slope map."""
 
     __slots__ = ()
-
-
-# an (s, T, t, B, g) tuple into a SlopeSample, without the namedtuple's __new__
-_smp = partial(tuple.__new__, SlopeSample)
 
 
 class InvertReport(namedtuple("InvertReport", "evaluations")):
@@ -76,7 +71,7 @@ def _sample(n: int, s: float, branch: tuple) -> SlopeSample:
     # invert's steps call _slope instead, to which g = -0 is a valid sign
     if not b < 1.0:
         raise NumericsError(f"longitude entry B = {b} is not < 1 at n={n}, s={s}")
-    return _smp((s, T, t, b, g))
+    return SlopeSample(s, T, t, b, g)
 
 
 def _log_grid(s_min: float, s_max: float, samples: int) -> list[float]:

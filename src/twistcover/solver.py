@@ -121,13 +121,12 @@ def _branch(n: int) -> tuple[float, float, float, float]:
     cos((n + 1/2) theta) at zero and num_inf = 2 sin(theta/2) sin(n theta) at
     inf_end are the factors of solve's end values.  Each public entry forms
     the record once per call, after its own checks, and hands it down; an n
-    beyond double range is refused by _too_large.  n = 1's record, which
-    _root never reads, is formed once, as the constant _BRANCH_ONE.
+    beyond double range is refused by _too_large.
     """
-    if n == 1:
-        return _BRANCH_ONE
     try:
-        if n > 1:
+        if n == 1:
+            zero, inf_end = 0.0, pi / 3
+        elif n > 1:
             zero, inf_end = pi / n, 3 * pi / (2 * n + 1)
         else:
             zero, inf_end = pi / abs(n), pi / (2 * abs(n) - 1)
@@ -147,9 +146,6 @@ def _branch_terms(n: int, theta: float) -> tuple[float, float, float]:
     branch equation s * cos((n + 1/2) theta) = 2 sin(theta/2) sin(n theta)."""
     h = sin(0.5 * theta)
     return h, 2.0 * h * sin(n * theta), cos((n + 0.5) * theta)
-
-
-_BRANCH_ONE = (0.0, pi / 3, _branch_terms(1, 0.0)[2], _branch_terms(1, pi / 3)[1])
 
 
 def _branch_equation(n: int, s: float):
@@ -192,13 +188,11 @@ def _branch_point(n: int, theta: float, branch: tuple) -> tuple[float, float, fl
     """branch_point for a checked n and theta on branch, the _branch(n)
     record (read only to name an end): the core of invert's steps.
 
-    _branch_terms's three factors and t_from_T's root are written out in
-    this one frame, bit for bit the same expressions, as _branch_equation
-    does for solve.  t_from_T's check T >= 2 is left out: T = s + 2 + d/s
-    with s > 0 and d >= 0 always meets it.
+    t_from_T's root is written out, as in _root, without its check T >= 2:
+    T = s + 2 + d/s with s > 0 and d >= 0 always meets it.
     """
-    h = sin(0.5 * theta)
-    s = 2.0 * h * sin(n * theta) / cos((n + 0.5) * theta)
+    h, num, den = _branch_terms(n, theta)
+    s = num / den
     if not s > 0.0:
         zero, inf_end, _, _ = branch
         end, name = (zero, "0") if abs(theta - zero) <= abs(theta - inf_end) else (inf_end, "inf")

@@ -291,11 +291,12 @@ def test_certify_verdicts_on_the_standard_grid():
     # bound, in cover_pow's rounding noise: solve's root at the same s* moved
     # by at most 2 ulp of theta, and its |gamma| went 3.5e-6 -> 7.5e-7 vs 1e-6
     assert len(checks.GRID_SLOPES) == 183
-    verdicts, misses = grid_counts()
+    verdicts, misses, operations = grid_counts()
     assert verdicts == {"certified": 1206, "CertificateFailed": 444, "NumericsError": 363}
     report(
         "certify verdicts on the grid",
-        ", ".join(f"{k} {v}" for k, v in verdicts.items()) + f"; {misses} projection misses",
+        ", ".join(f"{k} {v}" for k, v in verdicts.items())
+        + f"; {misses} projection misses; cover operations {operations}",
     )
 
 

@@ -196,7 +196,8 @@ REFUSALS = (
         ("certify", "--n", "2", "--r", "39999999999/10000000000"),
         "generator lift at n=2, s=966681660.3508468 failed by rounding",
     ),
-    # |gamma| of a square in x^47's real-axis chain rounds onto the unit circle
+    # |gamma| of x^15, a partial product of x^47's power, rounds onto the
+    # unit circle
     (("certify", "--n", "2", "--r", "47/12"), "closure of x^47 L^12 at n=2"),
     # n = +-10^400 does not convert to a float
     *(
@@ -229,6 +230,17 @@ REFUSALS = (
         ("certify", "--n", "3", "--r", "29370411/7342603"),
         "generator lift at n=3, s=1598541.5512155106 failed by rounding: "
         "cover composition left the chart",
+    ),
+    # the lifted longitude's gamma misses its holonomy value by rounding
+    (
+        ("certify", "--n", "-2", "--r", "16385/4097"),
+        "closure of x^16385 L^4097 at n=-2, r=16385/4097, s*=449.3458469799335 "
+        "failed: lifted longitude gamma = ",
+    ),
+    (
+        ("certify", "--n", "20", "--r", "8195/2049"),
+        "closure of x^8195 L^2049 at n=20, r=8195/2049, s*=55.086813478034266 "
+        "failed: lifted longitude gamma = ",
     ),
 )
 

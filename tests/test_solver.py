@@ -86,13 +86,12 @@ def test_solve_n1_closed_form():
 
 
 def test_n1_branch_record_is_formed_once():
-    # the record the other n form per call, formed at import for n = 1
-    # (ends 0 and pi/3), the same bits
+    # n = 1's record (ends 0 and pi/3), formed per call as the other n's
+    # are, holds the closed-form end values bit for bit
     want = (
         0.0, math.pi / 3, math.cos(1.5 * 0.0),
         2.0 * math.sin(0.5 * (math.pi / 3)) * math.sin(math.pi / 3),
     )
-    assert solver._branch(1) is solver._branch(1)
     assert repr(solver._branch(1)) == repr(want)
 
 

@@ -18,8 +18,10 @@ and a new one goes last, so the file reads oldest first.  The counts are:
 - grid_verdicts: certificate's verdict class on GRID_N x GRID_SLOPES;
 - projection_misses: the certified pairs among those whose checks.audit
   projection residual, the rebuilt x^p L^q pushed down to a matrix, exceeds
-  checks.PROJECTION_TOL = 1e-8 (ROADMAP F1); one pass over the grid gives
-  both of these counts;
+  checks.PROJECTION_TOL = 1e-8 (ROADMAP F1);
+- cover_operations: the cover._compose and cover._inv calls of the
+  certificates over GRID_N x GRID_SLOPES, the group operations they cost;
+  one pass over the grid gives these three counts;
 - certificate_statements: the distinct statements of the package that one
   certificate per pair of GRID_N x every 7th GRID_SLOPES entry executes;
 - verify_statements and verify_suites: the distinct statements that one
@@ -116,26 +118,42 @@ def certify_sample() -> None:
                 pass
 
 
-def grid_counts() -> tuple[dict, int]:
-    """(grid_verdicts, projection_misses), from one certificate(n, p, q) per
-    pair of GRID_N x GRID_SLOPES: certified or the refusal's class,
-    counted, and the certified pairs whose checks.audit projection residual
-    exceeds checks.PROJECTION_TOL."""
-    from twistcover import NumericsError, certificate
+def grid_counts() -> tuple[dict, int, dict]:
+    """(grid_verdicts, projection_misses, cover_operations), from one
+    certificate(n, p, q) per pair of GRID_N x GRID_SLOPES: certified or the
+    refusal's class, counted; the certified pairs whose checks.audit
+    projection residual exceeds checks.PROJECTION_TOL; and the
+    certificates' cover._compose and cover._inv calls."""
+    from twistcover import NumericsError, certificate, cover
     from twistcover.checks import GRID_N, GRID_SLOPES, PROJECTION_TOL, audit
 
+    operations = Counter()
+    reals = {name: getattr(cover, name) for name in ("_compose", "_inv")}
+
+    def counted(name, real):
+        def step(*args):
+            operations[name] += 1
+            return real(*args)
+
+        return step
+
+    for name, real in reals.items():
+        setattr(cover, name, counted(name, real))
     verdicts = Counter()
-    misses = 0
-    for n in GRID_N:
-        for p, q in GRID_SLOPES:
-            try:
-                cert = certificate(n, p, q)
-            except NumericsError as exc:
-                verdicts[type(exc).__name__] += 1
-                continue
-            verdicts["certified"] += 1
-            misses += audit(cert).projection > PROJECTION_TOL
-    return dict(sorted(verdicts.items())), misses
+    certs = []
+    try:
+        for n in GRID_N:
+            for p, q in GRID_SLOPES:
+                try:
+                    certs.append(certificate(n, p, q))
+                except NumericsError as exc:
+                    verdicts[type(exc).__name__] += 1
+    finally:
+        for name, real in reals.items():
+            setattr(cover, name, real)
+    verdicts["certified"] = len(certs)
+    misses = sum(audit(cert).projection > PROJECTION_TOL for cert in certs)
+    return dict(sorted(verdicts.items())), misses, dict(sorted(operations.items()))
 
 
 def solve_steps() -> dict:
@@ -178,12 +196,13 @@ def counts() -> dict:
     """Every count of an entry, from the twistcover on sys.path."""
     from twistcover import checks
 
-    verdicts, misses = grid_counts()
+    verdicts, misses, operations = grid_counts()
     return {
         "solve_steps": solve_steps(),
         "invert_evaluations": invert_evaluations(),
         "grid_verdicts": verdicts,
         "projection_misses": misses,
+        "cover_operations": operations,
         "certificate_statements": statements_executed(certify_sample),
         "verify_statements": statements_executed(checks.run_all),
         "verify_suites": len(checks.ALL_CHECKS),
